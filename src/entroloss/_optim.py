@@ -4,16 +4,15 @@ The search space is the set of complex isometries W (rows x cols, rows >=
 cols, W^dag W = I).  Steps are random ambient directions retracted back to
 the manifold by a sign-fixed QR factorization; the step length shrinks on
 failure and grows mildly on success, so each restart terminates once the
-step falls below ``min_step``.  Everything is deterministic given the
-budget seed; restarts may run on a thread pool capped by the
-ENTROLOSS_THREADS environment variable without changing the result.
+step falls below ``min_step``.  Restarts run one after another, each on its
+own stream spawned from the budget seed, so the result is deterministic.
+``random_isometry`` is the one sign-fixed QR draw the package uses for
+Haar-random unitaries, isometries and Stinespring dilations.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,26 +28,10 @@ class OptimizerBudget:
     min_step: float = 1e-9
 
     def reseeded(self, seed: int) -> "OptimizerBudget":
-        return OptimizerBudget(
-            restarts=self.restarts,
-            iterations=self.iterations,
-            seed=seed,
-            initial_step=self.initial_step,
-            shrink=self.shrink,
-            grow=self.grow,
-            min_step=self.min_step,
-        )
+        return replace(self, seed=seed)
 
 
 DEFAULT_BUDGET = OptimizerBudget()
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ENTROLOSS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def qr_isometry(m: np.ndarray) -> np.ndarray:
@@ -61,6 +44,7 @@ def qr_isometry(m: np.ndarray) -> np.ndarray:
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Haar-random (rows x cols) isometry; a unitary when rows == cols."""
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     return qr_isometry(g)
 
@@ -123,19 +107,11 @@ def minimize_isometry(
     starts = [np.asarray(s, dtype=complex) for s in extra_starts]
     if include_identity_start:
         starts.insert(0, identity_isometry(rows, cols))
-    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-
-    def run(i: int):
-        rng = np.random.default_rng(seeds[i])
+    outcomes = []
+    for i, seed in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
+        rng = np.random.default_rng(seed)
         w0 = starts[i] if i < len(starts) else random_isometry(rng, rows, cols)
-        return _descend(objective, w0, rng, budget)
-
-    workers = worker_count()
-    if workers > 1 and budget.restarts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(budget.restarts)))
-    else:
-        outcomes = [run(i) for i in range(budget.restarts)]
+        outcomes.append(_descend(objective, w0, rng, budget))
     values = np.array([v for v, _ in outcomes])
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(

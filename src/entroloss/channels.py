@@ -216,17 +216,6 @@ def coherent_information(op: QuantumOperation, rho: TraceClassElement) -> float:
     return value
 
 
-def constrained_holevo(op: QuantumOperation, rho: TraceClassElement, members: int, budget=None):
-    """Best found sum_i pi_i H(Phi(rho_i) || Phi(rho)) over ensembles of size <= members.
-
-    Reported as a lower bound on the constrained Holevo capacity; see
-    roofs.constrained_holevo_estimate for the optimizer.
-    """
-    from .roofs import constrained_holevo_estimate
-
-    return constrained_holevo_estimate(op, rho, members, budget)
-
-
 # ---------------------------------------------------------------------------
 # Named channel builders
 # ---------------------------------------------------------------------------

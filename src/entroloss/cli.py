@@ -81,6 +81,12 @@ def _reject_unknown(section: dict, allowed: set, path: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}'")
 
 
+def _required(section: dict, key: str, path: str):
+    if key not in section:
+        raise ConfigError(f"'{path}.{key}' is required")
+    return section[key]
+
+
 def _complex_matrix(entries, path: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
@@ -98,13 +104,15 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
     factors = spec.get("factor_dims")
     if kind == "matrix":
         _reject_unknown(spec, {"kind", "entries", "factor_dims"}, path)
-        return TraceClassElement(_complex_matrix(spec["entries"], f"{path}.entries"), factor_dims=factors)
+        entries = _complex_matrix(_required(spec, "entries", path), f"{path}.entries")
+        return TraceClassElement(entries, factor_dims=factors)
     if kind == "diag":
         _reject_unknown(spec, {"kind", "values", "factor_dims"}, path)
-        return TraceClassElement(np.asarray(spec["values"], dtype=float), factor_dims=factors, diagonal=True)
+        values = np.asarray(_required(spec, "values", path), dtype=float)
+        return TraceClassElement(values, factor_dims=factors, diagonal=True)
     if kind == "pure":
         _reject_unknown(spec, {"kind", "amplitudes", "factor_dims"}, path)
-        amp = np.asarray(spec["amplitudes"], dtype=float)
+        amp = np.asarray(_required(spec, "amplitudes", path), dtype=float)
         if amp.ndim != 2 or amp.shape[1] != 2:
             raise ConfigError(f"'{path}.amplitudes' must be a vector of [re, im] pairs")
         v = amp[:, 0] + 1j * amp[:, 1]
@@ -115,7 +123,7 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
         return TraceClassElement.pure(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2), factor_dims=(2, 2))
     if kind == "max_mixed":
         _reject_unknown(spec, {"kind", "dim", "factor_dims"}, path)
-        d = int(spec["dim"])
+        d = int(_required(spec, "dim", path))
         return TraceClassElement(np.full(d, 1.0 / d), factor_dims=factors, diagonal=True)
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized state kind")
 
@@ -126,24 +134,24 @@ def parse_channel(spec: dict, path: str) -> QuantumOperation:
     kind = spec["kind"]
     if kind == "identity":
         _reject_unknown(spec, {"kind", "dim"}, path)
-        return identity_channel(int(spec["dim"]))
+        return identity_channel(int(_required(spec, "dim", path)))
     if kind == "depolarizing":
         _reject_unknown(spec, {"kind", "p", "dim"}, path)
-        return depolarizing_channel(float(spec["p"]), int(spec.get("dim", 2)))
+        return depolarizing_channel(float(_required(spec, "p", path)), int(spec.get("dim", 2)))
     if kind == "dephasing":
         _reject_unknown(spec, {"kind", "p"}, path)
-        return dephasing_channel(float(spec["p"]))
+        return dephasing_channel(float(_required(spec, "p", path)))
     if kind == "partial_trace":
         _reject_unknown(spec, {"kind", "dims", "keep"}, path)
-        return partial_trace_channel(spec["dims"], int(spec["keep"]))
+        return partial_trace_channel(_required(spec, "dims", path), int(_required(spec, "keep", path)))
     if kind == "measure_prepare":
         _reject_unknown(spec, {"kind", "povm", "preps"}, path)
-        povm = [_complex_matrix(m, f"{path}.povm") for m in spec["povm"]]
-        preps = [parse_state(s, f"{path}.preps") for s in spec["preps"]]
+        povm = [_complex_matrix(m, f"{path}.povm") for m in _required(spec, "povm", path)]
+        preps = [parse_state(s, f"{path}.preps") for s in _required(spec, "preps", path)]
         return measure_prepare_channel(povm, preps)
     if kind == "kraus":
         _reject_unknown(spec, {"kind", "operators"}, path)
-        return QuantumOperation([_complex_matrix(m, f"{path}.operators") for m in spec["operators"]])
+        return QuantumOperation([_complex_matrix(m, f"{path}.operators") for m in _required(spec, "operators", path)])
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized channel kind")
 
 
@@ -154,16 +162,16 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
     if kind == "log":
         _reject_unknown(spec, {"kind", "scale", "offset", "truncation_dim"}, path)
         return Hamiltonian.logarithmic(
-            float(spec.get("scale", 1.0)), float(spec.get("offset", 0.0)), int(spec["truncation_dim"])
+            float(spec.get("scale", 1.0)), float(spec.get("offset", 0.0)), int(_required(spec, "truncation_dim", path))
         )
     if kind == "linear":
         _reject_unknown(spec, {"kind", "offset", "slope", "truncation_dim"}, path)
         return Hamiltonian.linear(
-            float(spec.get("offset", 0.0)), float(spec.get("slope", 1.0)), int(spec["truncation_dim"])
+            float(spec.get("offset", 0.0)), float(spec.get("slope", 1.0)), int(_required(spec, "truncation_dim", path))
         )
     if kind == "table":
         _reject_unknown(spec, {"kind", "values"}, path)
-        return Hamiltonian.from_table(spec["values"])
+        return Hamiltonian.from_table(_required(spec, "values", path))
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized level law")
 
 
@@ -171,11 +179,16 @@ def parse_budget(spec: dict | None, seed: int) -> OptimizerBudget:
     if spec is None:
         return OptimizerBudget(seed=seed)
     _reject_unknown(spec, {"restarts", "iterations", "seed"}, "budget")
-    return OptimizerBudget(
+    budget = OptimizerBudget(
         restarts=int(spec.get("restarts", 16)),
         iterations=int(spec.get("iterations", 2000)),
         seed=int(spec.get("seed", seed)),
     )
+    if budget.restarts < 1:
+        raise ConfigError(f"'budget.restarts' must be >= 1, got {budget.restarts}")
+    if budget.iterations < 0:
+        raise ConfigError(f"'budget.iterations' must be >= 0, got {budget.iterations}")
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +274,20 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         raise ConfigError("'quantity.name' is required")
 
     def state(key="state"):
-        if key not in section:
-            raise ConfigError(f"'quantity.{key}' is required for {name!r}")
-        return parse_state(section[key], f"quantity.{key}")
+        return parse_state(_required(section, key, "quantity"), f"quantity.{key}")
+
+    def channel():
+        return parse_channel(_required(section, "channel", "quantity"), "quantity.channel")
+
+    def hamiltonian():
+        return parse_hamiltonian(_required(section, "hamiltonian", "quantity"), "quantity.hamiltonian")
 
     record: dict = {"name": name}
     if name == "entropy":
         record["value"] = von_neumann_entropy(state())
         record["provenance"] = "exact"
     elif name == "relative_entropy":
-        record["value"] = relative_entropy(state(), parse_state(section["sigma"], "quantity.sigma"))
+        record["value"] = relative_entropy(state(), state("sigma"))
         record["provenance"] = "exact"
     elif name == "mutual_information":
         record["value"] = float(mutual_information(state()))
@@ -286,14 +303,14 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         if not spec:
             raise ConfigError("'quantity.ensemble' is required for holevo")
         _reject_unknown(spec, {"weights", "states"}, "quantity.ensemble")
-        members = [parse_state(s, "quantity.ensemble.states") for s in spec["states"]]
-        record["value"] = holevo_quantity(Ensemble(spec["weights"], members))
+        members = [parse_state(s, "quantity.ensemble.states") for s in _required(spec, "states", "quantity.ensemble")]
+        record["value"] = holevo_quantity(Ensemble(_required(spec, "weights", "quantity.ensemble"), members))
         record["provenance"] = "exact"
     elif name == "gibbs_threshold":
-        record["value"] = gibbs_threshold(parse_hamiltonian(section["hamiltonian"], "quantity.hamiltonian"))
+        record["value"] = gibbs_threshold(hamiltonian())
         record["provenance"] = "exact"
     elif name == "mean_energy":
-        record["value"] = mean_energy(state(), parse_hamiltonian(section["hamiltonian"], "quantity.hamiltonian"))
+        record["value"] = mean_energy(state(), hamiltonian())
         record["provenance"] = "exact"
     elif name == "entanglement_of_formation":
         record["value"] = entanglement_of_formation(state(), section.get("members"), budget)
@@ -306,18 +323,16 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
     elif name == "squashed_entanglement":
         record["value"] = squashed_entanglement_k(state(), int(section.get("extension_dim", 1)), budget)
     elif name == "output_entropy":
-        record["value"] = output_entropy(parse_channel(section["channel"], "quantity.channel"), state())
+        record["value"] = output_entropy(channel(), state())
         record["provenance"] = "exact"
     elif name == "coherent_information":
-        record["value"] = coherent_information(parse_channel(section["channel"], "quantity.channel"), state())
+        record["value"] = coherent_information(channel(), state())
         record["provenance"] = "exact"
     elif name == "channel_mutual_information":
-        record["value"] = channel_mutual_information(parse_channel(section["channel"], "quantity.channel"), state())
+        record["value"] = channel_mutual_information(channel(), state())
         record["provenance"] = "exact"
     elif name == "constrained_holevo":
-        record["value"] = constrained_holevo_estimate(
-            parse_channel(section["channel"], "quantity.channel"), state(), int(section.get("members", 2)), budget
-        )
+        record["value"] = constrained_holevo_estimate(channel(), state(), int(section.get("members", 2)), budget)
     else:
         raise ConfigError(f"unknown quantity {name!r}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotMajorizedError
-from .operators import TraceClassElement
+from .operators import TraceClassElement, partial_trace, tensor, trace_distance
 
 MAJORIZATION_SLACK = 1e-10
 DECOMPOSITION_TOL = 1e-8
@@ -101,8 +101,6 @@ def separable_majorization_check(omega: TraceClassElement, construction=None) ->
     it certifies separability of the input but does not affect the predicate.
     A nonseparable control (e.g. a maximally entangled state) returns False.
     """
-    from .operators import partial_trace, tensor, trace_distance
-
     if omega.factor_dims is None or len(omega.factor_dims) != 2:
         raise DimensionMismatchError("separable check requires a bipartite factorization")
     if construction is not None:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadFactorizationError,
+    ConvergenceFailureError,
     DimensionMismatchError,
     DimensionOverflowError,
     NonHermitianError,
@@ -101,8 +102,6 @@ def eig_hermitian(a) -> SpectralDecomposition:
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        from .errors import ConvergenceFailureError
-
         raise ConvergenceFailureError(str(exc)) from exc
     return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
@@ -146,6 +145,17 @@ class TraceClassElement:
         self.factor_dims = factor_dims
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, matrix=None, diag=None, factor_dims=None) -> "TraceClassElement":
+        """Element from a matrix or diagonal the caller knows is valid; runs no check,
+        so derived elements (partial traces, products, copies) cost no eigensolve."""
+        out = cls.__new__(cls)
+        out._matrix = matrix
+        out._diag = diag
+        out.factor_dims = factor_dims
+        out.dim = (matrix if diag is None else diag).shape[0]
+        return out
 
     @classmethod
     def from_diagonal(cls, values, factor_dims=None) -> "TraceClassElement":
@@ -217,12 +227,7 @@ class TraceClassElement:
         return out
 
     def copy(self) -> "TraceClassElement":
-        out = object.__new__(TraceClassElement)
-        out._matrix = self._matrix
-        out._diag = self._diag
-        out.factor_dims = self.factor_dims
-        out.dim = self.dim
-        return out
+        return TraceClassElement._unchecked(self._matrix, self._diag, self.factor_dims)
 
     def scaled(self, factor: float) -> "TraceClassElement":
         factor = float(factor)
@@ -230,12 +235,7 @@ class TraceClassElement:
             raise NotPositiveError("cone elements cannot be scaled by a negative factor")
         if self._diag is not None:
             return TraceClassElement(self._diag * factor, self.factor_dims, diagonal=True, validate=False)
-        out = TraceClassElement.__new__(TraceClassElement)
-        out._matrix = self._matrix * factor
-        out._diag = None
-        out.factor_dims = self.factor_dims
-        out.dim = self.dim
-        return out
+        return TraceClassElement._unchecked(self._matrix * factor, factor_dims=self.factor_dims)
 
     def embed(self, dim: int, factor_dims=None) -> "TraceClassElement":
         """Zero-pad into a larger space (the first dim coordinates)."""
@@ -252,12 +252,7 @@ class TraceClassElement:
             return TraceClassElement(d, factor_dims, diagonal=True, validate=False)
         m = np.zeros((dim, dim), dtype=complex)
         m[: self.dim, : self.dim] = self._matrix
-        out = TraceClassElement.__new__(TraceClassElement)
-        out._matrix = m
-        out._diag = None
-        out.dim = dim
-        out.factor_dims = tuple(factor_dims) if factor_dims is not None else None
-        return out
+        return TraceClassElement._unchecked(m, factor_dims=tuple(factor_dims) if factor_dims is not None else None)
 
     def __repr__(self):
         kind = "diag" if self.diagonal else "dense"
@@ -280,12 +275,7 @@ def tensor(a: TraceClassElement, b: TraceClassElement) -> TraceClassElement:
         return TraceClassElement(np.kron(a.diag, b.diag), fa + fb, diagonal=True, validate=False)
     if dim > DENSE_DIM_CAP:
         raise DimensionOverflowError(f"product dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-    out = TraceClassElement.__new__(TraceClassElement)
-    out._matrix = np.kron(a.to_matrix(), b.to_matrix())
-    out._diag = None
-    out.dim = dim
-    out.factor_dims = fa + fb
-    return out
+    return TraceClassElement._unchecked(np.kron(a.to_matrix(), b.to_matrix()), factor_dims=fa + fb)
 
 
 def _require_factors(w: TraceClassElement) -> tuple[int, ...]:
@@ -319,12 +309,7 @@ def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
     expr = "".join(row) + "".join(col) + "->" + out_idx
     d_out = math.prod(kept_dims)
     reduced = np.einsum(expr, t).reshape(d_out, d_out)
-    out = TraceClassElement.__new__(TraceClassElement)
-    out._matrix = (reduced + reduced.conj().T) / 2.0
-    out._diag = None
-    out.dim = d_out
-    out.factor_dims = kept_dims
-    return out
+    return TraceClassElement._unchecked((reduced + reduced.conj().T) / 2.0, factor_dims=kept_dims)
 
 
 def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
@@ -340,13 +325,7 @@ def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
     k = len(dims)
     t = w.to_matrix().reshape(dims + dims)
     perm = list(order) + [k + i for i in order]
-    m = t.transpose(perm).reshape(w.dim, w.dim)
-    out = TraceClassElement.__new__(TraceClassElement)
-    out._matrix = m
-    out._diag = None
-    out.dim = w.dim
-    out.factor_dims = new_dims
-    return out
+    return TraceClassElement._unchecked(t.transpose(perm).reshape(w.dim, w.dim), factor_dims=new_dims)
 
 
 def group_factors(w: TraceClassElement, sizes) -> TraceClassElement:

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._optim import random_isometry
 from .channels import QuantumOperation
 from .operators import TraceClassElement
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d)).conj()
+    return random_isometry(rng, dim, dim)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -46,8 +44,6 @@ def random_channel(dim_in: int, dim_out: int, choi_rank: int, rng: np.random.Gen
     total = dim_out * choi_rank
     if total < dim_in:
         raise ValueError("dim_out * choi_rank must be at least dim_in")
-    g = rng.standard_normal((total, dim_in)) + 1j * rng.standard_normal((total, dim_in))
-    q, r = np.linalg.qr(g)
-    v = q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+    v = random_isometry(rng, total, dim_in)
     kraus = [v[k::choi_rank, :] for k in range(choi_rank)]
     return QuantumOperation(kraus, meta={"kind": "random"})

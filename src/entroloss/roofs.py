@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, minimize_isometry
+from .channels import output_entropy
 from .errors import BadFactorizationError, NotPureError
 from .info import eta, mutual_information, von_neumann_entropy
 from .operators import (
@@ -186,8 +187,6 @@ def convex_closure_output_entropy(
     amp = purification_amplitude(rho)
     r = amp.shape[1]
     if m == 1 or r == 1:
-        from .channels import output_entropy
-
         return _exact(output_entropy(op, rho), Direction.UPPER_BOUND, anchor="singleton ensemble")
     kstack = np.stack(op.kraus)  # (nk, dout, din)
     budget = budget or DEFAULT_BUDGET
@@ -210,8 +209,6 @@ def constrained_holevo_estimate(
     optimizing ensemble, so the reported value and the convex-closure
     estimate are two sides of one optimization.
     """
-    from .channels import output_entropy
-
     op.require_channel()
     rho.require_state()
     coh = convex_closure_output_entropy(op, rho, members, budget)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._optim import random_isometry
 from .errors import (
     DimensionMismatchError,
     FunctionalUndefinedError,
@@ -28,7 +29,7 @@ from .errors import (
 from .extended import ExtendedReal
 from .energy import Hamiltonian, sharp_sequence_state, sharp_sequence_weight
 from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
-from .operators import TraceClassElement, trace_distance
+from .operators import TraceClassElement, partial_trace, trace_distance
 
 GRID_DIAG = tuple(2**k for k in range(4, 17))
 GRID_MEDIUM = tuple(2**k for k in range(4, 10))
@@ -127,8 +128,6 @@ def entropy_of(x) -> float:
 def marginal_entropy_of(x, side: int = 0) -> float:
     if isinstance(x, PureBipartiteState):
         return x.marginal_entropy(side)
-    from .operators import partial_trace
-
     return von_neumann_entropy(partial_trace(x, [side]))
 
 
@@ -549,12 +548,8 @@ def make_rotated_sharp_sequence(
     base = make_sharp_sequence(hamiltonian, energy, grid)
 
     def rotation(d: int) -> np.ndarray:
-        rng = np.random.default_rng((seed, d))
-        g = rng.standard_normal((d - 1, d - 1)) + 1j * rng.standard_normal((d - 1, d - 1))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
         u = np.eye(d, dtype=complex)
-        u[1:, 1:] = q
+        u[1:, 1:] = random_isometry(np.random.default_rng((seed, d)), d - 1, d - 1)
         return u
 
     def gen(n: int) -> TraceClassElement:

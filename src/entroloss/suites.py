@@ -24,6 +24,7 @@ import numpy as np
 from .channels import (
     QuantumOperation,
     ChannelSequence,
+    channel_mutual_information,
     coherent_information,
     compression_operation,
     dephasing_channel,
@@ -41,6 +42,7 @@ from .majorization import (
     spectrum_majorizes,
 )
 from .operators import TraceClassElement
+from .rand import haar_unitary, random_channel, random_density
 from .sequences import (
     DEFAULT_WINDOW,
     GRID_DENSE,
@@ -809,18 +811,12 @@ def _suite_t2(params) -> SuiteReport:
     report = SuiteReport("T2", "output-entropy and channel information losses", {"energy": energy})
     dense = make_sharp_sequence(energy=energy, n_grid=GRID_DENSE)
     rng = np.random.default_rng(seed)
-
-    def haar(d):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
-
     h_direct, h_ident, h_unitary = [], [], []
     for n in dense.n_grid:
         rho = dense.element(n)
         h_direct.append(von_neumann_entropy(rho))
         h_ident.append(output_entropy(identity_channel(rho.dim), rho))
-        h_unitary.append(output_entropy(unitary_channel(haar(rho.dim)), rho))
+        h_unitary.append(output_entropy(unitary_channel(haar_unitary(rho.dim, rng)), rho))
     report.series = {"n": list(dense.n_grid), "entropy": h_direct, "unitary_output_entropy": h_unitary}
     loss_direct = _loss(h_direct, 0.0)
     report.checks.append(
@@ -889,8 +885,6 @@ def _suite_t2(params) -> SuiteReport:
     )
 
     # coherent information range on random channel/state pairs
-    from .rand import random_channel, random_density
-
     worst = -math.inf
     for trial in range(int(params.get("range_trials", 10))):
         d = 2 + trial % 2
@@ -921,8 +915,6 @@ def _suite_t2(params) -> SuiteReport:
         _flag("dephasing ramp converges strongly on a spanning probe set", ramp.validate(grid), "pointwise")
     )
     rho = TraceClassElement(np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex), validate=False)
-    from .channels import channel_mutual_information
-
     ramp_vals = [channel_mutual_information(ramp.generator(n), rho) for n in grid]
     limit_val = channel_mutual_information(ramp.limit, rho)
     report.checks.append(

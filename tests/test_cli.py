@@ -222,3 +222,54 @@ def test_seed_flag_overrides_config(tmp_path):
         },
     )
     assert run(["--config", cfg, "--out", str(tmp_path), "--seed", "99"]) == 0
+
+
+PURE = {"kind": "bell"}
+MIXED = {"kind": "diag", "values": [0.5, 0.0, 0.0, 0.5], "factor_dims": [2, 2]}
+
+
+def _quantity(name, **fields):
+    return {"command": "quantity", "quantity": {"name": name, **fields}}
+
+
+def _gibbs(hamiltonian):
+    return _quantity("gibbs_threshold", hamiltonian=hamiltonian)
+
+
+def _budgeted(budget):
+    return {**_quantity("entanglement_of_formation", state=MIXED), "budget": budget}
+
+
+def _output_entropy(channel):
+    return _quantity("output_entropy", state={"kind": "max_mixed", "dim": 2}, channel=channel)
+
+
+MISSING_KEY_CASES = {
+    "sigma": (_quantity("relative_entropy", state=MIXED), "quantity.sigma"),
+    "channel": (_quantity("output_entropy", state=PURE), "quantity.channel"),
+    "hamiltonian": (_quantity("gibbs_threshold"), "quantity.hamiltonian"),
+    "weights": (_quantity("holevo", ensemble={"states": [MIXED]}), "quantity.ensemble.weights"),
+    "states": (_quantity("holevo", ensemble={"weights": [1.0]}), "quantity.ensemble.states"),
+    "entries": (_quantity("entropy", state={"kind": "matrix"}), "quantity.state.entries"),
+    "values": (_quantity("entropy", state={"kind": "diag"}), "quantity.state.values"),
+    "amplitudes": (_quantity("entropy", state={"kind": "pure"}), "quantity.state.amplitudes"),
+    "state-dim": (_quantity("entropy", state={"kind": "max_mixed"}), "quantity.state.dim"),
+    "channel-dim": (_output_entropy({"kind": "identity"}), "quantity.channel.dim"),
+    "p": (_output_entropy({"kind": "dephasing"}), "quantity.channel.p"),
+    "dims": (_output_entropy({"kind": "partial_trace", "keep": 0}), "quantity.channel.dims"),
+    "keep": (_output_entropy({"kind": "partial_trace", "dims": [2, 1]}), "quantity.channel.keep"),
+    "povm": (_output_entropy({"kind": "measure_prepare", "preps": [PURE]}), "quantity.channel.povm"),
+    "preps": (_output_entropy({"kind": "measure_prepare", "povm": []}), "quantity.channel.preps"),
+    "operators": (_output_entropy({"kind": "kraus"}), "quantity.channel.operators"),
+    "truncation_dim": (_gibbs({"kind": "log"}), "quantity.hamiltonian.truncation_dim"),
+    "table-values": (_gibbs({"kind": "table"}), "quantity.hamiltonian.values"),
+    "restarts-0": (_budgeted({"restarts": 0}), "budget.restarts"),
+    "iterations-neg": (_budgeted({"iterations": -1}), "budget.iterations"),
+}
+
+
+@pytest.mark.parametrize("payload, path", list(MISSING_KEY_CASES.values()), ids=list(MISSING_KEY_CASES))
+def test_missing_or_invalid_key_is_a_config_error(tmp_path, capsys, payload, path):
+    cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 2
+    assert f"'{path}'" in capsys.readouterr().err

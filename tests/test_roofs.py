@@ -377,16 +377,6 @@ def test_determinism_same_seed(rng):
     assert a.value == b.value and a.gap_estimate == b.gap_estimate
 
 
-def test_thread_count_does_not_change_results(rng, monkeypatch):
-    omega = rank2_two_qubit(rng)
-    monkeypatch.delenv("ENTROLOSS_THREADS", raising=False)
-    sequential = entanglement_of_formation(omega, members=2, budget=BUDGET)
-    monkeypatch.setenv("ENTROLOSS_THREADS", "4")
-    threaded = entanglement_of_formation(omega, members=2, budget=BUDGET)
-    assert sequential.value == threaded.value
-    assert sequential.gap_estimate == threaded.gap_estimate
-
-
 def test_gap_contracts_under_bounded_choi_rank_operations(rng):
     # the rank-one gap equals the entropy exactly, so the contraction of the
     # gap under single-Kraus operations is certified without an optimizer
