@@ -4,8 +4,16 @@ The search space is the set of complex isometries W (rows x cols, rows >=
 cols, W^dag W = I).  Steps are random ambient directions retracted back to
 the manifold by a sign-fixed QR factorization; the step length shrinks on
 failure and grows mildly on success, so each restart terminates once the
-step falls below ``min_step``.  Restarts run one after another, each on its
-own stream spawned from the budget seed, so the result is deterministic.
+step falls below ``min_step``.
+
+All restarts advance together as one ``(restarts, rows, cols)`` stack: each
+iteration retracts the still-active restarts with one stacked QR and scores
+them with one objective call.  The objective contract is therefore a
+``(B, rows, cols)`` stack of isometries in and a ``(B,)`` array of values
+out.  Restart 0 starts at the identity embedding, every other restart at a
+random isometry, and each restart draws its directions from its own stream
+spawned from the budget seed, so the result is deterministic and every
+restart follows the trajectory it would follow alone.
 ``random_isometry`` is the one sign-fixed QR draw the package uses for
 Haar-random unitaries, isometries and Stinespring dilations.
 """
@@ -33,14 +41,21 @@ class OptimizerBudget:
 
 DEFAULT_BUDGET = OptimizerBudget()
 
+# Iterations of search directions drawn per generator call.  A restart draws
+# one direction on every iteration it is active, so drawing ahead reproduces
+# its stream exactly; draws past its last iteration are never used.
+_DRAW_CHUNK = 16
+
 
 def qr_isometry(m: np.ndarray) -> np.ndarray:
-    """Nearest-ish isometry via QR with the R diagonal phase fixed positive."""
+    """Nearest-ish isometry via QR with the R diagonal phase fixed positive.
+
+    ``m`` is one matrix or a stack of matrices along leading axes."""
     q, r = np.linalg.qr(m)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     mag = np.abs(d)
     phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * phase.conj()
+    return q * phase.conj()[..., None, :]
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -49,17 +64,12 @@ def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return qr_isometry(g)
 
 
-def identity_isometry(rows: int, cols: int) -> np.ndarray:
-    w = np.zeros((rows, cols), dtype=complex)
-    w[np.arange(cols), np.arange(cols)] = 1.0
-    return w
-
-
 @dataclass(frozen=True)
 class IsometrySearchResult:
     value: float
     isometry: np.ndarray
     restart_values: np.ndarray
+    evaluations: np.ndarray  # objective evaluations per restart: the start plus one per active iteration
 
     @property
     def gap_estimate(self) -> float:
@@ -73,49 +83,48 @@ class IsometrySearchResult:
         return self.restart_values.size >= 2 and self.gap_estimate <= 1e-4
 
 
-def _descend(objective, w0: np.ndarray, rng: np.random.Generator, budget: OptimizerBudget):
-    w = w0
-    best = float(objective(w))
-    step = budget.initial_step
-    shape = w.shape
-    for _ in range(budget.iterations):
-        if step < budget.min_step:
+def _descend(objective, w: np.ndarray, rngs: list, budget: OptimizerBudget):
+    """Descend every restart of the stack ``w`` in place until its step falls below ``min_step``."""
+    best = objective(w)
+    step = np.full(len(rngs), budget.initial_step)
+    evaluations = np.ones(len(rngs), dtype=int)
+    directions = np.empty((len(rngs), _DRAW_CHUNK) + w.shape[1:], dtype=complex)
+    for t in range(budget.iterations):
+        active = np.flatnonzero(step >= budget.min_step)
+        if active.size == 0:
             break
-        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cand = qr_isometry(w + step * d)
-        val = float(objective(cand))
-        if val < best - 1e-14:
-            w, best = cand, val
-            step = min(step * budget.grow, 2.0)
-        else:
-            step *= budget.shrink
-    return best, w
+        j = t % _DRAW_CHUNK
+        if j == 0:
+            for i in active:
+                g = rngs[i].standard_normal((_DRAW_CHUNK, 2) + w.shape[1:])
+                directions[i] = g[:, 0] + 1j * g[:, 1]
+        s = step[active]
+        cand = qr_isometry(w[active] + s[:, None, None] * directions[active, j])
+        val = objective(cand)
+        evaluations[active] += 1
+        won = val < best[active] - 1e-14
+        up = active[won]
+        w[up], best[up] = cand[won], val[won]
+        step[active] = np.where(won, np.minimum(s * budget.grow, 2.0), s * budget.shrink)
+    return best, evaluations
 
 
 def minimize_isometry(
-    objective,
-    rows: int,
-    cols: int,
-    budget: OptimizerBudget | None = None,
-    extra_starts=(),
-    include_identity_start: bool = True,
+    objective, rows: int, cols: int, budget: OptimizerBudget | None = None
 ) -> IsometrySearchResult:
-    """Multi-restart minimization of ``objective`` over (rows x cols) isometries."""
+    """Multi-restart minimization of ``objective`` over (rows x cols) isometries.
+
+    ``objective`` maps a (B, rows, cols) stack of isometries to (B,) values."""
     budget = budget or DEFAULT_BUDGET
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    starts = [np.asarray(s, dtype=complex) for s in extra_starts]
-    if include_identity_start:
-        starts.insert(0, identity_isometry(rows, cols))
-    outcomes = []
-    for i, seed in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
-        rng = np.random.default_rng(seed)
-        w0 = starts[i] if i < len(starts) else random_isometry(rng, rows, cols)
-        outcomes.append(_descend(objective, w0, rng, budget))
-    values = np.array([v for v, _ in outcomes])
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(budget.seed).spawn(budget.restarts)]
+    w = np.stack([np.eye(rows, cols, dtype=complex)] + [random_isometry(rng, rows, cols) for rng in rngs[1:]])
+    values, evaluations = _descend(objective, w, rngs, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(
         value=float(values[best_idx]),
-        isometry=outcomes[best_idx][1],
+        isometry=w[best_idx],
         restart_values=values,
+        evaluations=evaluations,
     )

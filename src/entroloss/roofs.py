@@ -76,7 +76,7 @@ def _from_search(value: float, direction: Direction, search: IsometrySearchResul
 
 
 # ---------------------------------------------------------------------------
-# batched entropy helpers (members along the first axis)
+# batched entropy helpers (restarts, then members, along the leading axes)
 # ---------------------------------------------------------------------------
 
 
@@ -88,7 +88,7 @@ def _cone_entropy_rows(eigs: np.ndarray) -> np.ndarray:
 
 def _members(amp: np.ndarray, w: np.ndarray, m: int, block: int) -> np.ndarray:
     r = amp.shape[1]
-    return np.einsum("dr,mbr->mdb", amp, w.reshape(m, block, r))
+    return np.einsum("dr,nmbr->nmdb", amp, w.reshape(-1, m, block, r))
 
 
 def _member_entropies(c: np.ndarray) -> np.ndarray:
@@ -97,10 +97,10 @@ def _member_entropies(c: np.ndarray) -> np.ndarray:
 
 
 def _marginal_rows(c4: np.ndarray, side: int) -> np.ndarray:
-    """Member marginals from amplitudes shaped (m, dA, dB, block)."""
+    """Member marginals from amplitudes shaped (B, m, dA, dB, block)."""
     if side == 0:
-        return np.einsum("mabk,mcbk->mac", c4, c4.conj())
-    return np.einsum("mabk,mack->mbc", c4, c4.conj())
+        return np.einsum("nmabk,nmcbk->nmac", c4, c4.conj())
+    return np.einsum("nmabk,nmack->nmbc", c4, c4.conj())
 
 
 def _marginal_entropies(c4: np.ndarray, side: int) -> np.ndarray:
@@ -140,8 +140,7 @@ def entropy_k_approximation(
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        c = _members(amp, w, m, k)
-        return -float(_member_entropies(c).sum())
+        return -_member_entropies(_members(amp, w, m, k)).sum(axis=-1)
 
     search = minimize_isometry(objective, m * k, r, budget)
     return _from_search(-search.value, Direction.LOWER_BOUND, search, members=m)
@@ -192,9 +191,9 @@ def convex_closure_output_entropy(
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        c = _members(amp, w, m, 1)[:, :, 0]  # (m, din) pure member amplitudes
-        outs = np.einsum("koi,mi->mok", kstack, c)
-        return float(_member_entropies(outs).sum())
+        c = _members(amp, w, m, 1)[..., 0]  # (B, m, din) pure member amplitudes
+        outs = np.einsum("koi,nmi->nmok", kstack, c)
+        return _member_entropies(outs).sum(axis=-1)
 
     search = minimize_isometry(objective, m, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, members=m)
@@ -252,8 +251,8 @@ def entanglement_of_formation(
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        c4 = _members(amp, w, m, 1).reshape(m, da, db, 1)
-        return float(_marginal_entropies(c4, 0).sum())
+        c4 = _members(amp, w, m, 1).reshape(-1, m, da, db, 1)
+        return _marginal_entropies(c4, 0).sum(axis=-1)
 
     search = minimize_isometry(objective, m, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, members=m)
@@ -303,8 +302,8 @@ def c_squashed_entanglement_k(
     def objective(w):
         c = _members(amp, w, k, r)
         joint = _member_entropies(c)
-        c4 = c.reshape(k, da, db, r)
-        return float((_marginal_entropies(c4, 0) + _marginal_entropies(c4, 1) - joint).sum())
+        c4 = c.reshape(-1, k, da, db, r)
+        return (_marginal_entropies(c4, 0) + _marginal_entropies(c4, 1) - joint).sum(axis=-1)
 
     search = minimize_isometry(objective, k * r, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, ensemble_size=k)
@@ -332,18 +331,23 @@ def squashed_entanglement_k(
         return _exact(0.5 * float(mutual_information(omega)), Direction.UPPER_BOUND, anchor="pure state")
     f = r * k  # environment of the squashing channel covers every channel R -> E
     budget = budget or DEFAULT_BUDGET
+    # n4 below is pure on ABEF, so S(ABE) = S(F).  Each marginal is M M^dag with
+    # the kept system along the rows of M; the four Ms are zero-padded into one
+    # stack so that one eigvalsh call yields every spectrum (padding adds only
+    # zero eigenvalues).
+    side, width = max(da * k, db * k, f), da * db * f
+    signs = np.array([0.5, 0.5, -0.5, -0.5])  # AE, BE, F, E terms of half the CMI
 
     def objective(w):
-        n4 = np.einsum("xr,efr->xef", amp, w.reshape(k, f, r)).reshape(da, db, k, f)
-        s_abe = np.linalg.svd(n4.reshape(da * db * k, f), compute_uv=False)
-        h_abe = float(eta(s_abe**2).sum())
-        ae = np.einsum("abef,cbgf->aecg", n4, n4.conj()).reshape(da * k, da * k)
-        be = np.einsum("abef,acgf->becg", n4, n4.conj()).reshape(db * k, db * k)
-        e = np.einsum("abef,abgf->eg", n4, n4.conj())
-        h_ae = float(eta(np.clip(np.linalg.eigvalsh(ae), 0.0, None)).sum())
-        h_be = float(eta(np.clip(np.linalg.eigvalsh(be), 0.0, None)).sum())
-        h_e = float(eta(np.clip(np.linalg.eigvalsh(e), 0.0, None)).sum())
-        return 0.5 * (h_ae + h_be - h_abe - h_e)
+        n = w.shape[0]
+        n4 = np.einsum("xr,nefr->nxef", amp, w.reshape(n, k, f, r)).reshape(n, da, db, k, f)
+        m = np.zeros((n, 4, side, width), dtype=complex)
+        m[:, 0, : da * k, : db * f] = n4.transpose(0, 1, 3, 2, 4).reshape(n, da * k, db * f)
+        m[:, 1, : db * k, : da * f] = n4.transpose(0, 2, 3, 1, 4).reshape(n, db * k, da * f)
+        m[:, 2, :f, : da * db * k] = n4.reshape(n, da * db * k, f).swapaxes(1, 2)
+        m[:, 3, :k] = n4.transpose(0, 3, 1, 2, 4).reshape(n, k, width)
+        spectra = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+        return (eta(np.clip(spectra, 0.0, None)).sum(axis=-1) * signs).sum(axis=-1)
 
     search = minimize_isometry(objective, k * f, r, budget)
     return _from_search(max(search.value, 0.0), Direction.UPPER_BOUND, search, extension_dim=k)
@@ -373,8 +377,8 @@ def classical_correlations(
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        posts = np.einsum("abcd,ib,id->iac", t4, w, w.conj())
-        return float(_cone_entropy_rows(np.linalg.eigvalsh(posts)).sum())
+        posts = np.einsum("abcd,nib,nid->niac", t4, w, w.conj())
+        return _cone_entropy_rows(np.linalg.eigvalsh(posts)).sum(axis=-1)
 
     search = minimize_isometry(objective, m, db, budget)
     return _from_search(max(h_a - search.value, 0.0), Direction.LOWER_BOUND, search, povm_size=m)

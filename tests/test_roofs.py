@@ -20,13 +20,15 @@ from entroloss import (
     mutual_information,
     partial_trace,
     partial_trace_channel,
+    purification_amplitude,
     quantum_discord,
+    roofs,
     squashed_entanglement_k,
     tensor,
     tensor_square_regularization,
     von_neumann_entropy,
 )
-from entroloss._optim import OptimizerBudget
+from entroloss._optim import OptimizerBudget, minimize_isometry, random_isometry
 from entroloss.errors import NotPureError
 from entroloss.rand import random_density, random_pure
 
@@ -237,6 +239,32 @@ def test_squashed_separable_flag_extension_oracle(rng):
     e2 = squashed_entanglement_k(w, 2, BUDGET)
     assert e2.value <= e1.value + 1e-9
     assert e2.value <= flag_value + 5e-3
+
+
+@pytest.mark.parametrize("dims,k", [((2, 2), 2), ((2, 2), 3), ((2, 3), 2)])
+def test_squashed_objective_is_half_the_extension_cmi(dims, k, rng, monkeypatch):
+    # the objective reads S(ABE) off the purifying system F and pads the four
+    # marginals into one stack; rebuild the extension on (A, E, B) explicitly
+    # and compare with the three-factor conditional mutual information
+    da, db = dims
+    omega = random_density(da * db, rng, rank=2, factor_dims=dims)
+    captured = []
+
+    def capture(objective, rows, cols, budget):
+        captured.append(objective)
+        return minimize_isometry(objective, rows, cols, budget)
+
+    monkeypatch.setattr(roofs, "minimize_isometry", capture)
+    squashed_entanglement_k(omega, k, OptimizerBudget(restarts=1, iterations=0))
+    amp = purification_amplitude(omega)
+    f = 2 * k
+    stack = np.stack([random_isometry(rng, k * f, 2) for _ in range(3)])
+    values = captured[0](stack)
+    for w, value in zip(stack, values):
+        n4 = np.einsum("xr,efr->xef", amp, w.reshape(k, f, 2)).reshape(da, db, k, f)
+        aeb = np.einsum("abef,cdgf->aebcgd", n4, n4.conj()).reshape(da * k * db, da * k * db)
+        extension = TraceClassElement(aeb, (da, k, db), validate=False)
+        assert value == pytest.approx(0.5 * conditional_mutual_information(extension), abs=1e-10)
 
 
 # -- measurement side ------------------------------------------------------------
