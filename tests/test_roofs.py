@@ -245,7 +245,8 @@ def test_squashed_separable_flag_extension_oracle(rng):
 def test_squashed_objective_is_half_the_extension_cmi(dims, k, rng, monkeypatch):
     # the objective reads S(ABE) off the purifying system F and pads the four
     # marginals into one stack; rebuild the extension on (A, E, B) explicitly
-    # and compare with the three-factor conditional mutual information
+    # and compare with the three-factor conditional mutual information, which
+    # takes S(ABE) from the extension itself: the two differ only by rounding
     da, db = dims
     omega = random_density(da * db, rng, rank=2, factor_dims=dims)
     captured = []
@@ -264,7 +265,7 @@ def test_squashed_objective_is_half_the_extension_cmi(dims, k, rng, monkeypatch)
         n4 = np.einsum("xr,efr->xef", amp, w.reshape(k, f, 2)).reshape(da, db, k, f)
         aeb = np.einsum("abef,cdgf->aebcgd", n4, n4.conj()).reshape(da * k * db, da * k * db)
         extension = TraceClassElement(aeb, (da, k, db), validate=False)
-        assert value == pytest.approx(0.5 * conditional_mutual_information(extension), abs=1e-10)
+        assert value == pytest.approx(0.5 * conditional_mutual_information(extension), abs=1e-13)
 
 
 # -- measurement side ------------------------------------------------------------
