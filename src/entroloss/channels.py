@@ -19,12 +19,11 @@ from .errors import (
     NotAChannelError,
     TraceIncreasingError,
 )
-from .info import mutual_information, relative_entropy, von_neumann_entropy
+from .info import mutual_information, relative_entropy_to_product, von_neumann_entropy
 from .operators import (
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
     purification_amplitude,
-    tensor,
     trace_distance,
 )
 
@@ -187,7 +186,7 @@ def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> 
         tau_el = TraceClassElement(tau, (op.dim_out, r), validate=False)
         # marginal of the purification on R: (M^T conj(M))
         varrho = TraceClassElement(amp.T @ amp.conj(), validate=False)
-        return float(relative_entropy(tau_el, tensor(apply(op, rho), varrho)))
+        return float(relative_entropy_to_product(tau_el, apply(op, rho), varrho))
 
     first = value_for(m)
     r = m.shape[1]

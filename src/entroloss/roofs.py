@@ -284,6 +284,28 @@ def formation_two_member_grid(omega: TraceClassElement, grid_points: int = 10_00
     return float(values.min())
 
 
+def formation_two_qubit_closed_form(omega: TraceClassElement) -> float:
+    """Exact two-qubit entanglement of formation (Wootters, PRL 80, 2245, 1998).
+
+    With rho~ = (Y x Y) conj(rho) (Y x Y) and l1 >= ... >= l4 the square roots
+    of the eigenvalues of sqrt(rho) rho~ sqrt(rho), the concurrence is
+    C = max(0, l1 - l2 - l3 - l4) and E_F = h((1 + sqrt(1 - C^2)) / 2) with the
+    binary entropy h.
+    """
+    if _bipartite(omega) != (2, 2):
+        raise BadFactorizationError("the closed form holds for two qubits")
+    omega.require_state()
+    rho = omega.to_matrix()
+    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(y, y)
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ yy @ rho.conj() @ yy @ root), 0.0, None))[::-1]
+    c = max(0.0, float(lam[0] - lam[1:].sum()))
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    return float(eta(x) + eta(1.0 - x))
+
+
 def c_squashed_entanglement_k(
     omega: TraceClassElement, k: int, budget: OptimizerBudget | None = None
 ) -> BoundedValue:

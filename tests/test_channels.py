@@ -32,7 +32,7 @@ from entroloss import (
     unitary_channel,
     von_neumann_entropy,
 )
-from entroloss._optim import OptimizerBudget
+from entroloss._optim import OptimizerBudget, random_isometry
 from entroloss.errors import (
     DimensionMismatchError,
     InvalidPOVMError,
@@ -193,6 +193,24 @@ def test_channel_mi_cross_check_random(rng):
     for _ in range(10):
         op = random_channel(3, 2, 2, rng)
         channel_mutual_information(op, random_density(3, rng))
+
+
+def dense_entropy(m):
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    return float(-np.sum(w[w > 0] * np.log(w[w > 0])))
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_channel_mi_matches_dilation_entropies(rng, d):
+    # I(Phi, rho) = H(rho) + H(B) - H(E) on the output of a Stinespring isometry
+    v = random_isometry(rng, 2 * d, d)
+    op = QuantumOperation([v[k::2, :] for k in range(2)])
+    rho = random_density(d, rng).to_matrix()
+    dilated = (v @ rho @ v.conj().T).reshape(d, 2, d, 2)
+    h_b = dense_entropy(np.einsum("ajbj->ab", dilated))
+    h_e = dense_entropy(np.einsum("ajak->jk", dilated))
+    value = channel_mutual_information(op, TraceClassElement(rho))
+    assert value == pytest.approx(dense_entropy(rho) + h_b - h_e, abs=1e-10)
 
 
 def test_coherent_information_examples(rng):

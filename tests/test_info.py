@@ -14,13 +14,14 @@ from entroloss import (
     partial_trace,
     pinching_distribution,
     relative_entropy,
+    relative_entropy_to_product,
     shannon_entropy,
     tensor,
     von_neumann_entropy,
 )
 from entroloss.errors import InconsistentEnsembleError, NotUnitaryError
 from entroloss.extended import ExtendedReal
-from entroloss.rand import haar_unitary, random_density, random_pure
+from entroloss.rand import haar_unitary, random_density, random_probability, random_pure
 
 LOG2 = math.log(2.0)
 
@@ -106,6 +107,72 @@ def test_relative_entropy_homogeneity(rng, lam):
     assert float(scaled) == pytest.approx(lam * base, abs=1e-12)
 
 
+# -- relative entropy against a product ----------------------------------------
+
+
+def assert_matches_kronecker(rho, a, b):
+    value = float(relative_entropy_to_product(rho, a, b))
+    assert value == pytest.approx(float(relative_entropy(rho, tensor(a, b))), abs=1e-12)
+    return value
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (4, 8)])
+def test_product_relative_entropy_matches_kronecker(rng, dims):
+    da, db = dims
+    for _ in range(3):
+        rho = random_density(da * db, rng, factor_dims=dims)
+        assert_matches_kronecker(rho, random_density(da, rng), random_density(db, rng))
+        assert_matches_kronecker(rho, partial_trace(rho, [0]), partial_trace(rho, [1]))
+
+
+def test_product_relative_entropy_rank_deficient_marginal(rng):
+    # the BC marginal of a pure (2, 3, 3) state has rank 2 out of 9
+    w = random_pure(18, rng, factor_dims=(2, 3, 3))
+    a, bc = partial_trace(w, [0]), partial_trace(w, [1, 2])
+    assert bc.rank() == 2
+    value = assert_matches_kronecker(w, a, bc)
+    assert value == pytest.approx(2 * von_neumann_entropy(a), abs=1e-10)
+    b, c = partial_trace(w, [1]), partial_trace(w, [2])
+    assert_matches_kronecker(partial_trace(w, [0, 1]), a, b)
+    assert_matches_kronecker(partial_trace(w, [0, 2]), a, c)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+def test_product_relative_entropy_homogeneity(rng, lam):
+    rho = random_density(6, rng)
+    a, b = random_density(2, rng), random_density(3, rng)
+    base = float(relative_entropy_to_product(rho, a, b))
+    scaled = assert_matches_kronecker(rho.scaled(lam), a.scaled(lam), b)
+    assert scaled == pytest.approx(lam * base, abs=1e-12)
+    assert_matches_kronecker(rho.scaled(0.5), a.scaled(0.3), b.scaled(2.0))
+
+
+def test_product_relative_entropy_diagonal_factors(rng):
+    rho = random_density(6, rng)
+    a = TraceClassElement(random_probability(2, rng), diagonal=True)
+    b = TraceClassElement(random_probability(3, rng), diagonal=True)
+    dense_a, dense_b = random_density(2, rng), random_density(3, rng)
+    assert_matches_kronecker(rho, a, dense_b)
+    assert_matches_kronecker(rho, dense_a, b)
+    assert_matches_kronecker(rho, a, b)
+    classical = TraceClassElement(random_probability(6, rng), diagonal=True)
+    assert_matches_kronecker(classical, a, b)
+    assert_matches_kronecker(classical, dense_a, b)
+
+
+def test_product_relative_entropy_support_violation(rng):
+    # rho puts weight on |1>_A, outside the support of a = |0><0|
+    a = TraceClassElement.pure([1.0, 0.0])
+    b = random_density(3, rng)
+    rho = random_density(6, rng)
+    assert relative_entropy_to_product(rho, a, b) == ExtendedReal.infinity()
+    assert relative_entropy(rho, tensor(a, b)).is_infinite
+    classical = TraceClassElement(np.full(6, 1.0 / 6), diagonal=True)
+    a_diag = TraceClassElement(np.array([1.0, 0.0]), diagonal=True)
+    b_diag = TraceClassElement(np.full(3, 1.0 / 3), diagonal=True)
+    assert relative_entropy_to_product(classical, a_diag, b_diag) == ExtendedReal.infinity()
+
+
 # -- pinching ------------------------------------------------------------------
 
 
@@ -126,6 +193,13 @@ def test_pinching_plus_state():
 def test_pinching_requires_unitary(rng):
     with pytest.raises(NotUnitaryError):
         pinching_distribution(random_density(2, rng), np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_pinching_is_the_rotated_diagonal(rng):
+    rho = random_density(5, rng)
+    u = haar_unitary(5, rng)
+    expected = np.real(np.diag(u.conj().T @ rho.to_matrix() @ u))
+    assert np.allclose(pinching_distribution(rho, u), expected, atol=1e-14)
 
 
 def test_pinching_dominates_entropy(rng):

@@ -15,6 +15,7 @@ from entroloss import (
     entropy_k_approximation,
     entropy_k_gap,
     formation_two_member_grid,
+    formation_two_qubit_closed_form,
     identity_channel,
     koashi_winter_residual,
     mutual_information,
@@ -174,6 +175,23 @@ def test_formation_matches_grid_oracle(rng):
         est = entanglement_of_formation(omega, members=2, budget=BUDGET)
         oracle = formation_two_member_grid(omega)
         assert abs(est.value - oracle) <= 1e-2
+
+
+def test_closed_form_anchors():
+    assert formation_two_qubit_closed_form(bell()) == pytest.approx(LOG2, abs=1e-12)
+    mixed = TraceClassElement(np.eye(4) / 4, (2, 2))
+    assert formation_two_qubit_closed_form(mixed) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_formation_brackets_closed_form(seed):
+    # both the optimizer and the grid oracle minimize over decompositions, so
+    # neither may fall below the exact value
+    omega = rank2_two_qubit(np.random.default_rng(seed))
+    exact = formation_two_qubit_closed_form(omega)
+    est = entanglement_of_formation(omega, members=2)
+    assert exact - 1e-12 <= est.value <= exact + 1e-6
+    assert formation_two_member_grid(omega) >= exact - 1e-12
 
 
 def test_grid_oracle_requires_rank_two(rng):
