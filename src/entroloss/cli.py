@@ -35,6 +35,7 @@ from .energy import Hamiltonian, gibbs_threshold, mean_energy
 from .errors import (
     ConfigError,
     EntrolossError,
+    InvalidParameterError,
     MissingArtifactsError,
     SuiteFailureError,
 )
@@ -85,6 +86,14 @@ def _required(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"'{path}.{key}' is required")
     return section[key]
+
+
+def _roof(key: str, estimator, *args):
+    """Run a roof estimator whose size argument comes from 'quantity.<key>'."""
+    try:
+        return estimator(*args)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"'quantity.{key}': {exc}") from exc
 
 
 def _complex_matrix(entries, path: str) -> np.ndarray:
@@ -313,15 +322,16 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         record["value"] = mean_energy(state(), hamiltonian())
         record["provenance"] = "exact"
     elif name == "entanglement_of_formation":
-        record["value"] = entanglement_of_formation(state(), section.get("members"), budget)
+        record["value"] = _roof("members", entanglement_of_formation, state(), section.get("members"), budget)
     elif name == "classical_correlations":
-        record["value"] = classical_correlations(state(), section.get("povm_size"), budget)
+        record["value"] = _roof("povm_size", classical_correlations, state(), section.get("povm_size"), budget)
     elif name == "quantum_discord":
-        record["value"] = quantum_discord(state(), section.get("povm_size"), budget)
+        record["value"] = _roof("povm_size", quantum_discord, state(), section.get("povm_size"), budget)
     elif name == "c_squashed_entanglement":
-        record["value"] = c_squashed_entanglement_k(state(), int(section.get("members", 2)), budget)
+        record["value"] = _roof("members", c_squashed_entanglement_k, state(), int(section.get("members", 2)), budget)
     elif name == "squashed_entanglement":
-        record["value"] = squashed_entanglement_k(state(), int(section.get("extension_dim", 1)), budget)
+        k = int(section.get("extension_dim", 1))
+        record["value"] = _roof("extension_dim", squashed_entanglement_k, state(), k, budget)
     elif name == "output_entropy":
         record["value"] = output_entropy(channel(), state())
         record["provenance"] = "exact"
@@ -332,7 +342,8 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         record["value"] = channel_mutual_information(channel(), state())
         record["provenance"] = "exact"
     elif name == "constrained_holevo":
-        record["value"] = constrained_holevo_estimate(channel(), state(), int(section.get("members", 2)), budget)
+        members = int(section.get("members", 2))
+        record["value"] = _roof("members", constrained_holevo_estimate, channel(), state(), members, budget)
     else:
         raise ConfigError(f"unknown quantity {name!r}")
 

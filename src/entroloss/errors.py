@@ -73,6 +73,10 @@ class InvalidPOVMError(EntrolossError):
     """POVM elements are not positive or do not resolve the identity."""
 
 
+class InvalidParameterError(EntrolossError, ValueError):
+    """A size argument (ensemble, extension or POVM size) is out of range."""
+
+
 class NotPureError(EntrolossError):
     """A pure state was required."""
 

@@ -13,6 +13,13 @@ eigenbasis comes from the factor eigendecompositions (eigenvalues
 w_a w_b, eigenvectors v_a (x) v_b), so the Kronecker product is never
 eigendecomposed; mutual information and the channel mutual information
 are evaluated that way.
+
+Spectra of dense states come from ``TraceClassElement.eigenvalues()``, so
+the entropy and the Tr rho log rho term of a relative entropy reuse the
+spectrum an element already holds.  The checked conditional mutual
+information reads the spectrum of rho_ABC once: its cuts I(A:BC), I(AB:C)
+and I(AC:B) are rho_ABC or a factor permutation of it, which inherits the
+spectrum.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ def von_neumann_entropy(rho: TraceClassElement) -> float:
     """Entropy with the homogeneous cone extension; H(0) = 0."""
     if rho.diagonal:
         return _entropy_from_eigs(rho.diag)
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho.to_matrix()))
+    return _entropy_from_eigs(rho.eigenvalues())
 
 
 def shannon_entropy(p) -> ExtendedReal:
@@ -97,7 +104,7 @@ def _dense_relative_entropy(
     leak = tr_rho - float(weights.sum())
     if leak > SUPPORT_LEAK_TOL:
         return ExtendedReal.infinity()
-    w_rho = np.clip(np.linalg.eigvalsh(rho_m), 0.0, None)
+    w_rho = np.clip(rho.eigenvalues(), 0.0, None)
     plog = float(np.sum(w_rho[w_rho > 0] * np.log(w_rho[w_rho > 0])))
     cross = float(np.sum(np.clip(weights, 0.0, None) * np.log(w_sigma[on])))
     return ExtendedReal(plog - cross + tr_sigma - tr_rho)
@@ -195,14 +202,17 @@ def conditional_entropy(omega: TraceClassElement) -> float:
 
 
 def _mi_of_cut(omega: TraceClassElement, left: tuple[int, ...], right: tuple[int, ...]) -> float:
-    """I(left : right) of a multipartite state after regrouping factors."""
+    """I(left : right) of a multipartite state after regrouping factors.
+
+    The state is taken as normalized, so the cut is evaluated without the
+    rescaling in mutual_information and keeps the spectrum it inherits."""
     sub = partial_trace(omega, list(left) + list(right))
     kept = sorted(set(left) | set(right))
     pos = {f: i for i, f in enumerate(kept)}
     order = [pos[f] for f in left] + [pos[f] for f in right]
     sub = permute_factors(sub, order)
     sub = group_factors(sub, (len(left), len(right)))
-    return float(mutual_information(sub))
+    return float(relative_entropy_to_product(sub, *_marginals_ab(sub)))
 
 
 def conditional_mutual_information(omega: TraceClassElement, check: bool = True) -> float:

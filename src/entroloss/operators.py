@@ -8,7 +8,15 @@ Conventions
   runs at dimension 2**16 feasible.
 * Multipartite structure is carried as an ordered list of subsystem
   dimensions (``factor_dims``) whose product equals the total dimension.
-* Spectra are always reported sorted in decreasing order.
+* Spectra are reported sorted in decreasing order, except the read-only
+  ascending ``eigvalsh`` array of ``TraceClassElement.eigenvalues()``.
+* A dense element runs ``eigvalsh`` at most once and keeps the result (the
+  validating constructor keeps the one its PSD check computes).  Elements
+  holding the same matrix (``copy``, ``with_factors``, ``group_factors``, a
+  ``partial_trace`` keeping every factor, a same-dim ``embed``) share the
+  array, and ``permute_factors`` passes it on, since a factor permutation is
+  a unitary conjugation.  Every other derived element (``scaled``, proper
+  partial traces, ``tensor``, channel outputs) computes its own.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ def _as_complex_matrix(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
@@ -114,7 +127,7 @@ class TraceClassElement:
     eigensolver.
     """
 
-    __slots__ = ("_matrix", "_diag", "factor_dims", "dim")
+    __slots__ = ("_matrix", "_diag", "_eigenvalues", "factor_dims", "dim")
 
     def __init__(self, entries, factor_dims=None, diagonal=False, validate=True):
         if diagonal:
@@ -125,14 +138,17 @@ class TraceClassElement:
                 raise NotPositiveError(f"diagonal entry {d.min():.3e} below -{PSD_TOL}")
             self._diag = d
             self._matrix = None
+            self._eigenvalues = None
             self.dim = d.size
         else:
             m = _as_complex_matrix(entries)
             if m.shape[0] > DENSE_DIM_CAP:
                 raise DimensionOverflowError(f"dense dimension {m.shape[0]} exceeds cap {DENSE_DIM_CAP}")
             m = _check_hermitian(m)
+            self._eigenvalues = None
             if validate and m.size:
-                lo = float(np.linalg.eigvalsh(m)[0])
+                self._eigenvalues = _read_only(np.linalg.eigvalsh(m))
+                lo = float(self._eigenvalues[0])
                 if lo < -PSD_TOL:
                     raise NotPositiveError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
             self._matrix = m
@@ -147,12 +163,14 @@ class TraceClassElement:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _unchecked(cls, matrix=None, diag=None, factor_dims=None) -> "TraceClassElement":
+    def _unchecked(cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None) -> "TraceClassElement":
         """Element from a matrix or diagonal the caller knows is valid; runs no check,
-        so derived elements (partial traces, products, copies) cost no eigensolve."""
+        so derived elements (partial traces, products, copies) cost no eigensolve.
+        ``eigenvalues`` is the stored spectrum of an element with the same spectrum."""
         out = cls.__new__(cls)
         out._matrix = matrix
         out._diag = diag
+        out._eigenvalues = eigenvalues
         out.factor_dims = factor_dims
         out.dim = (matrix if diag is None else diag).shape[0]
         return out
@@ -199,10 +217,16 @@ class TraceClassElement:
             raise NotPositiveError(f"trace {self.trace!r} is not 1 within {STATE_TRACE_TOL}")
         return self
 
-    def eigenvalues_descending(self) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, read-only; a dense element runs eigvalsh on first use only."""
         if self._diag is not None:
-            return np.sort(self._diag)[::-1].copy()
-        return np.sort(np.linalg.eigvalsh(self._matrix))[::-1].copy()
+            return _read_only(np.sort(self._diag))
+        if self._eigenvalues is None:
+            self._eigenvalues = _read_only(np.linalg.eigvalsh(self._matrix))
+        return self._eigenvalues
+
+    def eigenvalues_descending(self) -> np.ndarray:
+        return self.eigenvalues()[::-1].copy()
 
     def spectrum(self) -> SpectralDecomposition:
         if self._diag is not None:
@@ -213,10 +237,10 @@ class TraceClassElement:
         return eig_hermitian(self._matrix)
 
     def rank(self, cutoff_rtol: float = SUPPORT_CUTOFF_RTOL) -> int:
-        w = self.eigenvalues_descending()
-        if w.size == 0 or w[0] <= 0:
+        w = self.eigenvalues()
+        if w.size == 0 or w[-1] <= 0:
             return 0
-        return int(np.count_nonzero(w > cutoff_rtol * w[0]))
+        return int(np.count_nonzero(w > cutoff_rtol * w[-1]))
 
     def with_factors(self, factor_dims) -> "TraceClassElement":
         out = self.copy()
@@ -227,7 +251,7 @@ class TraceClassElement:
         return out
 
     def copy(self) -> "TraceClassElement":
-        return TraceClassElement._unchecked(self._matrix, self._diag, self.factor_dims)
+        return TraceClassElement._unchecked(self._matrix, self._diag, self.factor_dims, self._eigenvalues)
 
     def scaled(self, factor: float) -> "TraceClassElement":
         factor = float(factor)
@@ -325,7 +349,8 @@ def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
     k = len(dims)
     t = w.to_matrix().reshape(dims + dims)
     perm = list(order) + [k + i for i in order]
-    return TraceClassElement._unchecked(t.transpose(perm).reshape(w.dim, w.dim), factor_dims=new_dims)
+    permuted = t.transpose(perm).reshape(w.dim, w.dim)
+    return TraceClassElement._unchecked(permuted, factor_dims=new_dims, eigenvalues=w._eigenvalues)
 
 
 def group_factors(w: TraceClassElement, sizes) -> TraceClassElement:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, minimize_isometry
 from .channels import output_entropy
-from .errors import BadFactorizationError, NotPureError
+from .errors import BadFactorizationError, InvalidParameterError, NotPureError
 from .info import eta, mutual_information, von_neumann_entropy
 from .operators import (
     TraceClassElement,
@@ -128,7 +128,7 @@ def entropy_k_approximation(
     and at k >= rank(rho) (the singleton ensemble gives H(rho))."""
     k = int(k)
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParameterError("k must be >= 1")
     if k == 1:
         return _exact(0.0, Direction.LOWER_BOUND, anchor="rank-1 members have zero entropy")
     rank = rho.rank()
@@ -182,7 +182,7 @@ def convex_closure_output_entropy(
     """Best found sum_i pi_i H(Phi(rho_i)) over pure-member ensembles averaging to rho."""
     m = int(members)
     if m < 1:
-        raise ValueError("ensemble size must be >= 1")
+        raise InvalidParameterError("ensemble size must be >= 1")
     amp = purification_amplitude(rho)
     r = amp.shape[1]
     if m == 1 or r == 1:
@@ -247,7 +247,7 @@ def entanglement_of_formation(
     r = amp.shape[1]
     m = int(members) if members is not None else rank
     if m < rank:
-        raise ValueError(f"ensemble size {m} below rank {rank} cannot average to the state")
+        raise InvalidParameterError(f"ensemble size {m} below rank {rank} cannot average to the state")
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
@@ -314,7 +314,7 @@ def c_squashed_entanglement_k(
     omega.require_state()
     k = int(k)
     if k < 1:
-        raise ValueError("ensemble size must be >= 1")
+        raise InvalidParameterError("ensemble size must be >= 1")
     if k == 1 or omega.rank() <= 1:
         return _exact(float(mutual_information(omega)), Direction.UPPER_BOUND, anchor="singleton ensemble")
     amp = purification_amplitude(omega)
@@ -344,7 +344,7 @@ def squashed_entanglement_k(
     omega.require_state()
     k = int(k)
     if k < 1:
-        raise ValueError("extension dimension must be >= 1")
+        raise InvalidParameterError("extension dimension must be >= 1")
     if k == 1:
         return _exact(0.5 * float(mutual_information(omega)), Direction.UPPER_BOUND, anchor="trivial extension")
     amp = purification_amplitude(omega)
@@ -394,7 +394,7 @@ def classical_correlations(
     omega.require_state()
     m = int(povm_size) if povm_size is not None else max(2, db)
     if m < db:
-        raise ValueError(f"povm size {m} cannot embed the measured system of dim {db}")
+        raise InvalidParameterError(f"povm size {m} cannot embed the measured system of dim {db}")
     h_a = von_neumann_entropy(partial_trace(omega, [0]))
     t4 = omega.to_matrix().reshape(da, db, da, db)
     budget = budget or DEFAULT_BUDGET

@@ -19,6 +19,7 @@ from entroloss import (
     entropy_k_gap,
     estimate_jump,
     formation_two_member_grid,
+    formation_two_qubit_closed_form,
     gibbs_identity_residual,
     gibbs_threshold,
     koashi_winter_residual,
@@ -195,6 +196,8 @@ def test_criterion_5_optimizer_anchors():
             est = entanglement_of_formation(omega, members=2, budget=budget)
             oracle = formation_two_member_grid(omega, grid_points=10_000)
             worst = max(worst, abs(est.value - oracle))
+            exact = formation_two_qubit_closed_form(omega)
+            assert exact - 1e-12 <= est.value <= exact + 1e-6
         assert worst <= 1e-2, f"worst formation-vs-oracle deviation {worst}"
 
 

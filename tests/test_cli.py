@@ -265,6 +265,15 @@ MISSING_KEY_CASES = {
     "table-values": (_gibbs({"kind": "table"}), "quantity.hamiltonian.values"),
     "restarts-0": (_budgeted({"restarts": 0}), "budget.restarts"),
     "iterations-neg": (_budgeted({"iterations": -1}), "budget.iterations"),
+    "extension_dim-0": (_quantity("squashed_entanglement", state=MIXED, extension_dim=0), "quantity.extension_dim"),
+    "c_squashed-members-0": (_quantity("c_squashed_entanglement", state=MIXED, members=0), "quantity.members"),
+    "cc-povm_size-small": (_quantity("classical_correlations", state=MIXED, povm_size=1), "quantity.povm_size"),
+    "discord-povm_size-small": (_quantity("quantum_discord", state=MIXED, povm_size=1), "quantity.povm_size"),
+    "formation-members-below-rank": (_quantity("entanglement_of_formation", state=MIXED, members=1), "quantity.members"),
+    "holevo-members-0": (
+        _quantity("constrained_holevo", state=PURE, channel={"kind": "identity", "dim": 4}, members=0),
+        "quantity.members",
+    ),
 }
 
 

@@ -19,6 +19,7 @@ from entroloss import (
     tensor,
     von_neumann_entropy,
 )
+from entroloss import info
 from entroloss.errors import InconsistentEnsembleError, NotUnitaryError
 from entroloss.extended import ExtendedReal
 from entroloss.rand import haar_unitary, random_density, random_probability, random_pure
@@ -304,6 +305,50 @@ def test_cmi_nonnegative_and_forms_agree(rng):
         w = random_density(8, rng, factor_dims=(2, 2, 2))
         # the four-formula agreement check runs inside the call
         assert conditional_mutual_information(w) >= -1e-9
+
+
+def test_checked_cmi_eigendecomposes_the_joint_state_once(rng, monkeypatch):
+    m = random_pure(64, rng).to_matrix()
+    unvalidated = conditional_mutual_information(TraceClassElement(m, (4, 4, 4), validate=False))
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            if np.shape(a)[-1] == 64:
+                calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    value = conditional_mutual_information(TraceClassElement(m, (4, 4, 4)), check=True)
+    # the validating constructor's PSD check; H(ABC) and the three cuts
+    # spanning all factors reuse its spectrum
+    assert calls == ["eigvalsh"]
+    assert value == unvalidated
+
+
+def test_cmi_check_catches_an_ignored_permutation(rng, monkeypatch):
+    w = random_density(27, rng, factor_dims=(3, 3, 3))
+    conditional_mutual_information(w)
+    monkeypatch.setattr(info, "permute_factors", lambda el, order: el)
+    with pytest.raises(ArithmeticError):
+        conditional_mutual_information(w)
+
+
+def test_cmi_check_catches_a_bias_on_one_cut(rng, monkeypatch):
+    # a bias on every cut cancels in all three recombinations; on I(A:BC)
+    # alone it shifts the first one
+    w = random_density(27, rng, factor_dims=(3, 3, 3))
+    conditional_mutual_information(w)
+    real = info.relative_entropy_to_product
+
+    def biased(rho, a, b):
+        value = real(rho, a, b)
+        return value + 1e-6 if (a.dim, b.dim) == (3, 9) else value
+
+    monkeypatch.setattr(info, "relative_entropy_to_product", biased)
+    with pytest.raises(ArithmeticError):
+        conditional_mutual_information(w)
 
 
 def test_purity_identity(rng):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from entroloss import (
     HermitianOperator,
     TraceClassElement,
     eig_hermitian,
+    group_factors,
     op_log_on_support,
     partial_trace,
     permute_factors,
@@ -144,6 +146,26 @@ def test_permute_factors_roundtrip(rng):
     w = random_density(12, rng, factor_dims=(2, 3, 2))
     back = permute_factors(permute_factors(w, (2, 0, 1)), (1, 2, 0))
     assert trace_distance(back, w) <= 1e-12
+
+
+def test_stored_spectrum_is_read_only_and_shared_by_the_same_operator(rng):
+    w = TraceClassElement(random_density(12, rng).to_matrix(), factor_dims=(2, 3, 2))
+    eigs = w.eigenvalues()
+    with pytest.raises(ValueError):
+        eigs[0] = 1.0
+    for same in (w.copy(), w.with_factors((6, 2)), group_factors(w, (1, 2)), partial_trace(w, [0, 1, 2]), w.embed(12)):
+        assert same.eigenvalues() is eigs
+    assert w.scaled(1.0).eigenvalues() is not eigs
+    assert partial_trace(w, [0, 2]).eigenvalues() is not eigs
+
+
+def test_permuted_element_inherits_its_spectrum(rng):
+    w = random_density(12, rng, factor_dims=(2, 3, 2))
+    eigs = w.eigenvalues()
+    for order in itertools.permutations(range(3)):
+        p = permute_factors(w, order)
+        assert p.eigenvalues() is eigs
+        assert np.max(np.abs(p.eigenvalues() - np.linalg.eigvalsh(p.to_matrix()))) <= 1e-12
 
 
 def test_trace_distance_identical(rng):
