@@ -4,13 +4,9 @@ entropic quantities of quantum states and channels."""
 from ._optim import OptimizerBudget
 from .extended import ExtendedReal
 from .operators import (
-    HermitianOperator,
     SpectralDecomposition,
     TraceClassElement,
-    density_state,
-    eig_hermitian,
     group_factors,
-    op_log_on_support,
     partial_trace,
     permute_factors,
     purification_amplitude,
@@ -32,7 +28,6 @@ from .info import (
     von_neumann_entropy,
 )
 from .majorization import (
-    descending_spectrum,
     entropy_gap_decomposition,
     gap_term_approximant,
     majorizes,

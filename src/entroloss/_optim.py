@@ -20,7 +20,7 @@ Haar-random unitaries, isometries and Stinespring dilations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class OptimizerBudget:
     shrink: float = 0.93
     grow: float = 1.25
     min_step: float = 1e-9
-
-    def reseeded(self, seed: int) -> "OptimizerBudget":
-        return replace(self, seed=seed)
 
 
 DEFAULT_BUDGET = OptimizerBudget()

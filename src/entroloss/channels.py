@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     InvalidPOVMError,
     NotAChannelError,
     TraceIncreasingError,
@@ -23,6 +24,7 @@ from .info import mutual_information, relative_entropy_to_product, von_neumann_e
 from .operators import (
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
+    _require_dense_dim,
     purification_amplitude,
     trace_distance,
 )
@@ -31,6 +33,7 @@ KRAUS_TOL = 1e-10
 IDENTITY_TOL = 1e-8
 PURIFICATION_TOL = 1e-8
 CI_RANGE_TOL = 1e-9
+PROBE_SLACK = 1e-12  # allowed rise of a probe distance along a channel sequence
 
 
 class QuantumOperation:
@@ -86,6 +89,7 @@ def apply(op: QuantumOperation, rho: TraceClassElement) -> TraceClassElement:
     """sum_k K rho K^dag; diagonal inputs avoid materializing the matrix."""
     if rho.dim != op.dim_in:
         raise DimensionMismatchError(f"state dim {rho.dim} does not match input dim {op.dim_in}")
+    _require_dense_dim(op.dim_out)
     if rho.diagonal:
         d = rho.diag
         out = np.zeros((op.dim_out, op.dim_out), dtype=complex)
@@ -130,6 +134,7 @@ def complementary(op: QuantumOperation) -> QuantumOperation:
 def choi_matrix(op: QuantumOperation) -> np.ndarray:
     """Choi matrix on (output x input) ordering, J = sum_k |K_k>><<K_k|."""
     d = op.dim_out * op.dim_in
+    _require_dense_dim(d)
     j = np.zeros((d, d), dtype=complex)
     for k in op.kraus:
         v = k.reshape(-1)
@@ -159,6 +164,7 @@ def stinespring_entropy_residual(op: QuantumOperation, rho: TraceClassElement) -
     op.require_channel()
     rho.require_state()
     v = stinespring(op)
+    _require_dense_dim(v.isometry.shape[0])
     dilated = v.isometry @ rho.to_matrix() @ v.isometry.conj().T
     joint = TraceClassElement(dilated, (v.out_dim, v.env_dim), validate=False)
     i_be = float(mutual_information(joint))
@@ -179,6 +185,7 @@ def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> 
 
     def value_for(amp: np.ndarray) -> float:
         r = amp.shape[1]
+        _require_dense_dim(op.dim_out * r)
         tau = np.zeros((op.dim_out * r, op.dim_out * r), dtype=complex)
         for k in op.kraus:
             w = (k @ amp).reshape(-1)
@@ -221,6 +228,7 @@ def coherent_information(op: QuantumOperation, rho: TraceClassElement) -> float:
 
 
 def identity_channel(dim: int) -> QuantumOperation:
+    _require_dense_dim(dim)
     return QuantumOperation([np.eye(dim, dtype=complex)], meta={"kind": "identity"})
 
 
@@ -239,7 +247,10 @@ def depolarizing_channel(p: float, dim: int = 2) -> QuantumOperation:
     """rho -> (1 - p) rho + p Tr[rho] I / dim via the Weyl twirl."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise ValueError("depolarizing parameter must lie in [0, 1]")
+        raise InvalidParameterError("depolarizing parameter must lie in [0, 1]")
+    if dim < 1:
+        raise InvalidParameterError("depolarizing dimension must be >= 1")
+    _require_dense_dim(dim * dim)  # dim**2 Kraus operators of dim**2 entries each
     kraus = [np.sqrt(1.0 - p + p / dim**2) * np.eye(dim, dtype=complex)]
     for a in range(dim):
         for b in range(dim):
@@ -253,7 +264,7 @@ def dephasing_channel(p: float) -> QuantumOperation:
     """Qubit phase damping rho -> (1 - p) rho + p diag(rho), two Kraus terms."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise ValueError("dephasing parameter must lie in [0, 1]")
+        raise InvalidParameterError("dephasing parameter must lie in [0, 1]")
     z = np.diag([1.0, -1.0]).astype(complex)
     kraus = [np.sqrt(1.0 - p / 2.0) * np.eye(2, dtype=complex), np.sqrt(p / 2.0) * z]
     return QuantumOperation(kraus, meta={"kind": "dephasing", "p": p})
@@ -272,6 +283,7 @@ def pinching_channel(dim: int) -> QuantumOperation:
 def partial_trace_channel(dims, keep: int) -> QuantumOperation:
     """Channel (A x B) -> kept factor, tracing the other."""
     da, db = int(dims[0]), int(dims[1])
+    _require_dense_dim(da * db)
     kraus = []
     if keep == 0:
         for j in range(db):
@@ -290,14 +302,12 @@ def partial_trace_channel(dims, keep: int) -> QuantumOperation:
     return QuantumOperation(kraus, meta={"kind": "partial_trace", "keep": keep})
 
 
-def compression_operation(dim_in: int, dim_out: int, unitary: np.ndarray | None = None) -> QuantumOperation:
+def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
     """Trace-non-increasing cut-down to the first dim_out levels (single Kraus, Choi rank 1)."""
     if dim_out > dim_in:
         raise DimensionMismatchError("compression cannot enlarge the space")
     k = np.zeros((dim_out, dim_in), dtype=complex)
     k[:, :dim_out] = np.eye(dim_out)
-    if unitary is not None:
-        k = k @ np.asarray(unitary, dtype=complex)
     return QuantumOperation([k], meta={"kind": "compression"})
 
 
@@ -377,7 +387,7 @@ class ChannelSequence:
             )
         return np.asarray(out)
 
-    def validate(self, grid, slack: float = 1e-12) -> bool:
+    def validate(self, grid) -> bool:
         prof = self.convergence_profile(grid)
         tail = prof[[n >= self.n_min for n in grid]]
-        return bool(np.all(np.diff(tail) <= slack))
+        return bool(np.all(np.diff(tail) <= PROBE_SLACK))

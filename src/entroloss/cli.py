@@ -88,19 +88,41 @@ def _required(section: dict, key: str, path: str):
     return section[key]
 
 
-def _roof(key: str, estimator, *args):
-    """Run a roof estimator whose size argument comes from 'quantity.<key>'."""
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _ints(value) -> list:
+    return [int(v) for v in value]
+
+
+def _as(kind, value, path: str):
+    """``kind(value)`` for the config value at ``path``; a value it rejects is a ConfigError."""
     try:
-        return estimator(*args)
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{path}' is not a valid value: {exc}") from exc
+
+
+def _object(config: dict, key: str) -> dict:
+    section = config.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return section
+
+
+def _at(path: str, build, *args):
+    """Run ``build``, reporting an out-of-range parameter at the config key ``path``."""
+    try:
+        return build(*args)
     except InvalidParameterError as exc:
-        raise ConfigError(f"'quantity.{key}': {exc}") from exc
+        raise ConfigError(f"'{path}': {exc}") from exc
 
 
 def _complex_matrix(entries, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{path}' is not a numeric array: {exc}") from exc
+    arr = _as(_floats, entries, path)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ConfigError(f"'{path}' must be a matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -111,17 +133,18 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
         raise ConfigError(f"'{path}' must be an object with a 'kind'")
     kind = spec["kind"]
     factors = spec.get("factor_dims")
+    factors = factors if factors is None else _as(_ints, factors, f"{path}.factor_dims")
     if kind == "matrix":
         _reject_unknown(spec, {"kind", "entries", "factor_dims"}, path)
         entries = _complex_matrix(_required(spec, "entries", path), f"{path}.entries")
         return TraceClassElement(entries, factor_dims=factors)
     if kind == "diag":
         _reject_unknown(spec, {"kind", "values", "factor_dims"}, path)
-        values = np.asarray(_required(spec, "values", path), dtype=float)
+        values = _as(_floats, _required(spec, "values", path), f"{path}.values")
         return TraceClassElement(values, factor_dims=factors, diagonal=True)
     if kind == "pure":
         _reject_unknown(spec, {"kind", "amplitudes", "factor_dims"}, path)
-        amp = np.asarray(_required(spec, "amplitudes", path), dtype=float)
+        amp = _as(_floats, _required(spec, "amplitudes", path), f"{path}.amplitudes")
         if amp.ndim != 2 or amp.shape[1] != 2:
             raise ConfigError(f"'{path}.amplitudes' must be a vector of [re, im] pairs")
         v = amp[:, 0] + 1j * amp[:, 1]
@@ -132,7 +155,9 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
         return TraceClassElement.pure(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2), factor_dims=(2, 2))
     if kind == "max_mixed":
         _reject_unknown(spec, {"kind", "dim", "factor_dims"}, path)
-        d = int(_required(spec, "dim", path))
+        d = _as(int, _required(spec, "dim", path), f"{path}.dim")
+        if d < 1:
+            raise ConfigError(f"'{path}.dim' must be >= 1, got {d}")
         return TraceClassElement(np.full(d, 1.0 / d), factor_dims=factors, diagonal=True)
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized state kind")
 
@@ -143,16 +168,18 @@ def parse_channel(spec: dict, path: str) -> QuantumOperation:
     kind = spec["kind"]
     if kind == "identity":
         _reject_unknown(spec, {"kind", "dim"}, path)
-        return identity_channel(int(_required(spec, "dim", path)))
+        return identity_channel(_as(int, _required(spec, "dim", path), f"{path}.dim"))
     if kind == "depolarizing":
         _reject_unknown(spec, {"kind", "p", "dim"}, path)
-        return depolarizing_channel(float(_required(spec, "p", path)), int(spec.get("dim", 2)))
+        p = _as(float, _required(spec, "p", path), f"{path}.p")
+        return _at(path, depolarizing_channel, p, _as(int, spec.get("dim", 2), f"{path}.dim"))
     if kind == "dephasing":
         _reject_unknown(spec, {"kind", "p"}, path)
-        return dephasing_channel(float(_required(spec, "p", path)))
+        return _at(path, dephasing_channel, _as(float, _required(spec, "p", path), f"{path}.p"))
     if kind == "partial_trace":
         _reject_unknown(spec, {"kind", "dims", "keep"}, path)
-        return partial_trace_channel(_required(spec, "dims", path), int(_required(spec, "keep", path)))
+        dims = _as(_ints, _required(spec, "dims", path), f"{path}.dims")
+        return partial_trace_channel(dims, _as(int, _required(spec, "keep", path), f"{path}.keep"))
     if kind == "measure_prepare":
         _reject_unknown(spec, {"kind", "povm", "preps"}, path)
         povm = [_complex_matrix(m, f"{path}.povm") for m in _required(spec, "povm", path)]
@@ -168,30 +195,31 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"'{path}' must be an object with a 'kind'")
     kind = spec["kind"]
+
+    def number(key, default):
+        return _as(float, spec.get(key, default), f"{path}.{key}")
+
+    def truncation():
+        return _as(int, _required(spec, "truncation_dim", path), f"{path}.truncation_dim")
+
     if kind == "log":
         _reject_unknown(spec, {"kind", "scale", "offset", "truncation_dim"}, path)
-        return Hamiltonian.logarithmic(
-            float(spec.get("scale", 1.0)), float(spec.get("offset", 0.0)), int(_required(spec, "truncation_dim", path))
-        )
+        return _at(path, Hamiltonian.logarithmic, number("scale", 1.0), number("offset", 0.0), truncation())
     if kind == "linear":
         _reject_unknown(spec, {"kind", "offset", "slope", "truncation_dim"}, path)
-        return Hamiltonian.linear(
-            float(spec.get("offset", 0.0)), float(spec.get("slope", 1.0)), int(_required(spec, "truncation_dim", path))
-        )
+        return _at(path, Hamiltonian.linear, number("offset", 0.0), number("slope", 1.0), truncation())
     if kind == "table":
         _reject_unknown(spec, {"kind", "values"}, path)
-        return Hamiltonian.from_table(_required(spec, "values", path))
+        return _at(path, Hamiltonian.from_table, _as(_floats, _required(spec, "values", path), f"{path}.values"))
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized level law")
 
 
-def parse_budget(spec: dict | None, seed: int) -> OptimizerBudget:
-    if spec is None:
-        return OptimizerBudget(seed=seed)
+def parse_budget(spec: dict, seed: int) -> OptimizerBudget:
     _reject_unknown(spec, {"restarts", "iterations", "seed"}, "budget")
     budget = OptimizerBudget(
-        restarts=int(spec.get("restarts", 16)),
-        iterations=int(spec.get("iterations", 2000)),
-        seed=int(spec.get("seed", seed)),
+        restarts=_as(int, spec.get("restarts", 16), "budget.restarts"),
+        iterations=_as(int, spec.get("iterations", 2000), "budget.iterations"),
+        seed=_as(int, spec.get("seed", seed), "budget.seed"),
     )
     if budget.restarts < 1:
         raise ConfigError(f"'budget.restarts' must be >= 1, got {budget.restarts}")
@@ -291,6 +319,10 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
     def hamiltonian():
         return parse_hamiltonian(_required(section, "hamiltonian", "quantity"), "quantity.hamiltonian")
 
+    def size(key, default=None):
+        value = section.get(key)
+        return default if value is None else _as(int, value, f"quantity.{key}")
+
     record: dict = {"name": name}
     if name == "entropy":
         record["value"] = von_neumann_entropy(state())
@@ -313,7 +345,8 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
             raise ConfigError("'quantity.ensemble' is required for holevo")
         _reject_unknown(spec, {"weights", "states"}, "quantity.ensemble")
         members = [parse_state(s, "quantity.ensemble.states") for s in _required(spec, "states", "quantity.ensemble")]
-        record["value"] = holevo_quantity(Ensemble(_required(spec, "weights", "quantity.ensemble"), members))
+        weights = _as(_floats, _required(spec, "weights", "quantity.ensemble"), "quantity.ensemble.weights")
+        record["value"] = holevo_quantity(Ensemble(weights, members))
         record["provenance"] = "exact"
     elif name == "gibbs_threshold":
         record["value"] = gibbs_threshold(hamiltonian())
@@ -322,16 +355,16 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         record["value"] = mean_energy(state(), hamiltonian())
         record["provenance"] = "exact"
     elif name == "entanglement_of_formation":
-        record["value"] = _roof("members", entanglement_of_formation, state(), section.get("members"), budget)
+        record["value"] = _at("quantity.members", entanglement_of_formation, state(), size("members"), budget)
     elif name == "classical_correlations":
-        record["value"] = _roof("povm_size", classical_correlations, state(), section.get("povm_size"), budget)
+        record["value"] = _at("quantity.povm_size", classical_correlations, state(), size("povm_size"), budget)
     elif name == "quantum_discord":
-        record["value"] = _roof("povm_size", quantum_discord, state(), section.get("povm_size"), budget)
+        record["value"] = _at("quantity.povm_size", quantum_discord, state(), size("povm_size"), budget)
     elif name == "c_squashed_entanglement":
-        record["value"] = _roof("members", c_squashed_entanglement_k, state(), int(section.get("members", 2)), budget)
+        record["value"] = _at("quantity.members", c_squashed_entanglement_k, state(), size("members", 2), budget)
     elif name == "squashed_entanglement":
-        k = int(section.get("extension_dim", 1))
-        record["value"] = _roof("extension_dim", squashed_entanglement_k, state(), k, budget)
+        k = size("extension_dim", 1)
+        record["value"] = _at("quantity.extension_dim", squashed_entanglement_k, state(), k, budget)
     elif name == "output_entropy":
         record["value"] = output_entropy(channel(), state())
         record["provenance"] = "exact"
@@ -342,8 +375,8 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         record["value"] = channel_mutual_information(channel(), state())
         record["provenance"] = "exact"
     elif name == "constrained_holevo":
-        members = int(section.get("members", 2))
-        record["value"] = _roof("members", constrained_holevo_estimate, channel(), state(), members, budget)
+        members = size("members", 2)
+        record["value"] = _at("quantity.members", constrained_holevo_estimate, channel(), state(), members, budget)
     else:
         raise ConfigError(f"unknown quantity {name!r}")
 
@@ -372,10 +405,10 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
         raise ConfigError(f"unknown family {family!r}; available: {sorted(registry)}")
     params = dict(section.get("params", {}))
     if "grid" in section:
-        params["n_grid"] = [int(n) for n in section["grid"]]
+        params["n_grid"] = _as(_ints, section["grid"], "sequence.grid")
     seq = registry[family](**params)
     names = section.get("functionals", ["entropy"])
-    window = int(section.get("window", 3))
+    window = _as(int, section.get("window", 3), "sequence.window")
     estimates = {}
     series = {"n": list(seq.n_grid)}
     for fname in names:
@@ -532,22 +565,23 @@ def run(argv=None) -> int:
         command = config.get("command")
         if command not in ("quantity", "sequence", "suite", "report"):
             raise ConfigError(f"'command' must be one of quantity/sequence/suite/report, got {command!r}")
-        output = config.get("output", {})
+        output = _object(config, "output")
         _reject_unknown(output, {"dir", "format"}, "output")
         out_dir = args.out or output.get("dir", ".")
         fmt = args.format or output.get("format", "both")
         if fmt not in ("json", "csv", "both"):
             raise ConfigError(f"'output.format' must be json/csv/both, got {fmt!r}")
         os.makedirs(out_dir, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        budget = parse_budget(config.get("budget"), seed)
+        seed = args.seed if args.seed is not None else _as(int, config.get("seed", 0), "seed")
+        budget = parse_budget(_object(config, "budget"), seed)
+        section = _object(config, command)
         if command == "quantity":
-            return cmd_quantity(config.get("quantity", {}), budget, out_dir, fmt)
+            return cmd_quantity(section, budget, out_dir, fmt)
         if command == "sequence":
-            return cmd_sequence(config.get("sequence", {}), out_dir, fmt)
+            return cmd_sequence(section, out_dir, fmt)
         if command == "suite":
-            return cmd_suite(config.get("suite", {}), out_dir, fmt)
-        return cmd_report(config.get("report", {}), out_dir, fmt)
+            return cmd_suite(section, out_dir, fmt)
+        return cmd_report(section, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

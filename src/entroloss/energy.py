@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     FiniteTableLawError,
+    InvalidParameterError,
     LambdaBelowGError,
     QExceedsOneError,
     SupportEscapesTruncationError,
@@ -38,13 +39,13 @@ class Hamiltonian:
 
     def __init__(self, kind: str, params: tuple, truncation_dim: int):
         if truncation_dim < 1:
-            raise ValueError("truncation_dim must be >= 1")
+            raise InvalidParameterError("truncation_dim must be >= 1")
         self.kind = kind
         self.params = params
         self.truncation_dim = int(truncation_dim)
         levels = self.energies(min(self.truncation_dim, 4096))
         if levels.size and (np.any(np.diff(levels) < -1e-12) or levels[0] < 0):
-            raise ValueError("level law must be nonnegative and nondecreasing")
+            raise InvalidParameterError("level law must be nonnegative and nondecreasing")
 
     @classmethod
     def linear(cls, offset: float, slope: float, truncation_dim: int) -> "Hamiltonian":

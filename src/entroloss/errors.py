@@ -74,7 +74,7 @@ class InvalidPOVMError(EntrolossError):
 
 
 class InvalidParameterError(EntrolossError, ValueError):
-    """A size argument (ensemble, extension or POVM size) is out of range."""
+    """A size or a channel or Hamiltonian parameter is out of range."""
 
 
 class NotPureError(EntrolossError):

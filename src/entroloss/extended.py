@@ -110,12 +110,3 @@ class ExtendedReal:
     def __repr__(self) -> str:
         return "ExtendedReal(+inf)" if self._infinite else f"ExtendedReal({self._value!r})"
 
-
-def xmin(*xs) -> ExtendedReal:
-    """Minimum of extended reals / floats as an ExtendedReal."""
-    vals = [ExtendedReal._coerce(x) for x in xs]
-    out = vals[0]
-    for v in vals[1:]:
-        if v < out:
-            out = v
-    return out

@@ -29,20 +29,18 @@ import numpy as np
 from .errors import (
     BadFactorizationError,
     DimensionMismatchError,
-    DimensionOverflowError,
     InconsistentEnsembleError,
     NotUnitaryError,
 )
 from .extended import ExtendedReal
 from .operators import (
-    DENSE_DIM_CAP,
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
+    _require_dense_dim,
     group_factors,
     partial_trace,
     permute_factors,
     tensor,
-    trace_distance,
 )
 
 SUPPORT_LEAK_TOL = 1e-10
@@ -60,22 +58,21 @@ def eta(x):
     return out if out.ndim else float(out)
 
 
-def _entropy_from_eigs(w: np.ndarray) -> float:
-    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
-    t = float(w.sum())
-    return float(eta(w).sum()) - float(eta(t))
+def spectral_entropy(eigs: np.ndarray) -> np.ndarray:
+    """Cone entropy sum eta(w) - eta(sum w) of the spectra along the last axis;
+    negative round-off eigenvalues count as zero."""
+    w = np.clip(eigs, 0.0, None)
+    return eta(w).sum(axis=-1) - eta(w.sum(axis=-1))
 
 
 def von_neumann_entropy(rho: TraceClassElement) -> float:
     """Entropy with the homogeneous cone extension; H(0) = 0."""
-    if rho.diagonal:
-        return _entropy_from_eigs(rho.diag)
-    return _entropy_from_eigs(rho.eigenvalues())
+    return float(spectral_entropy(rho.diag if rho.diagonal else rho.eigenvalues()))
 
 
 def shannon_entropy(p) -> ExtendedReal:
     """Shannon entropy with the same homogeneous extension to the L1 cone."""
-    return ExtendedReal(_entropy_from_eigs(np.asarray(p, dtype=float).reshape(-1)))
+    return ExtendedReal(float(spectral_entropy(np.asarray(p, dtype=float).reshape(-1))))
 
 
 def _support(values: np.ndarray) -> np.ndarray:
@@ -140,8 +137,7 @@ def relative_entropy_to_product(
         raise DimensionMismatchError(f"dims {rho.dim} and {a.dim} x {b.dim} differ")
     if rho.diagonal and a.diagonal and b.diagonal:
         return relative_entropy(rho, tensor(a, b))
-    if rho.dim > DENSE_DIM_CAP:
-        raise DimensionOverflowError(f"product dimension {rho.dim} exceeds cap {DENSE_DIM_CAP}")
+    _require_dense_dim(rho.dim)
     sa, sb = a.spectrum(), b.spectrum()
     return _dense_relative_entropy(
         rho,
@@ -281,10 +277,6 @@ class Ensemble:
     @property
     def is_state_ensemble(self) -> bool:
         return abs(self.weights.sum() - 1.0) <= 1e-12 and all(m.is_state for m in self.members)
-
-    def check_average(self, expected: TraceClassElement, tol: float = 1e-10) -> None:
-        if trace_distance(self.average, expected) > tol:
-            raise InconsistentEnsembleError("ensemble average does not match the declared state")
 
 
 def holevo_quantity(ensemble: Ensemble) -> ExtendedReal:

@@ -21,11 +21,7 @@ DECOMPOSITION_TOL = 1e-8
 _LOG_FLOOR = 1e-300
 
 
-def descending_spectrum(rho: TraceClassElement) -> np.ndarray:
-    return rho.eigenvalues_descending()
-
-
-def spectrum_majorizes(lam, mu, slack: float = MAJORIZATION_SLACK) -> bool:
+def spectrum_majorizes(lam, mu) -> bool:
     """Partial-sum dominance of two nonnegative spectra, zero-padded to a common length."""
     lam = np.sort(np.asarray(lam, dtype=float).reshape(-1))[::-1]
     mu = np.sort(np.asarray(mu, dtype=float).reshape(-1))[::-1]
@@ -34,7 +30,7 @@ def spectrum_majorizes(lam, mu, slack: float = MAJORIZATION_SLACK) -> bool:
     b = np.zeros(n)
     a[: lam.size] = lam
     b[: mu.size] = mu
-    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - slack))
+    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - MAJORIZATION_SLACK))
 
 
 def majorizes(rho: TraceClassElement, sigma: TraceClassElement) -> bool:

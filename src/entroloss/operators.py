@@ -60,27 +60,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_dense_dim(n: int) -> None:
+    if n > DENSE_DIM_CAP:
+        raise DimensionOverflowError(f"dense dimension {n} exceeds cap {DENSE_DIM_CAP}")
+
+
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if dev > HERMITICITY_RTOL * scale:
         raise NonHermitianError(f"max |A - A^dag| = {dev:.3e} exceeds {HERMITICITY_RTOL * scale:.3e}")
     return (m + m.conj().T) / 2.0
-
-
-class HermitianOperator:
-    """A validated dense complex Hermitian matrix."""
-
-    __slots__ = ("matrix", "dim")
-
-    def __init__(self, entries):
-        self.matrix = _check_hermitian(_as_complex_matrix(entries))
-        self.dim = self.matrix.shape[0]
-        if self.dim < 1:
-            raise DimensionMismatchError("dimension must be >= 1")
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -90,33 +80,9 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(a) -> SpectralDecomposition:
-    """Full spectral decomposition of a Hermitian matrix, sorted descending.
-
-    Backed by LAPACK's Hermitian eigensolver (numpy.linalg.eigh), which is
-    deterministic for identical input and meets the reconstruction bound
-    ||A - V L V^dag||_1 <= 1e-10 * max(1, ||A||_1) at the dimensions used here.
-    """
-    if isinstance(a, HermitianOperator):
-        m = a.matrix
-    elif isinstance(a, TraceClassElement):
-        m = a.to_matrix()
-    else:
-        m = _check_hermitian(_as_complex_matrix(a))
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailureError(str(exc)) from exc
-    return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
 class TraceClassElement:
@@ -142,8 +108,7 @@ class TraceClassElement:
             self.dim = d.size
         else:
             m = _as_complex_matrix(entries)
-            if m.shape[0] > DENSE_DIM_CAP:
-                raise DimensionOverflowError(f"dense dimension {m.shape[0]} exceeds cap {DENSE_DIM_CAP}")
+            _require_dense_dim(m.shape[0])
             m = _check_hermitian(m)
             self._eigenvalues = None
             if validate and m.size:
@@ -166,7 +131,9 @@ class TraceClassElement:
     def _unchecked(cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None) -> "TraceClassElement":
         """Element from a matrix or diagonal the caller knows is valid; runs no check,
         so derived elements (partial traces, products, copies) cost no eigensolve.
-        ``eigenvalues`` is the stored spectrum of an element with the same spectrum."""
+        Callers pass an exactly Hermitian matrix (``m == m.conj().T`` bit for bit),
+        since ``spectrum()`` trusts it.  ``eigenvalues`` is the stored spectrum of
+        an element with the same spectrum."""
         out = cls.__new__(cls)
         out._matrix = matrix
         out._diag = diag
@@ -176,13 +143,10 @@ class TraceClassElement:
         return out
 
     @classmethod
-    def from_diagonal(cls, values, factor_dims=None) -> "TraceClassElement":
-        return cls(values, factor_dims=factor_dims, diagonal=True)
-
-    @classmethod
     def pure(cls, amplitudes, factor_dims=None) -> "TraceClassElement":
         """Rank-one element |psi><psi| from an amplitude vector (unnormalized)."""
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        _require_dense_dim(v.size)
         return cls(np.outer(v, v.conj()), factor_dims=factor_dims, validate=False)
 
     # -- basic views ----------------------------------------------------------
@@ -229,18 +193,24 @@ class TraceClassElement:
         return self.eigenvalues()[::-1].copy()
 
     def spectrum(self) -> SpectralDecomposition:
+        """Eigenvalues sorted descending with their eigenvector columns (``eigh``)."""
         if self._diag is not None:
+            _require_dense_dim(self.dim)
             order = np.argsort(self._diag)[::-1]
             vecs = np.zeros((self.dim, self.dim), dtype=complex)
             vecs[order, np.arange(self.dim)] = 1.0
             return SpectralDecomposition(self._diag[order].copy(), vecs)
-        return eig_hermitian(self._matrix)
+        try:
+            w, v = np.linalg.eigh(self._matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise ConvergenceFailureError(str(exc)) from exc
+        return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
-    def rank(self, cutoff_rtol: float = SUPPORT_CUTOFF_RTOL) -> int:
+    def rank(self) -> int:
         w = self.eigenvalues()
         if w.size == 0 or w[-1] <= 0:
             return 0
-        return int(np.count_nonzero(w > cutoff_rtol * w[-1]))
+        return int(np.count_nonzero(w > SUPPORT_CUTOFF_RTOL * w[-1]))
 
     def with_factors(self, factor_dims) -> "TraceClassElement":
         out = self.copy()
@@ -283,11 +253,6 @@ class TraceClassElement:
         return f"TraceClassElement(dim={self.dim}, {kind}, trace={self.trace:.6g}, factors={self.factor_dims})"
 
 
-def density_state(entries, factor_dims=None, diagonal=False) -> TraceClassElement:
-    """TraceClassElement validated to have unit trace."""
-    return TraceClassElement(entries, factor_dims=factor_dims, diagonal=diagonal).require_state()
-
-
 def tensor(a: TraceClassElement, b: TraceClassElement) -> TraceClassElement:
     """Kronecker product with concatenated factor dimensions."""
     fa = a.factor_dims if a.factor_dims is not None else (a.dim,)
@@ -297,8 +262,7 @@ def tensor(a: TraceClassElement, b: TraceClassElement) -> TraceClassElement:
         if dim > DIAG_DIM_CAP:
             raise DimensionOverflowError(f"product dimension {dim} exceeds cap {DIAG_DIM_CAP}")
         return TraceClassElement(np.kron(a.diag, b.diag), fa + fb, diagonal=True, validate=False)
-    if dim > DENSE_DIM_CAP:
-        raise DimensionOverflowError(f"product dimension {dim} exceeds cap {DENSE_DIM_CAP}")
+    _require_dense_dim(dim)
     return TraceClassElement._unchecked(np.kron(a.to_matrix(), b.to_matrix()), factor_dims=fa + fb)
 
 
@@ -375,25 +339,6 @@ def trace_distance(a: TraceClassElement, b: TraceClassElement) -> float:
         return float(np.abs(a.diag - b.diag).sum())
     delta = a.to_matrix() - b.to_matrix()
     return float(np.abs(np.linalg.eigvalsh(delta)).sum())
-
-
-def op_log_on_support(a: TraceClassElement) -> tuple[HermitianOperator, np.ndarray]:
-    """log(A) restricted to the support of A, plus the support projector.
-
-    Eigenvalues at or below SUPPORT_CUTOFF_RTOL times the largest eigenvalue
-    count as outside the support.  The zero operator yields an empty support.
-    """
-    dec = a.spectrum()
-    w, v = dec.eigenvalues, dec.eigenvectors
-    if w.size == 0 or w[0] <= 0:
-        z = np.zeros((a.dim, a.dim), dtype=complex)
-        return HermitianOperator(z), z.copy()
-    cut = SUPPORT_CUTOFF_RTOL * w[0]
-    on = w > cut
-    vs = v[:, on]
-    logm = (vs * np.log(w[on])) @ vs.conj().T
-    proj = vs @ vs.conj().T
-    return HermitianOperator(logm), (proj + proj.conj().T) / 2.0
 
 
 def purification_amplitude(rho: TraceClassElement) -> np.ndarray:

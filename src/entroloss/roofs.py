@@ -22,14 +22,14 @@ optimizer entirely and are flagged as exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, minimize_isometry
 from .channels import output_entropy
 from .errors import BadFactorizationError, InvalidParameterError, NotPureError
-from .info import eta, mutual_information, von_neumann_entropy
+from .info import eta, mutual_information, spectral_entropy, von_neumann_entropy
 from .operators import (
     TraceClassElement,
     group_factors,
@@ -80,12 +80,6 @@ def _from_search(value: float, direction: Direction, search: IsometrySearchResul
 # ---------------------------------------------------------------------------
 
 
-def _cone_entropy_rows(eigs: np.ndarray) -> np.ndarray:
-    lam = np.clip(eigs, 0.0, None)
-    traces = lam.sum(axis=-1)
-    return eta(lam).sum(axis=-1) - eta(traces)
-
-
 def _members(amp: np.ndarray, w: np.ndarray, m: int, block: int) -> np.ndarray:
     r = amp.shape[1]
     return np.einsum("dr,nmbr->nmdb", amp, w.reshape(-1, m, block, r))
@@ -93,7 +87,7 @@ def _members(amp: np.ndarray, w: np.ndarray, m: int, block: int) -> np.ndarray:
 
 def _member_entropies(c: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(c, compute_uv=False)
-    return _cone_entropy_rows(s**2)
+    return spectral_entropy(s**2)
 
 
 def _marginal_rows(c4: np.ndarray, side: int) -> np.ndarray:
@@ -105,7 +99,7 @@ def _marginal_rows(c4: np.ndarray, side: int) -> np.ndarray:
 
 def _marginal_entropies(c4: np.ndarray, side: int) -> np.ndarray:
     eigs = np.linalg.eigvalsh(_marginal_rows(c4, side))
-    return _cone_entropy_rows(eigs)
+    return spectral_entropy(eigs)
 
 
 def _bipartite(omega: TraceClassElement) -> tuple[int, int]:
@@ -280,7 +274,7 @@ def formation_two_member_grid(omega: TraceClassElement, grid_points: int = 10_00
         c = u @ amp.T  # (N, dA*dB) member amplitudes
         c4 = c.reshape(-1, da, db)
         marg = np.einsum("mab,mcb->mac", c4, c4.conj())
-        values += _cone_entropy_rows(np.linalg.eigvalsh(marg))
+        values += spectral_entropy(np.linalg.eigvalsh(marg))
     return float(values.min())
 
 
@@ -401,7 +395,7 @@ def classical_correlations(
 
     def objective(w):
         posts = np.einsum("abcd,nib,nid->niac", t4, w, w.conj())
-        return _cone_entropy_rows(np.linalg.eigvalsh(posts)).sum(axis=-1)
+        return spectral_entropy(np.linalg.eigvalsh(posts)).sum(axis=-1)
 
     search = minimize_isometry(objective, m, db, budget)
     return _from_search(max(h_a - search.value, 0.0), Direction.LOWER_BOUND, search, povm_size=m)
@@ -455,7 +449,7 @@ def koashi_winter_residual(
     size = max(2, db, rank_ac)
     budget = budget or DEFAULT_BUDGET
     cb = classical_correlations(omega_ab, povm_size=size, budget=budget)
-    ef = entanglement_of_formation(omega_ac, members=max(size, rank_ac), budget=budget.reseeded(budget.seed + 1))
+    ef = entanglement_of_formation(omega_ac, members=max(size, rank_ac), budget=replace(budget, seed=budget.seed + 1))
     return KoashiWinterResult(
         residual=abs(cb.value + ef.value - h_a),
         classical_correlations=cb,

@@ -35,6 +35,7 @@ GRID_DIAG = tuple(2**k for k in range(4, 17))
 GRID_MEDIUM = tuple(2**k for k in range(4, 10))
 GRID_DENSE = tuple(2**k for k in range(4, 8))
 DEFAULT_WINDOW = 3
+CONVERGENCE_SLACK = 1e-10  # allowed rise of the trace distance between grid points
 
 
 class PureBipartiteState:
@@ -66,12 +67,6 @@ class PureBipartiteState:
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
-
-    @property
-    def norm_sq(self) -> float:
-        if self._schmidt is not None:
-            return float((self._schmidt**2).sum())
-        return float(np.sum(np.abs(self._dense) ** 2))
 
     def marginal(self, side: int = 0) -> TraceClassElement:
         if self._schmidt is not None:
@@ -213,11 +208,11 @@ class StateSequence:
     def convergence_profile(self) -> np.ndarray:
         return np.asarray([self.distance_to_limit(n) for n in self.n_grid])
 
-    def is_converging(self, slack: float = 1e-10) -> bool:
+    def is_converging(self) -> bool:
         """Trace distance to the limit must be nonincreasing over the grid tail."""
         prof = self.convergence_profile()
         tail = prof[len(prof) // 2 :]
-        return bool(np.all(np.diff(tail) <= slack))
+        return bool(np.all(np.diff(tail) <= CONVERGENCE_SLACK))
 
 
 @dataclass(frozen=True)
@@ -240,13 +235,6 @@ class JumpEstimate:
     monotone_tail: bool
     converging: bool
     loss_closed_form: float | None = None
-
-    @property
-    def best_loss(self) -> float:
-        """Closed-form estimate when declared, else the measured loss."""
-        if self.loss_closed_form is not None:
-            return self.loss_closed_form
-        return float(self.loss)
 
 
 def _as_float(value) -> float:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from entroloss import operators
 from entroloss.cli import run
 
 
@@ -274,6 +275,27 @@ MISSING_KEY_CASES = {
         _quantity("constrained_holevo", state=PURE, channel={"kind": "identity", "dim": 4}, members=0),
         "quantity.members",
     ),
+    "c_squashed-members-str": (_quantity("c_squashed_entanglement", state=MIXED, members="two"), "quantity.members"),
+    "povm_size-str": (_quantity("classical_correlations", state=MIXED, povm_size="two"), "quantity.povm_size"),
+    "extension_dim-str": (_quantity("squashed_entanglement", state=MIXED, extension_dim="x"), "quantity.extension_dim"),
+    "restarts-str": (_budgeted({"restarts": "x"}), "budget.restarts"),
+    "seed-str": ({**_quantity("entropy", state=MIXED), "seed": "x"}, "seed"),
+    "identity-dim-str": (_output_entropy({"kind": "identity", "dim": "x"}), "quantity.channel.dim"),
+    "max_mixed-dim-str": (_quantity("entropy", state={"kind": "max_mixed", "dim": "x"}), "quantity.state.dim"),
+    "factor_dims-str": (_quantity("entropy", state={**MIXED, "factor_dims": "ab"}), "quantity.state.factor_dims"),
+    "diag-values-str": (_quantity("entropy", state={"kind": "diag", "values": ["x"]}), "quantity.state.values"),
+    "amplitudes-str": (_quantity("entropy", state={"kind": "pure", "amplitudes": "x"}), "quantity.state.amplitudes"),
+    "dephasing-p-str": (_output_entropy({"kind": "dephasing", "p": "x"}), "quantity.channel.p"),
+    "dephasing-p-range": (_output_entropy({"kind": "dephasing", "p": 2}), "quantity.channel"),
+    "depolarizing-dim-0": (_output_entropy({"kind": "depolarizing", "p": 0.5, "dim": 0}), "quantity.channel"),
+    "partial_trace-dims-str": (_output_entropy({"kind": "partial_trace", "dims": "x", "keep": 0}), "quantity.channel.dims"),
+    "max_mixed-dim-0": (_quantity("entropy", state={"kind": "max_mixed", "dim": 0}), "quantity.state.dim"),
+    "weights-str": (_quantity("holevo", ensemble={"weights": ["x"], "states": [MIXED]}), "quantity.ensemble.weights"),
+    "table-values-str": (_gibbs({"kind": "table", "values": ["x"]}), "quantity.hamiltonian.values"),
+    "log-truncation-0": (_gibbs({"kind": "log", "truncation_dim": 0}), "quantity.hamiltonian"),
+    "window-str": ({"command": "sequence", "sequence": {"family": "sharp", "window": "x"}}, "sequence.window"),
+    "grid-str": ({"command": "sequence", "sequence": {"family": "sharp", "grid": ["x"]}}, "sequence.grid"),
+    "section-not-object": ({"command": "quantity", "quantity": []}, "quantity"),
 }
 
 
@@ -282,3 +304,11 @@ def test_missing_or_invalid_key_is_a_config_error(tmp_path, capsys, payload, pat
     cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path)}})
     assert run(["--config", cfg]) == 2
     assert f"'{path}'" in capsys.readouterr().err
+
+
+def test_dense_cap_exits_before_allocating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(operators, "DENSE_DIM_CAP", 4)
+    payload = _quantity("output_entropy", state={"kind": "max_mixed", "dim": 5}, channel={"kind": "identity", "dim": 5})
+    cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 2
+    assert "exceeds cap 4" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Every module imports cleanly when it is the first one loaded.
+"""Every module imports cleanly when it is the first one loaded, and uses
+every name it imports.
 
 Each check runs in a fresh interpreter and registers the ``entroloss``
 package without executing its ``__init__``, so the module under test, not
@@ -7,6 +8,7 @@ hidden by a function-level import would fail here once that import moves
 to module top.
 """
 
+import ast
 import importlib.util
 import os
 import pkgutil
@@ -39,3 +41,18 @@ def test_module_imports_first(module):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", IMPORT_FIRST, module], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# MODULES never lists __init__, whose imports are the package's exports
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_imported_name(module):
+    path = Path(SPEC.submodule_search_locations[0]) / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"unused imports: {sorted(imported - used)}"

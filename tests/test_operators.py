@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroloss import (
-    HermitianOperator,
+    Ensemble,
     TraceClassElement,
-    eig_hermitian,
+    apply,
+    channel_mutual_information,
+    choi_matrix,
+    depolarizing_channel,
     group_factors,
-    op_log_on_support,
+    identity_channel,
+    operators,
     partial_trace,
+    partial_trace_channel,
     permute_factors,
+    relative_entropy_to_product,
+    stinespring_entropy_residual,
     tensor,
     trace_distance,
     unvec,
@@ -25,22 +32,22 @@ from entroloss.errors import (
     NonHermitianError,
     NotPositiveError,
 )
-from entroloss.rand import random_density, random_hermitian, random_pure
+from entroloss.rand import random_channel, random_density, random_hermitian, random_pure
 
 
 def test_eig_diagonal_sorted_descending():
-    dec = eig_hermitian(np.diag([0.3, 0.7]))
+    dec = TraceClassElement(np.diag([0.3, 0.7])).spectrum()
     assert np.allclose(dec.eigenvalues, [0.7, 0.3])
 
 
 def test_eig_maximally_mixed_qubit():
-    dec = eig_hermitian(np.eye(2) / 2)
+    dec = TraceClassElement(np.eye(2) / 2).spectrum()
     assert np.allclose(dec.eigenvalues, [0.5, 0.5])
 
 
 def test_eig_reconstruction_random_4x4(rng):
     a = random_hermitian(4, rng)
-    dec = eig_hermitian(a)
+    dec = TraceClassElement(a, validate=False).spectrum()
     err = np.abs(np.linalg.eigvalsh(a - dec.reconstruct())).sum()
     assert err <= 1e-10 * max(1.0, np.abs(np.linalg.eigvalsh(a)).sum())
 
@@ -50,7 +57,7 @@ def test_eig_bulk_reconstruction_and_unitarity(rng):
     dims = rng.integers(2, 65, size=10_000)
     for d in dims:
         a = random_hermitian(int(d), rng)
-        dec = eig_hermitian(a)
+        dec = TraceClassElement(a, validate=False).spectrum()
         v = dec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(int(d)))) <= 1e-10
         err = np.abs(np.linalg.eigvalsh(a - dec.reconstruct())).sum()
@@ -58,15 +65,44 @@ def test_eig_bulk_reconstruction_and_unitarity(rng):
 
 
 def test_eig_deterministic(rng):
-    a = random_hermitian(6, rng)
-    d1, d2 = eig_hermitian(a), eig_hermitian(a)
+    a = TraceClassElement(random_hermitian(6, rng), validate=False)
+    d1, d2 = a.spectrum(), a.spectrum()
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
-        HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
+        TraceClassElement([[0.0, 1.0], [0.0, 0.0]], validate=False)
+
+
+def test_every_construction_path_stores_an_exactly_hermitian_matrix(rng, monkeypatch):
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    gram = g @ g.conj().T  # Hermitian only up to round-off
+    rho = TraceClassElement(gram / np.real(np.trace(gram)), factor_dims=(2, 3))
+    elements = {
+        "validating constructor": rho,
+        "unvalidated channel output": apply(random_channel(6, 6, 2, rng), rho),
+        "pure": random_pure(6, rng, factor_dims=(2, 3)),
+        "scaled": rho.scaled(0.3),
+        "tensor": tensor(rho, random_density(2, rng)),
+        "partial trace": partial_trace(rho, [1]),
+        "keep-all partial trace": partial_trace(rho, [0, 1]),
+        "permuted": permute_factors(rho, (1, 0)),
+        "embedded": rho.embed(8),
+        "ensemble average": Ensemble([0.4, 0.6], [rho, random_density(6, rng)]).average,
+    }
+    calls = []
+    check = operators._check_hermitian
+    monkeypatch.setattr(operators, "_check_hermitian", lambda m: calls.append(m) or check(m))
+    for name, element in elements.items():
+        m = element.to_matrix()
+        assert np.array_equal(m, m.conj().T), name
+        dec = element.spectrum()
+        w, v = np.linalg.eigh(m)
+        assert np.array_equal(dec.eigenvalues, w[::-1]), name
+        assert np.array_equal(dec.eigenvectors, v[:, ::-1]), name
+    assert calls == []
 
 
 def test_psd_validation():
@@ -101,6 +137,38 @@ def test_tensor_dimension_cap():
     big = TraceClassElement(np.eye(70) / 70)
     with pytest.raises(DimensionOverflowError):
         tensor(big, big)
+
+
+def _guarded_sites():
+    small = TraceClassElement(np.eye(3) / 3, factor_dims=(3,))
+    joint = tensor(small, small)
+    qubit = TraceClassElement(np.eye(2) / 2)
+    wide = identity_channel(5)
+    return {
+        "__init__": lambda: TraceClassElement(np.eye(5) / 5),
+        "pure": lambda: TraceClassElement.pure(np.ones(5)),
+        "tensor": lambda: tensor(small, small),
+        "spectrum": lambda: TraceClassElement(np.full(5, 0.2), diagonal=True).spectrum(),
+        "relative_entropy_to_product": lambda: relative_entropy_to_product(joint, small, small),
+        "apply": lambda: apply(wide, TraceClassElement(np.full(5, 0.2), diagonal=True)),
+        "value_for": lambda: channel_mutual_information(identity_channel(3), small),
+        "choi_matrix": lambda: choi_matrix(identity_channel(3)),
+        "stinespring_entropy_residual": lambda: stinespring_entropy_residual(depolarizing_channel(0.5), qubit),
+        "identity_channel": lambda: identity_channel(5),
+        "depolarizing_channel": lambda: depolarizing_channel(0.5, dim=3),
+        "partial_trace_channel": lambda: partial_trace_channel((2, 3), keep=0),
+    }
+
+
+@pytest.mark.parametrize("site", list(_guarded_sites()))
+def test_dense_guard_runs_before_each_allocation(site, monkeypatch):
+    call = _guarded_sites()[site]
+    monkeypatch.setattr(operators, "DENSE_DIM_CAP", 4)
+    with pytest.raises(DimensionOverflowError) as excinfo:
+        call()
+    # raised by the guard of this very site, not by a later constructor
+    assert excinfo.traceback[-1].name == "_require_dense_dim"
+    assert excinfo.traceback[-2].name == site
 
 
 def test_partial_trace_product_state(rng):
@@ -206,32 +274,6 @@ def test_mirsky_inequality(seed):
     a, b = random_density(5, rng), random_density(5, rng)
     lhs = np.abs(a.eigenvalues_descending() - b.eigenvalues_descending()).sum()
     assert lhs <= trace_distance(a, b) + 1e-9
-
-
-def test_log_on_support_maximally_mixed():
-    rho = TraceClassElement(np.eye(3) / 3)
-    logm, proj = op_log_on_support(rho)
-    assert np.allclose(logm.matrix, math.log(1 / 3) * np.eye(3), atol=1e-12)
-    assert np.allclose(proj, np.eye(3), atol=1e-12)
-
-
-def test_log_on_support_rank_one(rng):
-    rho = random_pure(3, rng)
-    logm, proj = op_log_on_support(rho)
-    assert np.max(np.abs(logm.matrix @ rho.to_matrix())) <= 1e-10
-    assert np.real(np.trace(proj)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_log_on_support_projector_rank():
-    rho = TraceClassElement(np.diag([0.5, 0.5, 0.0]))
-    _, proj = op_log_on_support(rho)
-    assert np.real(np.trace(proj)) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_log_on_support_zero_operator():
-    zero = TraceClassElement(np.zeros((2, 2)))
-    logm, proj = op_log_on_support(zero)
-    assert np.all(logm.matrix == 0) and np.all(proj == 0)
 
 
 def test_vec_identity_is_bell_amplitude():
