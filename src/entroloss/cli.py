@@ -96,12 +96,23 @@ def _ints(value) -> list:
     return [int(v) for v in value]
 
 
+def _float_list(value) -> list:
+    return [float(v) for v in value]
+
+
 def _as(kind, value, path: str):
     """``kind(value)`` for the config value at ``path``; a value it rejects is a ConfigError."""
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{path}' is not a valid value: {exc}") from exc
+
+
+def _converted(params, kinds: dict, path: str) -> dict:
+    """``params`` with each key named in ``kinds`` converted by ``_as`` at ``path.<key>``."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    return {k: _as(kinds[k], v, f"{path}.{k}") if k in kinds else v for k, v in params.items()}
 
 
 def _object(config: dict, key: str) -> dict:
@@ -148,7 +159,10 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
         if amp.ndim != 2 or amp.shape[1] != 2:
             raise ConfigError(f"'{path}.amplitudes' must be a vector of [re, im] pairs")
         v = amp[:, 0] + 1j * amp[:, 1]
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < math.inf:
+            raise ConfigError(f"'{path}.amplitudes' must have a finite nonzero norm, got {norm}")
+        v = v / norm
         return TraceClassElement.pure(v, factor_dims=factors)
     if kind == "bell":
         _reject_unknown(spec, {"kind"}, path)
@@ -397,16 +411,23 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
     return 0
 
 
+_SEQUENCE_PARAMS = {"energy": float, "energies": _float_list, "seed": int}
+_SUITE_PARAMS = {"energy": float, "seed": int, "range_trials": int, "grid": _ints}
+
+
 def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     _reject_unknown(section, {"family", "params", "functionals", "window", "grid"}, "sequence")
     family = section.get("family")
     registry = builtin_families()
     if family not in registry:
         raise ConfigError(f"unknown family {family!r}; available: {sorted(registry)}")
-    params = dict(section.get("params", {}))
+    params = _converted(section.get("params", {}), _SEQUENCE_PARAMS, "sequence.params")
     if "grid" in section:
         params["n_grid"] = _as(_ints, section["grid"], "sequence.grid")
-    seq = registry[family](**params)
+    try:
+        seq = registry[family](**params)
+    except TypeError as exc:
+        raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
     names = section.get("functionals", ["entropy"])
     window = _as(int, section.get("window", 3), "sequence.window")
     estimates = {}
@@ -482,7 +503,7 @@ def cmd_suite(section: dict, out_dir: str, fmt: str) -> int:
         ids = list(SUITES)
     if isinstance(ids, str):
         ids = [ids]
-    params = section.get("params", {})
+    params = _converted(section.get("params", {}), _SUITE_PARAMS, "suite.params")
     all_passed = True
     for suite_id in ids:
         report = suite_run(suite_id, params)

@@ -8,11 +8,17 @@ extension to subnormalized positive operators,
 which reduces to -Tr rho log rho on states and vanishes on every rank-one
 element regardless of its trace.  Relative entropy is evaluated in the
 eigenbasis of the second argument's support and returns the tagged
-+infinity marker on support violation.  Against a product a (x) b the
-eigenbasis comes from the factor eigendecompositions (eigenvalues
-w_a w_b, eigenvectors v_a (x) v_b), so the Kronecker product is never
-eigendecomposed; mutual information and the channel mutual information
-are evaluated that way.
++infinity marker on support violation.  Every dense relative entropy ends
+in one scalar kernel, ``_relative_entropy_kernel``: from the spectrum of
+rho, rho's weights on sigma's support eigenvectors, those eigenvalues and
+the two traces it runs the leak test and forms Tr rho log rho and the cross
+term.  Against a product a (x) b the eigenbasis comes from the factor
+eigendecompositions (eigenvalues w_a w_b, eigenvectors v_a (x) v_b), so the
+Kronecker product is never eigendecomposed; mutual information is evaluated
+that way.  ``relative_entropy_of_factor`` takes the first argument as
+tau = W W^dag from its factor W alone (spectrum from the Gram matrix
+W^dag W, weights from V_a^dag w_k conj(V_b)); the channel mutual information
+is evaluated that way and never builds tau.
 
 Spectra of dense states come from ``TraceClassElement.eigenvalues()``, so
 the entropy and the Tr rho log rho term of a relative entropy reuse the
@@ -85,6 +91,25 @@ def _support(values: np.ndarray) -> np.ndarray:
     return values > SUPPORT_CUTOFF_RTOL * top
 
 
+def _relative_entropy_kernel(
+    w_rho: np.ndarray, tr_rho: float, weights: np.ndarray, w_on: np.ndarray, tr_sigma: float
+) -> ExtendedReal:
+    """H(rho || sigma) from rho's spectrum and rho's weights <v|rho|v> on sigma's
+    support eigenvectors v, whose eigenvalues are ``w_on``.
+
+    The leak test, Tr rho log rho and the cross term Tr rho log sigma; every
+    dense relative entropy ends here.  Zero eigenvalues of rho add nothing, so
+    ``w_rho`` may omit them.
+    """
+    leak = tr_rho - float(weights.sum())
+    if leak > SUPPORT_LEAK_TOL:
+        return ExtendedReal.infinity()
+    w_rho = np.clip(w_rho, 0.0, None)
+    plog = float(np.sum(w_rho[w_rho > 0] * np.log(w_rho[w_rho > 0])))
+    cross = float(np.sum(np.clip(weights, 0.0, None) * np.log(w_on)))
+    return ExtendedReal(plog - cross + tr_sigma - tr_rho)
+
+
 def _dense_relative_entropy(
     rho: TraceClassElement, w_sigma: np.ndarray, v_sigma: np.ndarray, tr_sigma: float
 ) -> ExtendedReal:
@@ -93,18 +118,10 @@ def _dense_relative_entropy(
     The weights <v|rho|v> of rho on sigma's support vectors are the column
     sums of conj(V) * (rho V): one matrix product and an elementwise reduction.
     """
-    tr_rho = rho.trace
     on = _support(w_sigma)
-    rho_m = rho.to_matrix()
     vs = v_sigma[:, on]
-    weights = np.real(np.einsum("ij,ij->j", vs.conj(), rho_m @ vs))
-    leak = tr_rho - float(weights.sum())
-    if leak > SUPPORT_LEAK_TOL:
-        return ExtendedReal.infinity()
-    w_rho = np.clip(rho.eigenvalues(), 0.0, None)
-    plog = float(np.sum(w_rho[w_rho > 0] * np.log(w_rho[w_rho > 0])))
-    cross = float(np.sum(np.clip(weights, 0.0, None) * np.log(w_sigma[on])))
-    return ExtendedReal(plog - cross + tr_sigma - tr_rho)
+    weights = np.real(np.einsum("ij,ij->j", vs.conj(), rho.to_matrix() @ vs))
+    return _relative_entropy_kernel(rho.eigenvalues(), rho.trace, weights, w_sigma[on], tr_sigma)
 
 
 def relative_entropy(rho: TraceClassElement, sigma: TraceClassElement) -> ExtendedReal:
@@ -144,6 +161,30 @@ def relative_entropy_to_product(
         np.outer(sa.eigenvalues, sb.eigenvalues).ravel(),
         np.kron(sa.eigenvectors, sb.eigenvectors),
         a.trace * b.trace,
+    )
+
+
+def relative_entropy_of_factor(
+    w: np.ndarray, a: TraceClassElement, b: TraceClassElement
+) -> ExtendedReal:
+    """H(tau || a (x) b) for tau = sum_k |w_k>><<w_k|, given the stack w of shape
+    (K, a.dim, b.dim) of the columns w_k reshaped to a.dim x b.dim.
+
+    tau is never built: its nonzero spectrum is that of the K x K Gram matrix
+    W^dag W, and its weight on the product eigenvector v_i (x) u_j is
+    sum_k |(V^dag w_k conj(U))_ij|^2 for the eigenvector matrices V of a and U of b.
+    """
+    if w.ndim != 3 or w.shape[1:] != (a.dim, b.dim):
+        raise DimensionMismatchError(f"factor shape {w.shape} does not match dims {a.dim} x {b.dim}")
+    cols = w.reshape(w.shape[0], -1)
+    gram = cols.conj() @ cols.T
+    sa, sb = a.spectrum(), b.spectrum()
+    w_sigma = np.outer(sa.eigenvalues, sb.eigenvalues).ravel()
+    on = _support(w_sigma)
+    amps = sa.eigenvectors.conj().T @ w @ sb.eigenvectors.conj()
+    weights = np.sum(amps.real**2 + amps.imag**2, axis=0).ravel()[on]
+    return _relative_entropy_kernel(
+        np.linalg.eigvalsh(gram), float(np.real(np.trace(gram))), weights, w_sigma[on], a.trace * b.trace
     )
 
 

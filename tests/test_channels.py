@@ -40,6 +40,7 @@ from entroloss.errors import (
     TraceIncreasingError,
 )
 from entroloss.rand import haar_unitary, random_channel, random_density, random_pure
+from entroloss.sequences import make_sharp_sequence
 
 LOG2 = math.log(2.0)
 SMALL_BUDGET = OptimizerBudget(restarts=6, iterations=600, seed=5)
@@ -211,6 +212,33 @@ def test_channel_mi_matches_dilation_entropies(rng, d):
     h_e = dense_entropy(np.einsum("ajak->jk", dilated))
     value = channel_mutual_information(op, TraceClassElement(rho))
     assert value == pytest.approx(dense_entropy(rho) + h_b - h_e, abs=1e-10)
+
+
+def test_channel_mi_eigendecomposes_nothing_of_the_joint_output_dim(rng, monkeypatch):
+    d = 16
+    op = random_channel(d, d, 2, rng)
+    rho = random_density(d, rng)
+    dims = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    channel_mutual_information(op, rho)
+    # tau has dim_out * r = 256; every solve is on a 16-dim or Kraus-count-dim matrix
+    assert dims and max(dims) < d * d
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_channel_mi_identity_beyond_the_dense_cap(n):
+    # tau would have dimension (n + 1)**2 > DENSE_DIM_CAP
+    rho = make_sharp_sequence(n_grid=(n,)).element(n)
+    assert rho.dim == n + 1
+    value = channel_mutual_information(identity_channel(rho.dim), rho)
+    assert value == pytest.approx(2 * von_neumann_entropy(rho), abs=1e-12)
 
 
 def test_coherent_information_examples(rng):

@@ -245,6 +245,10 @@ def _output_entropy(channel):
     return _quantity("output_entropy", state={"kind": "max_mixed", "dim": 2}, channel=channel)
 
 
+def _sequence(params, family="sharp"):
+    return {"command": "sequence", "sequence": {"family": family, "params": params}}
+
+
 MISSING_KEY_CASES = {
     "sigma": (_quantity("relative_entropy", state=MIXED), "quantity.sigma"),
     "channel": (_quantity("output_entropy", state=PURE), "quantity.channel"),
@@ -296,6 +300,19 @@ MISSING_KEY_CASES = {
     "window-str": ({"command": "sequence", "sequence": {"family": "sharp", "window": "x"}}, "sequence.window"),
     "grid-str": ({"command": "sequence", "sequence": {"family": "sharp", "grid": ["x"]}}, "sequence.grid"),
     "section-not-object": ({"command": "quantity", "quantity": []}, "quantity"),
+    "amplitudes-zero": (_quantity("entropy", state={"kind": "pure", "amplitudes": [[0, 0], [0, 0]]}), "quantity.state.amplitudes"),
+    "amplitudes-nan": (_quantity("entropy", state={"kind": "pure", "amplitudes": [[math.nan, 0], [1, 0]]}), "quantity.state.amplitudes"),
+    "amplitudes-inf": (_quantity("entropy", state={"kind": "pure", "amplitudes": [[math.inf, 0], [1, 0]]}), "quantity.state.amplitudes"),
+    **{
+        f"suite-{key}-str": ({"command": "suite", "suite": {"ids": ["P4"], "params": {key: value}}}, f"suite.params.{key}")
+        for key, value in (("energy", "x"), ("seed", "x"), ("range_trials", "x"), ("grid", ["x"]))
+    },
+    "suite-params-not-object": ({"command": "suite", "suite": {"ids": ["P4"], "params": [1]}}, "suite.params"),
+    **{
+        f"sequence-{key}-str": (_sequence({key: value}, family), f"sequence.params.{key}")
+        for family, key, value in (("sharp", "energy", "x"), ("product", "energies", ["x", 0.5]), ("rotated_sharp", "seed", "x"))
+    },
+    "sequence-unknown-param": (_sequence({"energie": 1.0}), "sequence.params"),
 }
 
 

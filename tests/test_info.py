@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from entroloss import (
     Ensemble,
     TraceClassElement,
+    apply,
     conditional_entropy,
     conditional_mutual_information,
     holevo_quantity,
     mutual_information,
     partial_trace,
     pinching_distribution,
+    purification_amplitude,
     relative_entropy,
     relative_entropy_to_product,
     shannon_entropy,
@@ -20,9 +22,9 @@ from entroloss import (
     von_neumann_entropy,
 )
 from entroloss import info
-from entroloss.errors import InconsistentEnsembleError, NotUnitaryError
+from entroloss.errors import DimensionMismatchError, InconsistentEnsembleError, NotUnitaryError
 from entroloss.extended import ExtendedReal
-from entroloss.rand import haar_unitary, random_density, random_probability, random_pure
+from entroloss.rand import haar_unitary, random_channel, random_density, random_probability, random_pure
 
 LOG2 = math.log(2.0)
 
@@ -172,6 +174,45 @@ def test_product_relative_entropy_support_violation(rng):
     a_diag = TraceClassElement(np.array([1.0, 0.0]), diagonal=True)
     b_diag = TraceClassElement(np.full(3, 1.0 / 3), diagonal=True)
     assert relative_entropy_to_product(classical, a_diag, b_diag) == ExtendedReal.infinity()
+
+
+# -- relative entropy of a factor ----------------------------------------------
+
+
+def explicit_tau(w):
+    """tau = sum_k |w_k>><<w_k| built as a dense matrix, factors (dim_a, dim_b)."""
+    cols = w.reshape(w.shape[0], -1)
+    tau = sum(np.outer(c, c.conj()) for c in cols)
+    return TraceClassElement(tau, w.shape[1:], validate=False)
+
+
+@pytest.mark.parametrize("kraus_rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_factor_relative_entropy_matches_explicit_tau(rng, d, kraus_rank):
+    states = (
+        random_density(d, rng),
+        random_density(d, rng, rank=max(1, d // 2)),
+        TraceClassElement(random_probability(d, rng), diagonal=True),
+    )
+    for dim_out in sorted({d, d + 1, -(-d // kraus_rank)}):
+        op = random_channel(d, dim_out, kraus_rank, rng)
+        for rho in states:
+            m = purification_amplitude(rho)
+            w = np.stack(op.kraus) @ m
+            a, b = apply(op, rho), TraceClassElement(m.T @ m.conj(), validate=False)
+            value = float(info.relative_entropy_of_factor(w, a, b))
+            assert value == pytest.approx(float(relative_entropy(explicit_tau(w), tensor(a, b))), abs=1e-12)
+
+
+def test_factor_relative_entropy_support_violation(rng):
+    # the A marginal of tau has weight on |1>, outside the support of a = |0><0|
+    a = TraceClassElement.pure([1.0, 0.0])
+    b = random_density(3, rng)
+    w = rng.standard_normal((2, 2, 3)) + 1j * rng.standard_normal((2, 2, 3))
+    assert info.relative_entropy_of_factor(w, a, b) == ExtendedReal.infinity()
+    assert relative_entropy(explicit_tau(w), tensor(a, b)).is_infinite
+    with pytest.raises(DimensionMismatchError):
+        info.relative_entropy_of_factor(w[:, :, :2], a, b)
 
 
 # -- pinching ------------------------------------------------------------------

@@ -18,12 +18,14 @@ from entroloss import (
     partial_trace,
     partial_trace_channel,
     permute_factors,
+    pinching_channel,
     relative_entropy_to_product,
     stinespring_entropy_residual,
     tensor,
     trace_distance,
     unvec,
     vec,
+    von_neumann_entropy,
 )
 from entroloss.errors import (
     DimensionMismatchError,
@@ -151,12 +153,12 @@ def _guarded_sites():
         "spectrum": lambda: TraceClassElement(np.full(5, 0.2), diagonal=True).spectrum(),
         "relative_entropy_to_product": lambda: relative_entropy_to_product(joint, small, small),
         "apply": lambda: apply(wide, TraceClassElement(np.full(5, 0.2), diagonal=True)),
-        "value_for": lambda: channel_mutual_information(identity_channel(3), small),
         "choi_matrix": lambda: choi_matrix(identity_channel(3)),
         "stinespring_entropy_residual": lambda: stinespring_entropy_residual(depolarizing_channel(0.5), qubit),
         "identity_channel": lambda: identity_channel(5),
         "depolarizing_channel": lambda: depolarizing_channel(0.5, dim=3),
         "partial_trace_channel": lambda: partial_trace_channel((2, 3), keep=0),
+        "pinching_channel": lambda: pinching_channel(3),
     }
 
 
@@ -169,6 +171,14 @@ def test_dense_guard_runs_before_each_allocation(site, monkeypatch):
     # raised by the guard of this very site, not by a later constructor
     assert excinfo.traceback[-1].name == "_require_dense_dim"
     assert excinfo.traceback[-2].name == site
+
+
+def test_channel_mutual_information_allocates_no_joint_output(monkeypatch):
+    # tau would be 9 x 9; the Kraus set, Phi(rho) and rho_R are 3 x 3
+    monkeypatch.setattr(operators, "DENSE_DIM_CAP", 4)
+    rho = TraceClassElement(np.diag([0.5, 0.3, 0.2]))
+    value = channel_mutual_information(identity_channel(3), rho)
+    assert value == pytest.approx(2 * von_neumann_entropy(rho), abs=1e-12)
 
 
 def test_partial_trace_product_state(rng):
