@@ -1,21 +1,29 @@
-"""Derivative-free descent on the isometry manifold.
+"""Riemannian gradient descent on the isometry manifold.
 
 The search space is the set of complex isometries W (rows x cols, rows >=
-cols, W^dag W = I).  Steps are random ambient directions retracted back to
-the manifold by a sign-fixed QR factorization; the step length shrinks on
-failure and grows mildly on success, so each restart terminates once the
-step falls below ``min_step``.
+cols, W^dag W = I).  The objective contract is a ``(B, rows, cols)`` stack of
+isometries in and a pair out: the ``(B,)`` values and the ``(B, rows, cols)``
+Euclidean gradients G = df/dconj(W), normalized so that the derivative along
+a direction D is Re Tr[G^dag D].  The objectives are homogeneous, so they
+are defined off the manifold as well.
+
+Each step projects G onto the tangent space at W, G - W herm(W^dag G)
+(Edelman, Arias and Smith 1998, embedded metric), moves along minus the
+projection and retracts to the manifold by a sign-fixed QR factorization.
+A step that lowers the value is accepted and the next length is the
+Barzilai-Borwein length <s, y> / <y, y> of the accepted move s and the
+gradient change y (``grow`` times the length when <s, y> <= 0); a rejected
+step shrinks by ``shrink``.  A restart stops once its projected gradient
+norm falls below ``GRADIENT_TOL`` or its step below ``min_step``.
 
 All restarts advance together as one ``(restarts, rows, cols)`` stack: each
 iteration retracts the still-active restarts with one stacked QR and scores
-them with one objective call.  The objective contract is therefore a
-``(B, rows, cols)`` stack of isometries in and a ``(B,)`` array of values
-out.  Restart 0 starts at the identity embedding, every other restart at a
-random isometry, and each restart draws its directions from its own stream
-spawned from the budget seed, so the result is deterministic and every
-restart follows the trajectory it would follow alone.
-``random_isometry`` is the one sign-fixed QR draw the package uses for
-Haar-random unitaries, isometries and Stinespring dilations.
+them with one objective call.  Restart 0 starts at the identity embedding,
+every other restart at a random isometry drawn from its own stream spawned
+from the budget seed; the descent itself draws nothing, so the result is
+deterministic and every restart follows the trajectory it would follow
+alone.  ``random_isometry`` is the one sign-fixed QR draw the package uses
+for Haar-random unitaries, isometries and Stinespring dilations.
 """
 
 from __future__ import annotations
@@ -38,10 +46,9 @@ class OptimizerBudget:
 
 DEFAULT_BUDGET = OptimizerBudget()
 
-# Iterations of search directions drawn per generator call.  A restart draws
-# one direction on every iteration it is active, so drawing ahead reproduces
-# its stream exactly; draws past its last iteration are never used.
-_DRAW_CHUNK = 16
+# A restart leaves the stack once the Frobenius norm of its projected gradient
+# falls below this.
+GRADIENT_TOL = 3e-7
 
 
 def qr_isometry(m: np.ndarray) -> np.ndarray:
@@ -80,29 +87,39 @@ class IsometrySearchResult:
         return self.restart_values.size >= 2 and self.gap_estimate <= 1e-4
 
 
-def _descend(objective, w: np.ndarray, rngs: list, budget: OptimizerBudget):
-    """Descend every restart of the stack ``w`` in place until its step falls below ``min_step``."""
-    best = objective(w)
-    step = np.full(len(rngs), budget.initial_step)
-    evaluations = np.ones(len(rngs), dtype=int)
-    directions = np.empty((len(rngs), _DRAW_CHUNK) + w.shape[1:], dtype=complex)
-    for t in range(budget.iterations):
-        active = np.flatnonzero(step >= budget.min_step)
+def _tangent(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Project ambient gradients onto the tangent spaces of the isometries: G - W herm(W^dag G)."""
+    wg = w.conj().swapaxes(-1, -2) @ g
+    return g - w @ ((wg + wg.conj().swapaxes(-1, -2)) / 2)
+
+
+def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
+    """Descend every restart of the stack ``w`` in place until its gradient or its step is spent."""
+    best, grad = objective(w)
+    grad = _tangent(w, grad)
+    norm = np.linalg.norm(grad, axis=(-2, -1))
+    step = np.full(len(w), budget.initial_step)
+    evaluations = np.ones(len(w), dtype=int)
+    for _ in range(budget.iterations):
+        active = np.flatnonzero((step >= budget.min_step) & (norm >= GRADIENT_TOL))
         if active.size == 0:
             break
-        j = t % _DRAW_CHUNK
-        if j == 0:
-            for i in active:
-                g = rngs[i].standard_normal((_DRAW_CHUNK, 2) + w.shape[1:])
-                directions[i] = g[:, 0] + 1j * g[:, 1]
         s = step[active]
-        cand = qr_isometry(w[active] + s[:, None, None] * directions[active, j])
-        val = objective(cand)
+        cand = qr_isometry(w[active] - s[:, None, None] * grad[active])
+        val, g = objective(cand)
         evaluations[active] += 1
         won = val < best[active] - 1e-14
         up = active[won]
-        w[up], best[up] = cand[won], val[won]
-        step[active] = np.where(won, np.minimum(s * budget.grow, 2.0), s * budget.shrink)
+        new, g = cand[won], _tangent(cand[won], g[won])
+        # Barzilai-Borwein length <s, y> / <y, y> from the accepted move s and
+        # the change y of the gradient, the old one projected to the new point
+        moved, change = new - w[up], g - _tangent(new, grad[up])
+        sy = np.einsum("nij,nij->n", moved.conj(), change).real
+        yy = np.einsum("nij,nij->n", change.conj(), change).real
+        step[active] = s * budget.shrink
+        step[up] = np.where(sy > 0, sy / np.where(sy > 0, yy, 1.0), s[won] * budget.grow)
+        w[up], best[up], grad[up] = new, val[won], g
+        norm[up] = np.linalg.norm(g, axis=(-2, -1))
     return best, evaluations
 
 
@@ -115,9 +132,10 @@ def minimize_isometry(
     budget = budget or DEFAULT_BUDGET
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(budget.seed).spawn(budget.restarts)]
-    w = np.stack([np.eye(rows, cols, dtype=complex)] + [random_isometry(rng, rows, cols) for rng in rngs[1:]])
-    values, evaluations = _descend(objective, w, rngs, budget)
+    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+    starts = [random_isometry(np.random.default_rng(seed), rows, cols) for seed in seeds[1:]]
+    w = np.stack([np.eye(rows, cols, dtype=complex)] + starts)
+    values, evaluations = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(
         value=float(values[best_idx]),

@@ -34,6 +34,7 @@ from .channels import (
 from .energy import Hamiltonian, gibbs_threshold, mean_energy
 from .errors import (
     ConfigError,
+    DimensionOverflowError,
     EntrolossError,
     InvalidParameterError,
     MissingArtifactsError,
@@ -430,13 +431,18 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
     names = section.get("functionals", ["entropy"])
     window = _as(int, section.get("window", 3), "sequence.window")
+    if len(seq.n_grid) < 2 * window:
+        raise ConfigError(f"'sequence.grid' has {len(seq.n_grid)} points, fewer than 2 * window = {2 * window}")
     estimates = {}
     series = {"n": list(seq.n_grid)}
     for fname in names:
         if fname not in _FUNCTIONALS:
             raise ConfigError(f"unknown functional {fname!r}; available: {sorted(_FUNCTIONALS)}")
         key = fname if fname in seq.closed_forms else None
-        est = estimate_jump(seq, _FUNCTIONALS[fname], window=window, closed_form_key=key)
+        try:
+            est = estimate_jump(seq, _FUNCTIONALS[fname], window=window, closed_form_key=key)
+        except DimensionOverflowError as exc:  # the elements grow with n
+            raise ConfigError(f"'sequence.grid': {exc}") from exc
         series[fname] = list(est.values)
         estimates[fname] = {
             "limit_value": est.limit_value,

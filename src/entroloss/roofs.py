@@ -13,6 +13,18 @@ construction and the optimizer only ever moves along valid ensembles.
 block = 1 yields pure members (entanglement of formation, convex closure of
 output entropy), block = rank yields unrestricted members (c-squashed).
 
+Every objective is a signed sum of cone entropies S(X X^dag) of matrices X
+that are linear in W, so one helper (``_entropy``) gives each value with its
+gradient and the objective only adds the adjoint of its linear map, an
+einsum with conj(M).  With rho = X X^dag and T = Tr rho, the cone entropy
+S = T log T - Tr rho log rho has
+
+    dS = Tr[(log T - log rho) d rho],     d rho = dX X^dag + X dX^dag,
+
+so dS = Re Tr[G^dag dX] with G = dS/dconj(X) = 2 (log T - log rho) X.  X has
+no component off the support of rho, where log rho is undefined, so G is
+evaluated in the eigenbasis of rho on its support only.
+
 Estimates carry explicit one-sidedness: an optimizer chasing a supremum
 reports a LOWER bound on the true value, one chasing an infimum reports an
 UPPER bound.  Exact anchors (pure inputs, k = 1, k >= rank) bypass the
@@ -66,12 +78,18 @@ def _exact(value: float, direction: Direction, **meta) -> BoundedValue:
 
 
 def _from_search(value: float, direction: Direction, search: IsometrySearchResult, **meta) -> BoundedValue:
+    """Wrap a search; ``meta`` also records its cost (objective evaluations over
+    all restarts) and its agreement (restarts within 1e-4 of the best)."""
     return BoundedValue(
         float(value),
         direction,
         converged=search.converged,
         gap_estimate=search.gap_estimate,
-        meta=dict(meta),
+        meta={
+            **meta,
+            "evaluations": int(search.evaluations.sum()),
+            "restarts_near_best": int(np.count_nonzero(search.restart_values <= search.value + 1e-4)),
+        },
     )
 
 
@@ -85,21 +103,24 @@ def _members(amp: np.ndarray, w: np.ndarray, m: int, block: int) -> np.ndarray:
     return np.einsum("dr,nmbr->nmdb", amp, w.reshape(-1, m, block, r))
 
 
-def _member_entropies(c: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(c, compute_uv=False)
-    return spectral_entropy(s**2)
+def _members_adjoint(amp: np.ndarray, g: np.ndarray, m: int, block: int) -> np.ndarray:
+    """Gradient in w from the gradient g in the members of ``_members(amp, w, m, block)``."""
+    return np.einsum("nmdb,dr->nmbr", g, amp.conj()).reshape(g.shape[0], m * block, -1)
 
 
-def _marginal_rows(c4: np.ndarray, side: int) -> np.ndarray:
-    """Member marginals from amplitudes shaped (B, m, dA, dB, block)."""
-    if side == 0:
-        return np.einsum("nmabk,nmcbk->nmac", c4, c4.conj())
-    return np.einsum("nmabk,nmack->nmbc", c4, c4.conj())
+def _entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cone entropies S(M M^dag) of a stack of matrices M, with their gradients
+    dS/dconj(M) = 2 (log Tr rho - log rho) M for rho = M M^dag (module docstring).
 
-
-def _marginal_entropies(c4: np.ndarray, side: int) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(_marginal_rows(c4, side))
-    return spectral_entropy(eigs)
+    Eigenvalues that round to zero or below lie off the support and carry
+    no gradient."""
+    lam, v = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+    lam = np.clip(lam, 0.0, None)
+    support = lam > 0.0
+    total = lam.sum(axis=-1, keepdims=True)
+    coef = np.log(np.where(support, total, 1.0)) - np.log(np.where(support, lam, 1.0))
+    grad = 2.0 * (v @ (coef[..., None] * (v.conj().swapaxes(-1, -2) @ m)))
+    return spectral_entropy(lam), grad
 
 
 def _bipartite(omega: TraceClassElement) -> tuple[int, int]:
@@ -134,7 +155,8 @@ def entropy_k_approximation(
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        return -_member_entropies(_members(amp, w, m, k)).sum(axis=-1)
+        ent, g = _entropy(_members(amp, w, m, k).swapaxes(-1, -2))  # k x dim: the smaller Gram side
+        return -ent.sum(axis=-1), -_members_adjoint(amp, g.swapaxes(-1, -2), m, k)
 
     search = minimize_isometry(objective, m * k, r, budget)
     return _from_search(-search.value, Direction.LOWER_BOUND, search, members=m)
@@ -186,8 +208,9 @@ def convex_closure_output_entropy(
 
     def objective(w):
         c = _members(amp, w, m, 1)[..., 0]  # (B, m, din) pure member amplitudes
-        outs = np.einsum("koi,nmi->nmok", kstack, c)
-        return _member_entropies(outs).sum(axis=-1)
+        ent, g = _entropy(np.einsum("koi,nmi->nmok", kstack, c))
+        gc = np.einsum("nmok,koi->nmi", g, kstack.conj())
+        return ent.sum(axis=-1), _members_adjoint(amp, gc[..., None], m, 1)
 
     search = minimize_isometry(objective, m, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, members=m)
@@ -245,8 +268,8 @@ def entanglement_of_formation(
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        c4 = _members(amp, w, m, 1).reshape(-1, m, da, db, 1)
-        return _marginal_entropies(c4, 0).sum(axis=-1)
+        ent, g = _entropy(_members(amp, w, m, 1).reshape(-1, m, da, db))
+        return ent.sum(axis=-1), _members_adjoint(amp, g.reshape(-1, m, da * db, 1), m, 1)
 
     search = minimize_isometry(objective, m, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, members=m)
@@ -317,9 +340,13 @@ def c_squashed_entanglement_k(
 
     def objective(w):
         c = _members(amp, w, k, r)
-        joint = _member_entropies(c)
         c4 = c.reshape(-1, k, da, db, r)
-        return (_marginal_entropies(c4, 0) + _marginal_entropies(c4, 1) - joint).sum(axis=-1)
+        joint, g_ab = _entropy(c.swapaxes(-1, -2))  # r x dim: the smaller Gram side
+        s_a, g_a = _entropy(c4.reshape(-1, k, da, db * r))
+        s_b, g_b = _entropy(c4.swapaxes(2, 3).reshape(-1, k, db, da * r))
+        g = g_a.reshape(c4.shape) + g_b.reshape(-1, k, db, da, r).swapaxes(2, 3)
+        g = g.reshape(c.shape) - g_ab.swapaxes(-1, -2)
+        return (s_a + s_b - joint).sum(axis=-1), _members_adjoint(amp, g, k, r)
 
     search = minimize_isometry(objective, k * r, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, ensemble_size=k)
@@ -349,9 +376,8 @@ def squashed_entanglement_k(
     budget = budget or DEFAULT_BUDGET
     # n4 below is pure on ABEF, so S(ABE) = S(F).  Each marginal is M M^dag with
     # the kept system along the rows of M; the four Ms are zero-padded into one
-    # stack so that one eigvalsh call yields every spectrum (padding adds only
-    # zero eigenvalues).  That halves the cost of an svd for S(ABE) plus three
-    # eigvalsh calls; the two forms agree up to rounding in the last digits.
+    # stack so that one eigh call yields every spectrum and gradient (padding
+    # adds only zero eigenvalues; the padded gradient entries are dropped).
     side, width = max(da * k, db * k, f), da * db * f
     signs = np.array([0.5, 0.5, -0.5, -0.5])  # AE, BE, F, E terms of half the CMI
 
@@ -363,8 +389,16 @@ def squashed_entanglement_k(
         m[:, 1, : db * k, : da * f] = n4.transpose(0, 2, 3, 1, 4).reshape(n, db * k, da * f)
         m[:, 2, :f, : da * db * k] = n4.reshape(n, da * db * k, f).swapaxes(1, 2)
         m[:, 3, :k] = n4.transpose(0, 3, 1, 2, 4).reshape(n, k, width)
-        spectra = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-        return (eta(np.clip(spectra, 0.0, None)).sum(axis=-1) * signs).sum(axis=-1)
+        ent, g = _entropy(m)
+        g = g * signs[:, None, None]
+        g4 = (
+            g[:, 0, : da * k, : db * f].reshape(n, da, k, db, f).transpose(0, 1, 3, 2, 4)
+            + g[:, 1, : db * k, : da * f].reshape(n, db, k, da, f).transpose(0, 3, 1, 2, 4)
+            + g[:, 2, :f, : da * db * k].swapaxes(1, 2).reshape(n, da, db, k, f)
+            + g[:, 3, :k].reshape(n, k, da, db, f).transpose(0, 2, 3, 1, 4)
+        )
+        grad = np.einsum("nxef,xr->nefr", g4.reshape(n, da * db, k, f), amp.conj()).reshape(n, k * f, r)
+        return (ent * signs).sum(axis=-1), grad
 
     search = minimize_isometry(objective, k * f, r, budget)
     return _from_search(max(search.value, 0.0), Direction.UPPER_BOUND, search, extension_dim=k)
@@ -390,12 +424,13 @@ def classical_correlations(
     if m < db:
         raise InvalidParameterError(f"povm size {m} cannot embed the measured system of dim {db}")
     h_a = von_neumann_entropy(partial_trace(omega, [0]))
-    t4 = omega.to_matrix().reshape(da, db, da, db)
+    amp3 = purification_amplitude(omega).reshape(da, db, -1)
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
-        posts = np.einsum("abcd,nib,nid->niac", t4, w, w.conj())
-        return spectral_entropy(np.linalg.eigvalsh(posts)).sum(axis=-1)
+        # outcome i leaves A with M_i M_i^dag, M_i = sum_b amp[(a, b), :] w[i, b]
+        ent, g = _entropy(np.einsum("abr,nib->niar", amp3, w))
+        return ent.sum(axis=-1), np.einsum("niar,abr->nib", g, amp3.conj())
 
     search = minimize_isometry(objective, m, db, budget)
     return _from_search(max(h_a - search.value, 0.0), Direction.LOWER_BOUND, search, povm_size=m)

@@ -249,6 +249,10 @@ def _sequence(params, family="sharp"):
     return {"command": "sequence", "sequence": {"family": family, "params": params}}
 
 
+def _product_grid(grid):
+    return {"command": "sequence", "sequence": {"family": "product", "grid": grid}}
+
+
 MISSING_KEY_CASES = {
     "sigma": (_quantity("relative_entropy", state=MIXED), "quantity.sigma"),
     "channel": (_quantity("output_entropy", state=PURE), "quantity.channel"),
@@ -313,6 +317,9 @@ MISSING_KEY_CASES = {
         for family, key, value in (("sharp", "energy", "x"), ("product", "energies", ["x", 0.5]), ("rotated_sharp", "seed", "x"))
     },
     "sequence-unknown-param": (_sequence({"energie": 1.0}), "sequence.params"),
+    # the window defaults to 3, so a grid needs 6 points; a product element at n has dim (n + 1)**2
+    "sequence-grid-below-window": (_product_grid([16, 32, 64, 128]), "sequence.grid"),
+    "sequence-grid-past-diag-cap": (_product_grid([16, 32, 64, 128, 256, 1024]), "sequence.grid"),
 }
 
 

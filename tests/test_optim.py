@@ -1,8 +1,9 @@
-"""The stacked isometry search against restarts run one after another.
+"""The stacked gradient search against restarts run one after another, and the
+objective gradients against finite differences.
 
 Every restart of ``minimize_isometry`` advances inside one stack, but it must
-follow exactly the trajectory it would follow alone: the same directions from
-its own stream, the same QR retraction and the same accept rule.  The
+follow exactly the trajectory it would follow alone: the same start, the same
+projected gradient, the same QR retraction, accept rule and step length.  The
 reference below is that one-restart-at-a-time loop, scoring one-element
 stacks with the same batched objective.
 """
@@ -11,32 +12,46 @@ import numpy as np
 import pytest
 
 from entroloss import TraceClassElement, roofs
-from entroloss._optim import OptimizerBudget, minimize_isometry, qr_isometry, random_isometry
+from entroloss._optim import (
+    GRADIENT_TOL,
+    OptimizerBudget,
+    _tangent,
+    minimize_isometry,
+    qr_isometry,
+    random_isometry,
+)
 from entroloss.rand import random_channel, random_density, random_pure
 
 # long enough that several roofs see restarts leave the stack at different iterations
 BUDGET = OptimizerBudget(restarts=4, iterations=600, seed=9)
 
 
+def inner(a, b):
+    """Real part of the Frobenius inner product <a, b>."""
+    return np.einsum("ij,ij->", a.conj(), b).real
+
+
 def reference_search(objective, rows, cols, budget):
     """Restarts one after another; returns values, final isometries and evaluation counts."""
     values, isometries, evaluations = [], [], []
     for i, seed in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
-        rng = np.random.default_rng(seed)
-        w = np.eye(rows, cols, dtype=complex) if i == 0 else random_isometry(rng, rows, cols)
-        best = float(objective(w[None])[0])
+        w = np.eye(rows, cols, dtype=complex) if i == 0 else random_isometry(np.random.default_rng(seed), rows, cols)
+        value, grad = objective(w[None])
+        best, g = float(value[0]), _tangent(w, grad[0])
         step = budget.initial_step
         count = 1
         for _ in range(budget.iterations):
-            if step < budget.min_step:
+            if step < budget.min_step or np.linalg.norm(g) < GRADIENT_TOL:
                 break
-            d = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
-            cand = qr_isometry(w + step * d)
-            val = float(objective(cand[None])[0])
+            cand = qr_isometry(w - step * g)
+            value, grad = objective(cand[None])
             count += 1
-            if val < best - 1e-14:
-                w, best = cand, val
-                step = min(step * budget.grow, 2.0)
+            if value[0] < best - 1e-14:
+                g_new = _tangent(cand, grad[0])
+                moved, change = cand - w, g_new - _tangent(cand, g)
+                sy = inner(moved, change)
+                step = sy / inner(change, change) if sy > 0 else step * budget.grow
+                w, best, g = cand, float(value[0]), g_new
             else:
                 step *= budget.shrink
         values.append(best)
@@ -51,18 +66,23 @@ def rank2_two_qubit(rng):
 
 
 ROOFS = {
-    "entropy_k_approximation": lambda rng: roofs.entropy_k_approximation(random_density(4, rng, rank=3), 2, BUDGET),
-    "convex_closure": lambda rng: roofs.convex_closure_output_entropy(
-        random_channel(3, 2, 2, rng), random_density(3, rng, rank=2), 3, BUDGET
+    "entropy_k_approximation": lambda rng, budget: roofs.entropy_k_approximation(
+        random_density(4, rng, rank=3), 2, budget
     ),
-    "formation": lambda rng: roofs.entanglement_of_formation(rank2_two_qubit(rng), members=3, budget=BUDGET),
-    "c_squashed": lambda rng: roofs.c_squashed_entanglement_k(rank2_two_qubit(rng), 2, BUDGET),
-    "squashed": lambda rng: roofs.squashed_entanglement_k(rank2_two_qubit(rng), 2, BUDGET),
-    "classical_correlations": lambda rng: roofs.classical_correlations(rank2_two_qubit(rng), 3, BUDGET),
+    "convex_closure": lambda rng, budget: roofs.convex_closure_output_entropy(
+        random_channel(3, 2, 2, rng), random_density(3, rng, rank=2), 3, budget
+    ),
+    "formation": lambda rng, budget: roofs.entanglement_of_formation(rank2_two_qubit(rng), members=3, budget=budget),
+    "c_squashed": lambda rng, budget: roofs.c_squashed_entanglement_k(rank2_two_qubit(rng), 2, budget),
+    "squashed": lambda rng, budget: roofs.squashed_entanglement_k(rank2_two_qubit(rng), 2, budget),
+    "squashed_padded": lambda rng, budget: roofs.squashed_entanglement_k(
+        random_density(6, rng, rank=2, factor_dims=(2, 3)), 3, budget
+    ),
+    "classical_correlations": lambda rng, budget: roofs.classical_correlations(rank2_two_qubit(rng), 3, budget),
 }
 
 
-def captured_search(monkeypatch, run, rng):
+def captured_search(monkeypatch, run, rng, budget=BUDGET):
     """Run one roof and return (objective, rows, cols, budget, result) of its single search."""
     searches = []
 
@@ -72,7 +92,7 @@ def captured_search(monkeypatch, run, rng):
         return result
 
     monkeypatch.setattr(roofs, "minimize_isometry", capture)
-    run(rng)
+    run(rng, budget)
     assert len(searches) == 1
     return searches[0]
 
@@ -99,12 +119,33 @@ def test_stacked_search_matches_sequential_restarts(name, monkeypatch, rng):
     assert result.evaluations.tolist() == evaluations.tolist()
 
 
+@pytest.mark.parametrize("name", sorted(ROOFS))
+def test_objective_gradient_matches_finite_differences(name, monkeypatch, rng):
+    # Re<G, D> is the derivative of the objective along D; the objectives are
+    # homogeneous cone entropies, so they extend off the manifold and the
+    # straight line W + hD is a valid finite-difference path
+    objective, rows, cols, _, _ = captured_search(
+        monkeypatch, ROOFS[name], rng, OptimizerBudget(restarts=1, iterations=0)
+    )
+    w = np.stack([random_isometry(rng, rows, cols) for _ in range(3)])
+    _, grad = objective(w)
+    assert grad.shape == w.shape
+    h = 1e-5
+    for _ in range(4):
+        d = _tangent(w, rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape))
+        numeric = (objective(w + h * d)[0] - objective(w - h * d)[0]) / (2 * h)
+        analytic = np.einsum("nij,nij->n", grad.conj(), d).real
+        assert (np.abs(numeric - analytic) <= 1e-6 * np.abs(analytic)).all()
+
+
 def test_evaluations_count_every_scored_isometry():
     scored = []
 
     def objective(w):
         scored.append(w.shape[0])
-        return 1.0 - np.abs(w[:, 0, 0]) ** 2
+        grad = np.zeros_like(w)
+        grad[:, 0, 0] = -2.0 * w[:, 0, 0]
+        return 1.0 - np.abs(w[:, 0, 0]) ** 2, grad
 
     for iterations in (0, 1, 40, 400):
         scored.clear()
@@ -116,15 +157,25 @@ def test_evaluations_count_every_scored_isometry():
         assert result.evaluations.sum() == sum(scored)
         if iterations == 0:
             assert result.evaluations.tolist() == [1] * 5
+        if iterations == 400:
+            assert result.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_restarts_stop_once_the_step_is_spent():
-    # a constant objective never accepts a step, so each restart shrinks from
-    # initial_step until it falls below min_step and then leaves the stack
+    # a gradient that never leads downhill: every step is rejected, so each
+    # restart shrinks from initial_step until it falls below min_step and then
+    # leaves the stack
     budget = OptimizerBudget(restarts=3, iterations=5000, seed=0)
-    result = minimize_isometry(lambda w: np.zeros(w.shape[0]), 3, 2, budget)
+    result = minimize_isometry(lambda w: (np.zeros(w.shape[0]), np.ones_like(w)), 3, 2, budget)
     step, spent = budget.initial_step, 0
     while step >= budget.min_step:
         step *= budget.shrink
         spent += 1
     assert result.evaluations.tolist() == [1 + spent] * 3
+
+
+def test_restarts_stop_once_the_gradient_vanishes():
+    # a constant objective has a zero gradient: every restart stops at its start
+    budget = OptimizerBudget(restarts=3, iterations=5000, seed=0)
+    result = minimize_isometry(lambda w: (np.zeros(w.shape[0]), np.zeros_like(w)), 3, 2, budget)
+    assert result.evaluations.tolist() == [1] * 3

@@ -8,6 +8,7 @@ from entroloss import (
     TraceClassElement,
     c_squashed_entanglement_k,
     classical_correlations,
+    cli,
     constrained_holevo_estimate,
     conditional_mutual_information,
     convex_closure_output_entropy,
@@ -29,7 +30,7 @@ from entroloss import (
     tensor_square_regularization,
     von_neumann_entropy,
 )
-from entroloss._optim import OptimizerBudget, minimize_isometry, random_isometry
+from entroloss._optim import DEFAULT_BUDGET, OptimizerBudget, minimize_isometry, random_isometry
 from entroloss.errors import NotPureError
 from entroloss.rand import random_density, random_pure
 
@@ -278,12 +279,62 @@ def test_squashed_objective_is_half_the_extension_cmi(dims, k, rng, monkeypatch)
     amp = purification_amplitude(omega)
     f = 2 * k
     stack = np.stack([random_isometry(rng, k * f, 2) for _ in range(3)])
-    values = captured[0](stack)
+    values, _ = captured[0](stack)
     for w, value in zip(stack, values):
         n4 = np.einsum("xr,efr->xef", amp, w.reshape(k, f, 2)).reshape(da, db, k, f)
         aeb = np.einsum("abef,cdgf->aebcgd", n4, n4.conj()).reshape(da * k * db, da * k * db)
         extension = TraceClassElement(aeb, (da, k, db), validate=False)
         assert value == pytest.approx(0.5 * conditional_mutual_information(extension), abs=1e-13)
+
+
+# -- against the random-direction search --------------------------------------------
+
+# (formation, c-squashed k = 2, squashed k = 2, classical correlations) at the
+# default budget on rank2_two_qubit(default_rng(800 + i)), as reported by the
+# random-direction search that the gradient step replaced
+RANDOM_SEARCH_VALUES = [
+    (0.040151522898273284, 0.07653019040102782, 0.03196984807217135, 0.1393276857610331),
+    (0.2577646987592094, 0.5115488839152573, 0.2519395375129925, 0.4567977948380245),
+    (0.08105206133668347, 0.1589231140628341, 0.07494093426089743, 0.27760658768300567),
+    (0.13845001538979906, 0.2757613327429413, 0.1378806888385834, 0.5958377626113162),
+    (0.08704370866569433, 0.17138613058948027, 0.08371546463572016, 0.371486301809895),
+    (0.06665032299110546, 0.13157430196917047, 0.06528686350085428, 0.2593189771851917),
+    (0.23874169936254988, 0.4720161109798154, 0.22886967110749576, 0.31132494741841754),
+    (0.1156863711922459, 0.22599205290317964, 0.10400127814126159, 0.2692755722951952),
+]
+
+
+@pytest.mark.parametrize("i", range(len(RANDOM_SEARCH_VALUES)))
+def test_gradient_search_is_no_looser_than_the_random_search(i):
+    omega = rank2_two_qubit(np.random.default_rng(800 + i))
+    ef, csq, sq, cc = RANDOM_SEARCH_VALUES[i]
+    assert entanglement_of_formation(omega).value <= ef + 1e-10
+    assert c_squashed_entanglement_k(omega, 2).value <= csq + 1e-10
+    squashed = squashed_entanglement_k(omega, 2)
+    assert squashed.value <= sq + 1e-10
+    # the random search ran every squashed restart to the iteration cap
+    restarts, cap = DEFAULT_BUDGET.restarts, DEFAULT_BUDGET.iterations + 1
+    assert squashed.meta["evaluations"] < restarts * cap
+    assert classical_correlations(omega).value >= cc - 1e-10
+
+
+def test_search_meta_records_cost_and_agreement(rng, monkeypatch):
+    searches = []
+
+    def capture(objective, rows, cols, budget):
+        searches.append(minimize_isometry(objective, rows, cols, budget))
+        return searches[-1]
+
+    monkeypatch.setattr(roofs, "minimize_isometry", capture)
+    out = entanglement_of_formation(rank2_two_qubit(rng), members=3, budget=BUDGET)
+    (search,) = searches
+    assert out.meta["members"] == 3
+    assert out.meta["evaluations"] == search.evaluations.sum() > BUDGET.restarts
+    near = [v for v in search.restart_values if v <= search.value + 1e-4]
+    assert out.meta["restarts_near_best"] == len(near) >= 1
+    # the report keeps its fields: the diagnostics stay out of the serialized value
+    assert sorted(cli._jsonable(out)) == ["converged", "direction", "gap_estimate", "provenance", "value"]
+    assert "evaluations" not in entanglement_of_formation(bell()).meta  # exact anchors run no search
 
 
 # -- measurement side ------------------------------------------------------------
