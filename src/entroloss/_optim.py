@@ -20,8 +20,11 @@ All restarts advance together as one ``(restarts, rows, cols)`` stack: each
 iteration retracts the still-active restarts with one stacked QR and scores
 them with one objective call.  Restart 0 starts at the identity embedding,
 every other restart at a random isometry drawn from its own stream spawned
-from the budget seed; the descent itself draws nothing, so the result is
-deterministic and every restart follows the trajectory it would follow
+from the budget seed.  An objective with a critical point at the identity
+(a singleton ensemble, a trivial extension) would stop restart 0 there at
+once, so its search passes ``identity_start=False`` and restart 0 draws
+from its own stream too.  The descent itself draws nothing, so the result
+is deterministic and every restart follows the trajectory it would follow
 alone.  ``random_isometry`` is the one sign-fixed QR draw the package uses
 for Haar-random unitaries, isometries and Stinespring dilations.
 """
@@ -124,17 +127,22 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
 
 
 def minimize_isometry(
-    objective, rows: int, cols: int, budget: OptimizerBudget | None = None
+    objective, rows: int, cols: int, budget: OptimizerBudget | None = None, identity_start: bool = True
 ) -> IsometrySearchResult:
     """Multi-restart minimization of ``objective`` over (rows x cols) isometries.
 
-    ``objective`` maps a (B, rows, cols) stack of isometries to (B,) values."""
+    ``objective`` maps a (B, rows, cols) stack of isometries to its (B,)
+    values and (B, rows, cols) gradients; ``identity_start`` puts restart 0
+    at the identity embedding instead of a random isometry."""
     budget = budget or DEFAULT_BUDGET
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    starts = [random_isometry(np.random.default_rng(seed), rows, cols) for seed in seeds[1:]]
-    w = np.stack([np.eye(rows, cols, dtype=complex)] + starts)
+    w = np.stack([
+        np.eye(rows, cols, dtype=complex) if i == 0 and identity_start
+        else random_isometry(np.random.default_rng(seed), rows, cols)
+        for i, seed in enumerate(seeds)
+    ])
     values, evaluations = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(

@@ -10,9 +10,7 @@ The channel mutual information handles the joint output
 tau = (Phi (x) Id)(|psi><psi|) as W W^dag, with the columns w_k = vec(K_k M)
 of the purification amplitude M: its spectrum is that of the K x K Gram
 matrix W^dag W (which equals Phi^c(rho)^T), so no (dim_out r)^2 matrix is
-built or eigendecomposed unless it is the smaller one (K > dim_out r).  The
-environment entropy takes the same smaller side, so no eigensolve in either
-exceeds min(K, dim_out r).
+built or eigendecomposed.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .errors import (
     NotAChannelError,
     TraceIncreasingError,
 )
-from .info import mutual_information, relative_entropy_of_factor, spectral_entropy, von_neumann_entropy
+from .info import mutual_information, relative_entropy_of_factor, von_neumann_entropy
 from .operators import (
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
@@ -163,18 +161,8 @@ def output_entropy(op: QuantumOperation, rho: TraceClassElement) -> float:
 
 
 def entropy_exchange(op: QuantumOperation, rho: TraceClassElement) -> float:
-    """Output entropy of a complementary operation (environment entropy).
-
-    The environment output is K x K for K Kraus operators but equals Z Z^dag
-    for the K x (dim_out * rank) matrix Z of rows vec(K_k M), M the
-    purification amplitude.  When K exceeds dim_out * rank(rho), its spectrum
-    is read off the smaller Gram matrix Z^dag Z.
-    """
-    k, r = len(op.kraus), rho.rank()
-    if r == 0 or k <= op.dim_out * r:
-        return von_neumann_entropy(apply(complementary(op), rho))
-    z = (np.stack(op.kraus) @ purification_amplitude(rho)).reshape(k, -1)
-    return float(spectral_entropy(np.linalg.eigvalsh(z.conj().T @ z)))
+    """Output entropy of a complementary operation (environment entropy)."""
+    return von_neumann_entropy(apply(complementary(op), rho))
 
 
 def stinespring_entropy_residual(op: QuantumOperation, rho: TraceClassElement) -> float:
@@ -195,8 +183,8 @@ def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> 
     """I(Phi, rho) = H(Phi (x) Id(psi) || Phi(rho) (x) rho_R) over a purification psi.
 
     With M the purification amplitude, the joint output is tau = W W^dag for
-    the columns w_k = vec(K_k M): its spectrum comes from the smaller of the
-    K x K Gram matrix W^dag W (equal to Phi^c(rho)^T) and tau itself, and its
+    the columns w_k = vec(K_k M), so tau is never built: its spectrum comes
+    from the K x K Gram matrix W^dag W (equal to Phi^c(rho)^T) and its
     weights on the product eigenbasis from V^dag (K_k M) conj(U)
     (``info.relative_entropy_of_factor``).
 

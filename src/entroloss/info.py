@@ -170,15 +170,14 @@ def relative_entropy_of_factor(
     """H(tau || a (x) b) for tau = sum_k |w_k>><<w_k|, given the stack w of shape
     (K, a.dim, b.dim) of the columns w_k reshaped to a.dim x b.dim.
 
-    tau is never built when K <= a.dim * b.dim: its nonzero spectrum is that
-    of the K x K Gram matrix W^dag W.  Past that, tau = W W^dag is the smaller
-    of the two.  Its weight on the product eigenvector v_i (x) u_j is
+    tau is never built: its nonzero spectrum is that of the K x K Gram matrix
+    W^dag W, and its weight on the product eigenvector v_i (x) u_j is
     sum_k |(V^dag w_k conj(U))_ij|^2 for the eigenvector matrices V of a and U of b.
     """
     if w.ndim != 3 or w.shape[1:] != (a.dim, b.dim):
         raise DimensionMismatchError(f"factor shape {w.shape} does not match dims {a.dim} x {b.dim}")
     cols = w.reshape(w.shape[0], -1)
-    gram = cols.conj() @ cols.T if cols.shape[0] <= cols.shape[1] else cols.T @ cols.conj()
+    gram = cols.conj() @ cols.T
     sa, sb = a.spectrum(), b.spectrum()
     w_sigma = np.outer(sa.eigenvalues, sb.eigenvalues).ravel()
     on = _support(w_sigma)

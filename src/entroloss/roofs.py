@@ -348,7 +348,8 @@ def c_squashed_entanglement_k(
         g = g.reshape(c.shape) - g_ab.swapaxes(-1, -2)
         return (s_a + s_b - joint).sum(axis=-1), _members_adjoint(amp, g, k, r)
 
-    search = minimize_isometry(objective, k * r, r, budget)
+    # the identity is the singleton ensemble, a critical point
+    search = minimize_isometry(objective, k * r, r, budget, identity_start=False)
     return _from_search(search.value, Direction.UPPER_BOUND, search, ensemble_size=k)
 
 
@@ -400,7 +401,8 @@ def squashed_entanglement_k(
         grad = np.einsum("nxef,xr->nefr", g4.reshape(n, da * db, k, f), amp.conj()).reshape(n, k * f, r)
         return (ent * signs).sum(axis=-1), grad
 
-    search = minimize_isometry(objective, k * f, r, budget)
+    # the identity is the trivial extension, a critical point
+    search = minimize_isometry(objective, k * f, r, budget, identity_start=False)
     return _from_search(max(search.value, 0.0), Direction.UPPER_BOUND, search, extension_dim=k)
 
 

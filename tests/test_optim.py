@@ -31,11 +31,14 @@ def inner(a, b):
     return np.einsum("ij,ij->", a.conj(), b).real
 
 
-def reference_search(objective, rows, cols, budget):
+def reference_search(objective, rows, cols, budget, identity_start=True):
     """Restarts one after another; returns values, final isometries and evaluation counts."""
     values, isometries, evaluations = [], [], []
     for i, seed in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
-        w = np.eye(rows, cols, dtype=complex) if i == 0 else random_isometry(np.random.default_rng(seed), rows, cols)
+        if i == 0 and identity_start:
+            w = np.eye(rows, cols, dtype=complex)
+        else:
+            w = random_isometry(np.random.default_rng(seed), rows, cols)
         value, grad = objective(w[None])
         best, g = float(value[0]), _tangent(w, grad[0])
         step = budget.initial_step
@@ -83,12 +86,12 @@ ROOFS = {
 
 
 def captured_search(monkeypatch, run, rng, budget=BUDGET):
-    """Run one roof and return (objective, rows, cols, budget, result) of its single search."""
+    """Run one roof and return (objective, rows, cols, budget, kwargs, result) of its single search."""
     searches = []
 
-    def capture(objective, rows, cols, budget):
-        result = minimize_isometry(objective, rows, cols, budget)
-        searches.append((objective, rows, cols, budget, result))
+    def capture(objective, rows, cols, budget, **kwargs):
+        result = minimize_isometry(objective, rows, cols, budget, **kwargs)
+        searches.append((objective, rows, cols, budget, kwargs, result))
         return result
 
     monkeypatch.setattr(roofs, "minimize_isometry", capture)
@@ -112,8 +115,8 @@ def test_stacked_qr_isometry_equals_per_matrix(shape):
 
 @pytest.mark.parametrize("name", sorted(ROOFS))
 def test_stacked_search_matches_sequential_restarts(name, monkeypatch, rng):
-    objective, rows, cols, budget, result = captured_search(monkeypatch, ROOFS[name], rng)
-    values, isometries, evaluations = reference_search(objective, rows, cols, budget)
+    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)
+    values, isometries, evaluations = reference_search(objective, rows, cols, budget, **kwargs)
     assert result.restart_values.tobytes() == values.tobytes()
     assert result.isometry.tobytes() == isometries[int(np.argmin(values))].tobytes()
     assert result.evaluations.tolist() == evaluations.tolist()
@@ -124,7 +127,7 @@ def test_objective_gradient_matches_finite_differences(name, monkeypatch, rng):
     # Re<G, D> is the derivative of the objective along D; the objectives are
     # homogeneous cone entropies, so they extend off the manifold and the
     # straight line W + hD is a valid finite-difference path
-    objective, rows, cols, _, _ = captured_search(
+    objective, rows, cols, *_ = captured_search(
         monkeypatch, ROOFS[name], rng, OptimizerBudget(restarts=1, iterations=0)
     )
     w = np.stack([random_isometry(rng, rows, cols) for _ in range(3)])

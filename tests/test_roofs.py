@@ -270,9 +270,9 @@ def test_squashed_objective_is_half_the_extension_cmi(dims, k, rng, monkeypatch)
     omega = random_density(da * db, rng, rank=2, factor_dims=dims)
     captured = []
 
-    def capture(objective, rows, cols, budget):
+    def capture(objective, rows, cols, budget, **kwargs):
         captured.append(objective)
-        return minimize_isometry(objective, rows, cols, budget)
+        return minimize_isometry(objective, rows, cols, budget, **kwargs)
 
     monkeypatch.setattr(roofs, "minimize_isometry", capture)
     squashed_entanglement_k(omega, k, OptimizerBudget(restarts=1, iterations=0))
@@ -316,6 +316,21 @@ def test_gradient_search_is_no_looser_than_the_random_search(i):
     restarts, cap = DEFAULT_BUDGET.restarts, DEFAULT_BUDGET.iterations + 1
     assert squashed.meta["evaluations"] < restarts * cap
     assert classical_correlations(omega).value >= cc - 1e-10
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_one_restart_descends_from_the_singleton_and_the_trivial_extension(i):
+    # the singleton ensemble and the trivial extension are critical points of
+    # the c-squashed and squashed objectives, so a search that started its
+    # only restart there would stop at once on I(A:B) and I(A:B) / 2
+    omega = rank2_two_qubit(np.random.default_rng(800 + i))
+    mi = float(mutual_information(omega))
+    budget = OptimizerBudget(restarts=1)
+    c_squashed = c_squashed_entanglement_k(omega, 2, budget)
+    squashed = squashed_entanglement_k(omega, 2, budget)
+    assert c_squashed.value < mi - 1e-3
+    assert squashed.value < mi / 2 - 1e-3
+    assert c_squashed.meta["evaluations"] > 1 and squashed.meta["evaluations"] > 1
 
 
 def test_search_meta_records_cost_and_agreement(rng, monkeypatch):
