@@ -12,9 +12,10 @@ Each step projects G onto the tangent space at W, G - W herm(W^dag G)
 projection and retracts to the manifold by a sign-fixed QR factorization.
 A step that lowers the value is accepted and the next length is the
 Barzilai-Borwein length <s, y> / <y, y> of the accepted move s and the
-gradient change y (``grow`` times the length when <s, y> <= 0); a rejected
-step shrinks by ``shrink``.  A restart stops once its projected gradient
-norm falls below ``GRADIENT_TOL`` or its step below ``min_step``.
+gradient change y (``GROW`` times the length when <s, y> <= 0); a rejected
+step shrinks by ``SHRINK``.  A restart starts at ``INITIAL_STEP`` and stops
+once its projected gradient norm falls below ``GRADIENT_TOL`` or its step
+below ``MIN_STEP``.
 
 All restarts advance together as one ``(restarts, rows, cols)`` stack: each
 iteration retracts the still-active restarts with one stacked QR and scores
@@ -41,10 +42,6 @@ class OptimizerBudget:
     restarts: int = 16
     iterations: int = 2000
     seed: int = 0
-    initial_step: float = 0.7
-    shrink: float = 0.93
-    grow: float = 1.25
-    min_step: float = 1e-9
 
 
 DEFAULT_BUDGET = OptimizerBudget()
@@ -52,6 +49,10 @@ DEFAULT_BUDGET = OptimizerBudget()
 # A restart leaves the stack once the Frobenius norm of its projected gradient
 # falls below this.
 GRADIENT_TOL = 3e-7
+INITIAL_STEP = 0.7
+SHRINK = 0.93  # step factor after a rejected step
+GROW = 1.25  # step factor after an accepted step with <s, y> <= 0
+MIN_STEP = 1e-9
 
 
 def qr_isometry(m: np.ndarray) -> np.ndarray:
@@ -101,10 +102,10 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
     best, grad = objective(w)
     grad = _tangent(w, grad)
     norm = np.linalg.norm(grad, axis=(-2, -1))
-    step = np.full(len(w), budget.initial_step)
+    step = np.full(len(w), INITIAL_STEP)
     evaluations = np.ones(len(w), dtype=int)
     for _ in range(budget.iterations):
-        active = np.flatnonzero((step >= budget.min_step) & (norm >= GRADIENT_TOL))
+        active = np.flatnonzero((step >= MIN_STEP) & (norm >= GRADIENT_TOL))
         if active.size == 0:
             break
         s = step[active]
@@ -119,8 +120,8 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
         moved, change = new - w[up], g - _tangent(new, grad[up])
         sy = np.einsum("nij,nij->n", moved.conj(), change).real
         yy = np.einsum("nij,nij->n", change.conj(), change).real
-        step[active] = s * budget.shrink
-        step[up] = np.where(sy > 0, sy / np.where(sy > 0, yy, 1.0), s[won] * budget.grow)
+        step[active] = s * SHRINK
+        step[up] = np.where(sy > 0, sy / np.where(sy > 0, yy, 1.0), s[won] * GROW)
         w[up], best[up], grad[up] = new, val[won], g
         norm[up] = np.linalg.norm(g, axis=(-2, -1))
     return best, evaluations

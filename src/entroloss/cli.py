@@ -60,15 +60,7 @@ from .roofs import (
     quantum_discord,
     squashed_entanglement_k,
 )
-from .sequences import (
-    builtin_families,
-    conditional_entropy_of,
-    entropy_of,
-    estimate_jump,
-    marginal_entropy_of,
-    mutual_information_of,
-    pinched_entropy_of,
-)
+from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, estimate_jump
 from .suites import SUITES, SuiteReport, suite_run
 
 
@@ -298,16 +290,6 @@ def write_csv(path: str, header: list, rows) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-_FUNCTIONALS = {
-    "entropy": entropy_of,
-    "marginal_entropy": lambda x: marginal_entropy_of(x, 0),
-    "marginal_entropy_b": lambda x: marginal_entropy_of(x, 1),
-    "mutual_information": mutual_information_of,
-    "conditional_entropy": conditional_entropy_of,
-    "pinched_entropy": pinched_entropy_of,
-}
-
-
 def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str) -> int:
     allowed = {
         "name",
@@ -430,17 +412,19 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     except TypeError as exc:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
     names = section.get("functionals", ["entropy"])
-    window = _as(int, section.get("window", 3), "sequence.window")
+    window = _as(int, section.get("window", DEFAULT_WINDOW), "sequence.window")
+    if window < 1:
+        raise ConfigError(f"'sequence.window' must be >= 1, got {window}")
     if len(seq.n_grid) < 2 * window:
         raise ConfigError(f"'sequence.grid' has {len(seq.n_grid)} points, fewer than 2 * window = {2 * window}")
     estimates = {}
     series = {"n": list(seq.n_grid)}
     for fname in names:
-        if fname not in _FUNCTIONALS:
-            raise ConfigError(f"unknown functional {fname!r}; available: {sorted(_FUNCTIONALS)}")
+        if fname not in FUNCTIONALS:
+            raise ConfigError(f"unknown functional {fname!r}; available: {sorted(FUNCTIONALS)}")
         key = fname if fname in seq.closed_forms else None
         try:
-            est = estimate_jump(seq, _FUNCTIONALS[fname], window=window, closed_form_key=key)
+            est = estimate_jump(seq, fname, window=window, closed_form_key=key)
         except DimensionOverflowError as exc:  # the elements grow with n
             raise ConfigError(f"'sequence.grid': {exc}") from exc
         series[fname] = list(est.values)

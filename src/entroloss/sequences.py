@@ -7,6 +7,14 @@ the measured values ("measured at finite n") and, where the family declares
 one, a closed-form per-n estimator of the asymptotic value.  The report
 never presents a finite-n number as the limsup.
 
+This module is the one place that evaluates functionals along a family and
+reads jumps off the values.  ``FUNCTIONALS`` names the functionals, keyed
+like a family's ``closed_forms``.  ``series`` builds each grid element once
+and evaluates every requested functional on it, named or a caller's own
+callable.  ``jump_loss`` and ``jump_gain`` read the ``trailing_window`` of a
+series against the limit value, ``DEFAULT_WINDOW`` values unless told
+otherwise.  ``estimate_jump`` combines the three for one functional.
+
 Pure bipartite elements are kept in amplitude form so that sequence runs at
 dimension 2**16 never materialize a (dim^2)-sized matrix: the mutual
 information of a pure state is evaluated rank-aware as twice the marginal
@@ -25,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     FunctionalUndefinedError,
     IncompatiblePurificationError,
+    InvalidParameterError,
 )
 from .extended import ExtendedReal
 from .energy import Hamiltonian, sharp_sequence_state, sharp_sequence_weight
@@ -145,6 +154,16 @@ def pinched_entropy_of(x) -> float:
     return float(shannon_entropy(np.clip(x.diag, 0.0, None)))
 
 
+FUNCTIONALS = {
+    "entropy": entropy_of,
+    "marginal_entropy": lambda x: marginal_entropy_of(x, 0),
+    "marginal_entropy_b": lambda x: marginal_entropy_of(x, 1),
+    "mutual_information": mutual_information_of,
+    "conditional_entropy": conditional_entropy_of,
+    "pinched_entropy": pinched_entropy_of,
+}
+
+
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -198,21 +217,29 @@ class StateSequence:
             return TraceClassElement(dst.reshape(like.dim, like.dim), like.factor_dims, validate=False)
         return lim.embed(like.dim, like.factor_dims)
 
-    def distance_to_limit(self, n: int) -> float:
-        x = self.element(n)
+    def limit_distance(self, x) -> float:
+        """Trace distance from the element ``x`` to the limit."""
         lim = self.embedded_limit(x)
         if isinstance(x, PureBipartiteState):
             return pure_trace_distance(x, lim)
         return trace_distance(x, lim)
 
-    def convergence_profile(self) -> np.ndarray:
-        return np.asarray([self.distance_to_limit(n) for n in self.n_grid])
-
     def is_converging(self) -> bool:
         """Trace distance to the limit must be nonincreasing over the grid tail."""
-        prof = self.convergence_profile()
-        tail = prof[len(prof) // 2 :]
-        return bool(np.all(np.diff(tail) <= CONVERGENCE_SLACK))
+        [profile] = series(self, self.limit_distance)
+        return _nonincreasing_tail(profile)
+
+    def closed_form_loss(self, key: str) -> float:
+        """The declared asymptotic estimator under ``key`` at the largest grid point."""
+        fn = self.closed_forms.get(key)
+        if fn is None:
+            raise FunctionalUndefinedError(f"no closed form declared under key {key!r}")
+        return float(fn(self.n_grid[-1]))
+
+
+def _nonincreasing_tail(profile) -> bool:
+    tail = np.asarray(profile)[len(profile) // 2 :]
+    return bool(np.all(np.diff(tail) <= CONVERGENCE_SLACK))
 
 
 @dataclass(frozen=True)
@@ -246,45 +273,69 @@ def _as_float(value) -> float:
     return value
 
 
+def _functional(f):
+    return FUNCTIONALS[f] if isinstance(f, str) else f
+
+
+def series(seq: StateSequence, *functionals) -> list:
+    """The values of each functional along ``seq.n_grid``, one list per functional.
+
+    A functional is a key of ``FUNCTIONALS`` or a callable on an element.
+    Each grid element is built once and every functional is scored on it.
+    """
+    fns = [_functional(f) for f in functionals]
+    columns = [[] for _ in fns]
+    for n in seq.n_grid:
+        try:
+            x = seq.element(n)
+            for column, fn in zip(columns, fns):
+                column.append(_as_float(fn(x)))
+        except (OverflowError, ValueError) as exc:
+            raise FunctionalUndefinedError(f"functional failed at n={n}: {exc}") from exc
+    return columns
+
+
+def trailing_window(values, window: int = DEFAULT_WINDOW):
+    """The last ``window`` values of a series, the part a jump is read from."""
+    if window < 1:
+        raise InvalidParameterError(f"window must be >= 1, got {window}")
+    return values[-window:]
+
+
+def jump_loss(values, limit: float, window: int = DEFAULT_WINDOW) -> float:
+    """Trailing-window supremum minus the limit value, clamped at zero."""
+    return max(max(trailing_window(values, window)) - limit, 0.0)
+
+
+def jump_gain(values, limit: float, window: int = DEFAULT_WINDOW) -> float:
+    """The limit value minus the trailing-window infimum, clamped at zero."""
+    return max(limit - min(trailing_window(values, window)), 0.0)
+
+
 def estimate_jump(
     seq: StateSequence,
     functional,
     window: int = DEFAULT_WINDOW,
     closed_form_key: str | None = None,
-    check_convergence: bool = True,
 ) -> JumpEstimate:
-    """Evaluate a functional along the grid and form the windowed jump estimate."""
-    grid = list(seq.n_grid)
-    if len(grid) < 2 * window:
-        raise ValueError(f"grid length {len(grid)} below 2 * window = {2 * window}")
-    values = []
-    for n in grid:
-        try:
-            values.append(_as_float(functional(seq.element(n))))
-        except FunctionalUndefinedError:
-            raise
-        except (OverflowError, ValueError) as exc:
-            raise FunctionalUndefinedError(f"functional failed at n={n}: {exc}") from exc
+    """Evaluate a functional along the grid and form the windowed jump estimate.
+
+    The distance to the limit is read off each element as it is scored, so
+    the grid is walked once."""
+    points = len(seq.n_grid)
+    if not 1 <= window <= points // 2:
+        raise InvalidParameterError(f"window {window} must lie in [1, {points // 2}], half the {points}-point grid")
+    functional = _functional(functional)
+    values, distances = series(seq, functional, seq.limit_distance)
     limit_value = _as_float(functional(seq.limit))
-    tail = values[-window:]
-    tail_sup = max(tail)
-    tail_inf = min(tail)
-    if math.isinf(limit_value):
+    tail = trailing_window(values, window)
+    tail_sup, tail_inf = max(tail), min(tail)
+    infinite = math.isinf(limit_value)
+    if infinite or math.isinf(tail_sup):
         loss = ExtendedReal.infinity()
-        gain = ExtendedReal(0.0)
     else:
-        loss = (
-            ExtendedReal.infinity()
-            if math.isinf(tail_sup)
-            else ExtendedReal(max(tail_sup - limit_value, 0.0))
-        )
-        gain = ExtendedReal(max(limit_value - tail_inf, 0.0))
-    closed = None
-    if closed_form_key is not None:
-        fn = seq.closed_forms.get(closed_form_key)
-        if fn is None:
-            raise FunctionalUndefinedError(f"no closed form declared under key {closed_form_key!r}")
-        closed = float(fn(grid[-1]))
+        loss = ExtendedReal(jump_loss(values, limit_value, window))
+    gain = ExtendedReal(0.0 if infinite else jump_gain(values, limit_value, window))
     if all(math.isfinite(v) for v in tail):
         diffs = np.diff(tail)
         monotone = bool(np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12))
@@ -299,8 +350,8 @@ def estimate_jump(
         gain=gain,
         window=window,
         monotone_tail=monotone,
-        converging=seq.is_converging() if check_convergence else True,
-        loss_closed_form=closed,
+        converging=_nonincreasing_tail(distances),
+        loss_closed_form=None if closed_form_key is None else seq.closed_form_loss(closed_form_key),
     )
 
 

@@ -44,23 +44,22 @@ from .majorization import (
 from .operators import TraceClassElement
 from .rand import haar_unitary, random_channel, random_density
 from .sequences import (
-    DEFAULT_WINDOW,
     GRID_DENSE,
     GRID_DIAG,
     GRID_MEDIUM,
     PureBipartiteState,
-    conditional_entropy_of,
-    entropy_of,
     estimate_jump,
+    jump_gain,
+    jump_loss,
     lift_by_purification,
     make_classical_correlated_sequence,
     make_classical_triple_sequence,
     make_product_sequence,
     make_rotated_sharp_sequence,
     make_sharp_sequence,
-    marginal_entropy_of,
     mutual_information_of,
-    pinched_entropy_of,
+    series,
+    trailing_window,
 )
 
 FINITE_N_SLACK = 0.15  # relative slack for equalities between finite-n estimates
@@ -113,18 +112,6 @@ def _flag(claim, ok: bool, basis, note="") -> SuiteCheck:
     return SuiteCheck(claim, 1.0 if ok else 0.0, 1.0, 0.0, bool(ok), basis, note)
 
 
-def _values(seq, functional):
-    return [float(functional(seq.element(n))) for n in seq.n_grid]
-
-
-def _loss(values, limit, window=DEFAULT_WINDOW) -> float:
-    return max(max(values[-window:]) - limit, 0.0)
-
-
-def _gain(values, limit, window=DEFAULT_WINDOW) -> float:
-    return max(limit - min(values[-window:]), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # suite runners
 # ---------------------------------------------------------------------------
@@ -139,13 +126,10 @@ def _suite_p4(params) -> SuiteReport:
     e0 = h.ground_energy
     seq = make_sharp_sequence(h, energy, grid)
 
-    entropies, means, means_sorted, closed = [], [], [], []
-    for n in grid:
-        rho = seq.element(n)
-        entropies.append(von_neumann_entropy(rho))
-        means.append(mean_energy(rho, h))
-        means_sorted.append(mean_energy(rearrangement(rho, h), h))
-        closed.append(seq.closed_forms["entropy"](n))
+    entropies, means, means_sorted = series(
+        seq, "entropy", lambda rho: mean_energy(rho, h), lambda rho: mean_energy(rearrangement(rho, h), h)
+    )
+    closed = [seq.closed_forms["entropy"](n) for n in grid]
     report = SuiteReport(
         "P4",
         "entropy loss bounded by mean-energy loss under a log-growth Hamiltonian",
@@ -178,9 +162,9 @@ def _suite_p4(params) -> SuiteReport:
             "pointwise",
         )
     )
-    est = estimate_jump(seq, entropy_of, closed_form_key="entropy")
-    loss_e = _loss(means, e0)
-    loss_e_sorted = _loss(means_sorted, e0)
+    est = estimate_jump(seq, "entropy", closed_form_key="entropy")
+    loss_e = jump_loss(means, e0)
+    loss_e_sorted = jump_loss(means_sorted, e0)
     report.checks.append(
         _le("loss of rearranged energy <= loss of energy", loss_e_sorted, loss_e, 1e-10, "measured")
     )
@@ -221,25 +205,22 @@ def _suite_p1(params) -> SuiteReport:
     h = Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
     seq = make_sharp_sequence(h, energy, grid)
     report = SuiteReport("P1", "cross-entropy upper bound on the entropy loss", {"energy": energy})
-    # sigma_n = rho_n: the bound is an identity
-    worst = 0.0
-    entropies = []
-    for n in grid:
-        rho = seq.element(n)
-        hn = von_neumann_entropy(rho)
-        entropies.append(hn)
-        p = rho.diag
-        cross = float(np.sum(p[p > 0] * (-np.log(p[p > 0]))))
-        worst = max(worst, abs(cross - hn))
+
+    def self_cross_entropy(rho) -> float:
+        p = rho.diag[rho.diag > 0]
+        return float(np.sum(p * (-np.log(p))))
+
+    entropies, cross, means = series(seq, "entropy", self_cross_entropy, lambda rho: mean_energy(rho, h))
     report.series = {"n": list(grid), "entropy": entropies}
+    # sigma_n = rho_n: the bound is an identity
+    worst = max(abs(c - hn) for c, hn in zip(cross, entropies))
     report.checks.append(
         _close("reference sequence equal to the sequence gives equality", worst, 0.0, 1e-10, "pointwise")
     )
     # fixed full-rank Gibbs reference: bound becomes lam * energy loss
     lam = 2.0
-    dim = max(grid) + 1
-    z = gibbs_state(h, lam, dim)
-    est = estimate_jump(seq, entropy_of, closed_form_key="entropy")
+    z = gibbs_state(h, lam, max(grid) + 1)
+    est = estimate_jump(seq, "entropy", closed_form_key="entropy")
     rhs = lam * (energy - h.ground_energy)
     report.checks.append(
         _le("closed-form entropy loss <= lam * energy loss (Gibbs reference)", est.loss_closed_form, rhs, 1e-9, "closed_form")
@@ -247,10 +228,7 @@ def _suite_p1(params) -> SuiteReport:
     report.checks.append(
         _le("measured entropy loss <= lam * energy loss (Gibbs reference)", float(est.loss), rhs, 1e-9, "measured")
     )
-    worst = max(
-        von_neumann_entropy(seq.element(n)) - (lam * mean_energy(seq.element(n), h) + z.log_partition)
-        for n in grid
-    )
+    worst = max(hn - (lam * m + z.log_partition) for hn, m in zip(entropies, means))
     report.checks.append(
         _le("cross-entropy dominates the entropy (every grid point)", worst, 0.0, 1e-8, "pointwise")
     )
@@ -262,8 +240,7 @@ def _suite_c1(params) -> SuiteReport:
     energy = float(params.get("energy", 1.0))
     report = SuiteReport("C1", "entropy loss bounded by pinched Shannon loss", {"energy": energy})
     diag_seq = make_sharp_sequence(energy=energy, n_grid=GRID_DIAG)
-    h_vals = _values(diag_seq, entropy_of)
-    s_vals = _values(diag_seq, pinched_entropy_of)
+    h_vals, s_vals = series(diag_seq, "entropy", "pinched_entropy")
     report.series = {"n": list(diag_seq.n_grid), "entropy": h_vals, "pinched_entropy": s_vals}
     report.checks.append(
         _close(
@@ -276,8 +253,7 @@ def _suite_c1(params) -> SuiteReport:
         )
     )
     rot = make_rotated_sharp_sequence(energy=energy, n_grid=GRID_DENSE)
-    h_vals = _values(rot, entropy_of)
-    s_vals = _values(rot, pinched_entropy_of)
+    h_vals, s_vals = series(rot, "entropy", "pinched_entropy")
     report.checks.append(
         _le(
             "rotated family: entropy below pinched Shannon entropy (every grid point)",
@@ -288,7 +264,7 @@ def _suite_c1(params) -> SuiteReport:
         )
     )
     report.checks.append(
-        _le("rotated family: measured entropy loss <= measured pinched loss", _loss(h_vals, 0.0), _loss(s_vals, 0.0), 1e-9, "measured")
+        _le("rotated family: measured entropy loss <= measured pinched loss", jump_loss(h_vals, 0.0), jump_loss(s_vals, 0.0), 1e-9, "measured")
     )
     return report
 
@@ -297,29 +273,25 @@ def _suite_c2(params) -> SuiteReport:
     """Subadditivity of the entropy loss on bipartite families."""
     report = SuiteReport("C2", "bipartite entropy loss below the sum of marginal losses", {})
     prod = make_product_sequence(n_grid=GRID_MEDIUM)
-    h_ab = _values(prod, entropy_of)
-    h_a = _values(prod, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(prod, lambda x: marginal_entropy_of(x, 1))
+    h_ab, h_a, h_b = series(prod, "entropy", "marginal_entropy", "marginal_entropy_b")
     report.series = {"n": list(prod.n_grid), "joint_entropy": h_ab, "marginal_a": h_a, "marginal_b": h_b}
     report.checks.append(
         _le(
             "product family: measured joint loss <= sum of marginal losses",
-            _loss(h_ab, 0.0),
-            _loss(h_a, 0.0) + _loss(h_b, 0.0),
+            jump_loss(h_ab, 0.0),
+            jump_loss(h_a, 0.0) + jump_loss(h_b, 0.0),
             1e-9,
             "measured",
             note="joint values split exactly, so the estimate inherits subadditivity",
         )
     )
     cc = make_classical_correlated_sequence(n_grid=GRID_MEDIUM)
-    h_ab = _values(cc, entropy_of)
-    h_a = _values(cc, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(cc, lambda x: marginal_entropy_of(x, 1))
+    h_ab, h_a, h_b = series(cc, "entropy", "marginal_entropy", "marginal_entropy_b")
     report.checks.append(
         _le(
             "correlated classical family: measured joint loss <= sum of marginal losses",
-            _loss(h_ab, 0.0),
-            _loss(h_a, 0.0) + _loss(h_b, 0.0),
+            jump_loss(h_ab, 0.0),
+            jump_loss(h_a, 0.0) + jump_loss(h_b, 0.0),
             1e-9,
             "measured",
         )
@@ -331,11 +303,9 @@ def _suite_c3(params) -> SuiteReport:
     """Triangle-type bounds for marginal entropy losses, both factor variants."""
     report = SuiteReport("C3", "marginal loss below joint loss plus (twice) the other marginal loss", {})
     lifted = lift_by_purification(make_sharp_sequence(n_grid=GRID_DIAG))
-    h_a = _values(lifted, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(lifted, lambda x: marginal_entropy_of(x, 1))
-    h_ab = _values(lifted, entropy_of)
+    h_a, h_b, h_ab = series(lifted, "marginal_entropy", "marginal_entropy_b", "entropy")
     report.series = {"n": list(lifted.n_grid), "marginal_a": h_a, "marginal_b": h_b, "joint": h_ab}
-    la, lb, lab = _loss(h_a, 0.0), _loss(h_b, 0.0), _loss(h_ab, 0.0)
+    la, lb, lab = jump_loss(h_a, 0.0), jump_loss(h_b, 0.0), jump_loss(h_ab, 0.0)
     report.checks.append(
         _le("lifted family: marginal loss <= joint loss + 2 * other marginal loss", la, lab + 2 * lb, 1e-9, "measured")
     )
@@ -360,14 +330,12 @@ def _suite_c3(params) -> SuiteReport:
         )
     )
     prod = make_product_sequence(n_grid=GRID_MEDIUM)
-    h_a = _values(prod, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(prod, lambda x: marginal_entropy_of(x, 1))
-    h_ab = _values(prod, entropy_of)
+    h_a, h_b, h_ab = series(prod, "marginal_entropy", "marginal_entropy_b", "entropy")
     report.checks.append(
         _le(
             "product family: marginal loss <= joint loss + 2 * other marginal loss",
-            _loss(h_a, 0.0),
-            _loss(h_ab, 0.0) + 2 * _loss(h_b, 0.0),
+            jump_loss(h_a, 0.0),
+            jump_loss(h_ab, 0.0) + 2 * jump_loss(h_b, 0.0),
             1e-9,
             "measured",
         )
@@ -409,10 +377,9 @@ def _suite_cmaj(params) -> SuiteReport:
     report.checks.append(
         _le("entropy-gap decomposition residual (every grid point)", max(resid), 0.0, 1e-8, "pointwise")
     )
-    window = DEFAULT_WINDOW
-    delta1 = max(min(d_vals[-window:]) - 0.0, 0.0)
-    delta2 = max(min(f_vals[-window:]) - 0.0, 0.0)
-    loss_low, loss_high = _loss(h_low, 0.0), _loss(h_high, 0.0)
+    delta1 = max(min(trailing_window(d_vals)) - 0.0, 0.0)
+    delta2 = max(min(trailing_window(f_vals)) - 0.0, 0.0)
+    loss_low, loss_high = jump_loss(h_low, 0.0), jump_loss(h_high, 0.0)
     report.checks.append(
         _le(
             "loss of majorizing sequence <= loss of majorized minus both defect terms",
@@ -430,26 +397,21 @@ def _suite_csep(params) -> SuiteReport:
     """Marginal losses of separable sequences never exceed the joint loss."""
     report = SuiteReport("C-sep", "separable sequences: marginal loss below joint loss", {})
     cc = make_classical_correlated_sequence(n_grid=GRID_MEDIUM)
-    h_ab = _values(cc, entropy_of)
-    h_a = _values(cc, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(cc, lambda x: marginal_entropy_of(x, 1))
+    h_ab, h_a, h_b, majorized = series(cc, "entropy", "marginal_entropy", "marginal_entropy_b", separable_majorization_check)
     report.series = {"n": list(cc.n_grid), "joint": h_ab, "marginal_a": h_a, "marginal_b": h_b}
-    ok = True
-    for n in cc.n_grid:
-        ok = ok and separable_majorization_check(cc.element(n))
-    report.checks.append(_flag("marginals majorize the joint state (every grid point)", ok, "pointwise"))
+    report.checks.append(_flag("marginals majorize the joint state (every grid point)", all(majorized), "pointwise"))
     report.checks.append(
-        _le("marginal A loss <= joint loss", _loss(h_a, 0.0), _loss(h_ab, 0.0), 1e-9, "measured")
+        _le("marginal A loss <= joint loss", jump_loss(h_a, 0.0), jump_loss(h_ab, 0.0), 1e-9, "measured")
     )
     report.checks.append(
-        _le("marginal B loss <= joint loss", _loss(h_b, 0.0), _loss(h_ab, 0.0), 1e-9, "measured")
+        _le("marginal B loss <= joint loss", jump_loss(h_b, 0.0), jump_loss(h_ab, 0.0), 1e-9, "measured")
     )
-    prod = make_product_sequence(n_grid=GRID_MEDIUM)
+    h_a, h_ab = series(make_product_sequence(n_grid=GRID_MEDIUM), "marginal_entropy", "entropy")
     report.checks.append(
         _le(
             "product family: marginal loss <= joint loss",
-            _loss(_values(prod, lambda x: marginal_entropy_of(x, 0)), 0.0),
-            _loss(_values(prod, entropy_of), 0.0),
+            jump_loss(h_a, 0.0),
+            jump_loss(h_ab, 0.0),
             1e-9,
             "measured",
         )
@@ -480,10 +442,7 @@ def _suite_t1(params) -> SuiteReport:
             TraceClassElement(np.clip(x.diag, 0, None), x.factor_dims, diagonal=True, validate=False)
         )
 
-    i_ab = _values(lifted, mutual_information_of)
-    i_cd = _values(lifted, decohered_mi)
-    h_a = _values(lifted, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(lifted, lambda x: marginal_entropy_of(x, 1))
+    i_ab, i_cd, h_a, h_b = series(lifted, "mutual_information", decohered_mi, "marginal_entropy", "marginal_entropy_b")
     report.series = {
         "n": list(lifted.n_grid),
         "mutual_information": i_ab,
@@ -491,34 +450,32 @@ def _suite_t1(params) -> SuiteReport:
         "marginal_a": h_a,
         "marginal_b": h_b,
     }
-    li, lcd = _loss(i_ab, 0.0), _loss(i_cd, 0.0)
-    la, lb = _loss(h_a, 0.0), _loss(h_b, 0.0)
+    li, lcd = jump_loss(i_ab, 0.0), jump_loss(i_cd, 0.0)
+    la, lb = jump_loss(h_a, 0.0), jump_loss(h_b, 0.0)
     report.checks.append(
         _le("loss after local pinching <= loss of mutual information", lcd, li, 1e-9, "measured")
     )
     report.checks.append(
         _le("mutual information loss <= twice the smaller marginal loss", li, 2 * min(la, lb), 1e-9, "measured")
     )
-    est_i = estimate_jump(lifted, mutual_information_of, closed_form_key="mutual_information")
-    est_a = estimate_jump(lifted, lambda x: marginal_entropy_of(x, 0), closed_form_key="marginal_entropy")
+    cf_i = lifted.closed_form_loss("mutual_information")
+    cf_a = lifted.closed_form_loss("marginal_entropy")
     report.checks.append(
         _close(
             "sharpness on the lifted family: loss(I) = 2 loss(H_A)",
-            est_i.loss_closed_form,
-            2 * est_a.loss_closed_form,
-            0.05 * max(est_i.loss_closed_form, 1e-12),
+            cf_i,
+            2 * cf_a,
+            0.05 * max(cf_i, 1e-12),
             "closed_form",
         )
     )
     cc = make_classical_correlated_sequence(energy=energy, n_grid=GRID_MEDIUM)
-    i_vals = _values(cc, mutual_information_of)
-    ha = _values(cc, lambda x: marginal_entropy_of(x, 0))
-    hb = _values(cc, lambda x: marginal_entropy_of(x, 1))
+    i_vals, ha, hb = series(cc, "mutual_information", "marginal_entropy", "marginal_entropy_b")
     report.checks.append(
         _le(
             "classical family: mutual information loss <= twice the smaller marginal loss",
-            _loss(i_vals, 0.0),
-            2 * min(_loss(ha, 0.0), _loss(hb, 0.0)),
+            jump_loss(i_vals, 0.0),
+            2 * min(jump_loss(ha, 0.0), jump_loss(hb, 0.0)),
             1e-9,
             "measured",
         )
@@ -530,38 +487,33 @@ def _suite_c7(params) -> SuiteReport:
     """Loss and gain of the conditional entropy."""
     report = SuiteReport("C7", "conditional entropy loss and gain bounds", {})
     lifted = lift_by_purification(make_sharp_sequence(n_grid=GRID_DIAG))
-    ce = _values(lifted, conditional_entropy_of)
-    h_a = _values(lifted, lambda x: marginal_entropy_of(x, 0))
-    h_b = _values(lifted, lambda x: marginal_entropy_of(x, 1))
-    h_ab = _values(lifted, entropy_of)
+    ce, h_a, h_b, h_ab = series(lifted, "conditional_entropy", "marginal_entropy", "marginal_entropy_b", "entropy")
     report.series = {"n": list(lifted.n_grid), "conditional_entropy": ce, "marginal_a": h_a}
-    down = _loss(ce, 0.0)
-    up = _gain(ce, 0.0)
+    down = jump_loss(ce, 0.0)
+    up = jump_gain(ce, 0.0)
     report.checks.append(
-        _le("lifted family: loss <= min(marginal loss, joint loss)", down, min(_loss(h_a, 0.0), _loss(h_ab, 0.0)), 1e-9, "measured")
+        _le("lifted family: loss <= min(marginal loss, joint loss)", down, min(jump_loss(h_a, 0.0), jump_loss(h_ab, 0.0)), 1e-9, "measured")
     )
     report.checks.append(
-        _le("lifted family: gain <= min(2 marginal-A loss, marginal-B loss)", up, min(2 * _loss(h_a, 0.0), _loss(h_b, 0.0)), 1e-9, "measured")
+        _le("lifted family: gain <= min(2 marginal-A loss, marginal-B loss)", up, min(2 * jump_loss(h_a, 0.0), jump_loss(h_b, 0.0)), 1e-9, "measured")
     )
     report.checks.append(
         _le(
             "lifted family: factor two removed for converging marginal-A entropies",
             up,
-            min(_loss(h_a, 0.0), _loss(h_b, 0.0)),
+            min(jump_loss(h_a, 0.0), jump_loss(h_b, 0.0)),
             1e-9,
             "measured",
             note="the marginal-A entropy converges along this family",
         )
     )
     prod = make_product_sequence(n_grid=GRID_MEDIUM)
-    ce = _values(prod, conditional_entropy_of)
-    h_a = _values(prod, lambda x: marginal_entropy_of(x, 0))
-    h_ab = _values(prod, entropy_of)
+    ce, h_a, h_ab = series(prod, "conditional_entropy", "marginal_entropy", "entropy")
     report.checks.append(
-        _le("product family: loss <= min(marginal loss, joint loss)", _loss(ce, 0.0), min(_loss(h_a, 0.0), _loss(h_ab, 0.0)), 1e-9, "measured")
+        _le("product family: loss <= min(marginal loss, joint loss)", jump_loss(ce, 0.0), min(jump_loss(h_a, 0.0), jump_loss(h_ab, 0.0)), 1e-9, "measured")
     )
     cc = make_classical_correlated_sequence(n_grid=GRID_MEDIUM)
-    ce = _values(cc, conditional_entropy_of)
+    [ce] = series(cc, "conditional_entropy")
     report.checks.append(
         _close("correlated classical family: conditional entropy constant", max(ce) - min(ce), 0.0, 1e-9, "pointwise")
     )
@@ -578,22 +530,31 @@ def _suite_p5(params) -> SuiteReport:
 
     # family A: orthogonal members (sharp distribution vs a disjoint point
     # mass), computed from the distributions; chi stays at log 2
-    chi_a = []
-    for n in grid:
-        p = base.element(n).diag
-        member1 = np.concatenate([p, [0.0]])
-        member2 = np.zeros(p.size + 1)
+    def orthogonal_holevo(rho) -> float:
+        member1 = np.concatenate([rho.diag, [0.0]])
+        member2 = np.zeros(rho.diag.size + 1)
         member2[-1] = 1.0
         avg = 0.5 * member1 + 0.5 * member2
-        chi_a.append(
+        return (
             float(shannon_entropy(avg))
             - 0.5 * float(shannon_entropy(member1))
             - 0.5 * float(shannon_entropy(member2))
         )
+
+    # family B: members (sharp_n, ground), equal weights
+    def average_entropy(rho) -> float:
+        avg = 0.5 * rho.diag.copy()
+        avg[0] += 0.5
+        return float(shannon_entropy(avg))
+
+    chi_a, avg_entropy, half_entropy = series(
+        base, orthogonal_holevo, average_entropy, lambda rho: 0.5 * float(shannon_entropy(rho.diag))
+    )
+    mix_vals = [a - b for a, b in zip(avg_entropy, half_entropy)]
     report.checks.append(
         _le(
             "orthogonal-member family: Holevo loss <= min(average-state loss, 2 * weight-distribution loss)",
-            _loss(chi_a, math.log(2.0)),
+            jump_loss(chi_a, math.log(2.0)),
             0.0,
             1e-9,
             "pointwise",
@@ -601,17 +562,6 @@ def _suite_p5(params) -> SuiteReport:
         )
     )
 
-    # family B: members (sharp_n, ground), equal weights
-    mix_vals, half_entropy, avg_entropy = [], [], []
-    for n in grid:
-        p = base.element(n).diag
-        avg = 0.5 * p.copy()
-        avg[0] += 0.5
-        h_avg = float(shannon_entropy(avg))
-        h_member = float(shannon_entropy(p))
-        avg_entropy.append(h_avg)
-        half_entropy.append(0.5 * h_member)
-        mix_vals.append(h_avg - 0.5 * h_member)
     report.series = {
         "n": list(grid),
         "holevo_mixing": mix_vals,
@@ -630,8 +580,8 @@ def _suite_p5(params) -> SuiteReport:
             note="both sides reduce to half the sharp-family estimator",
         )
     )
-    lhs = _loss(avg_entropy, 0.0)
-    rhs = _loss(half_entropy, 0.0)
+    lhs = jump_loss(avg_entropy, 0.0)
+    rhs = jump_loss(half_entropy, 0.0)
     report.checks.append(
         _close(
             "loss additivity: measured average-state loss vs weighted member loss",
@@ -645,8 +595,8 @@ def _suite_p5(params) -> SuiteReport:
     report.checks.append(
         _le(
             "mixing family: measured Holevo values stay below the average-state loss",
-            _loss(mix_vals, 0.0),
-            _loss(avg_entropy, 0.0),
+            jump_loss(mix_vals, 0.0),
+            jump_loss(avg_entropy, 0.0),
             1e-9,
             "measured",
         )
@@ -673,24 +623,18 @@ def _suite_p6(params) -> SuiteReport:
     def marginal_shannon(axes):
         return lambda x: float(shannon_entropy(x.diag.reshape(x.factor_dims).sum(axis=axes)))
 
-    cmi = _values(seq, classical_cmi)
-    iac = _values(seq, mi_ac)
-    h_a = _values(seq, marginal_shannon((1, 2)))
-    h_b = _values(seq, marginal_shannon((0, 2)))
-    h_c = _values(seq, marginal_shannon((0, 1)))
-    h_ab = _values(seq, marginal_shannon((2,)))
-    h_bc = _values(seq, marginal_shannon((0,)))
-    h_abc = _values(seq, entropy_of)
+    marginals = (marginal_shannon(axes) for axes in ((1, 2), (0, 2), (0, 1), (2,), (0,)))
+    cmi, iac, h_a, h_b, h_c, h_ab, h_bc, h_abc = series(seq, classical_cmi, mi_ac, *marginals, "entropy")
     report.series = {"n": list(seq.n_grid), "cmi": cmi, "mi_ac": iac, "h_a": h_a, "h_b": h_b}
     report.checks.append(
         _le("strong subadditivity along the family (every grid point)", -min(cmi), 0.0, 1e-9, "pointwise")
     )
-    lcmi = _loss(cmi, 0.0)
+    lcmi = jump_loss(cmi, 0.0)
     report.checks.append(
         _le(
             "cmi loss <= 2 min(losses of H_A, H_C, H_AB, H_BC)",
             lcmi,
-            2 * min(_loss(h_a, 0.0), _loss(h_c, 0.0), _loss(h_ab, 0.0), _loss(h_bc, 0.0)),
+            2 * min(jump_loss(h_a, 0.0), jump_loss(h_c, 0.0), jump_loss(h_ab, 0.0), jump_loss(h_bc, 0.0)),
             1e-9,
             "measured",
             note="A and C coincide on this family, so their losses agree",
@@ -700,7 +644,7 @@ def _suite_p6(params) -> SuiteReport:
         _le(
             "cmi loss <= mi(A:C) loss + 2 min(middle-marginal loss, joint loss)",
             lcmi,
-            _loss(iac, 0.0) + 2 * min(_loss(h_b, 0.0), _loss(h_abc, 0.0)),
+            jump_loss(iac, 0.0) + 2 * min(jump_loss(h_b, 0.0), jump_loss(h_abc, 0.0)),
             1e-9,
             "measured",
         )
@@ -713,17 +657,15 @@ def _suite_p7(params) -> SuiteReport:
     report = SuiteReport("P7", "entanglement measure losses below marginal and mutual-information losses", {})
     lifted = lift_by_purification(make_sharp_sequence(n_grid=GRID_DIAG))
     # on pure states every measure in the family equals the marginal entropy
-    e_vals = _values(lifted, lambda x: marginal_entropy_of(x, 0))
+    e_vals, h_b, i_ab = series(lifted, "marginal_entropy", "marginal_entropy_b", "mutual_information")
     h_a = e_vals
-    h_b = _values(lifted, lambda x: marginal_entropy_of(x, 1))
-    i_ab = _values(lifted, mutual_information_of)
     report.series = {"n": list(lifted.n_grid), "measure": e_vals, "mutual_information": i_ab}
-    le = _loss(e_vals, 0.0)
+    le = jump_loss(e_vals, 0.0)
     report.checks.append(
         _le(
             "pure family: measure loss <= min marginal loss (exact pure anchor)",
             le,
-            min(_loss(h_a, 0.0), _loss(h_b, 0.0)),
+            min(jump_loss(h_a, 0.0), jump_loss(h_b, 0.0)),
             1e-9,
             "exact-anchor",
         )
@@ -732,19 +674,18 @@ def _suite_p7(params) -> SuiteReport:
         _le(
             "pure family: squashed-family measure loss <= half the mutual-information loss",
             le,
-            0.5 * _loss(i_ab, 0.0),
+            0.5 * jump_loss(i_ab, 0.0),
             1e-9,
             "exact-anchor",
             note="on pure states the squashed measures equal the marginal entropy",
         )
     )
-    cc = make_classical_correlated_sequence(n_grid=GRID_MEDIUM)
-    h_a = _values(cc, lambda x: marginal_entropy_of(x, 0))
+    [h_a] = series(make_classical_correlated_sequence(n_grid=GRID_MEDIUM), "marginal_entropy")
     report.checks.append(
         _le(
             "separable family: measure vanishes identically, loss <= min marginal loss",
             0.0,
-            min(_loss(h_a, 0.0), _loss(h_a, 0.0)),
+            min(jump_loss(h_a, 0.0), jump_loss(h_a, 0.0)),
             1e-9,
             "exact-anchor",
             note="explicit product decompositions certify a zero measure",
@@ -757,21 +698,19 @@ def _suite_pcb(params) -> SuiteReport:
     """Classical-correlation and discord losses via exact anchors."""
     report = SuiteReport("P-CB", "classical correlations semicontinuity and discord bounds", {})
     lifted = lift_by_purification(make_sharp_sequence(n_grid=GRID_DIAG))
-    cb = _values(lifted, lambda x: marginal_entropy_of(x, 0))  # pure anchor: C_B = H(A)
+    # pure anchor: C_B = H(A)
+    cb, h_b, h_ab, i_ab = series(lifted, "marginal_entropy", "marginal_entropy_b", "entropy", "mutual_information")
     h_a = cb
-    h_b = _values(lifted, lambda x: marginal_entropy_of(x, 1))
-    h_ab = _values(lifted, entropy_of)
-    i_ab = _values(lifted, mutual_information_of)
     discord = [i - c for i, c in zip(i_ab, cb)]
     report.series = {"n": list(lifted.n_grid), "classical_correlations": cb, "discord": discord}
     report.checks.append(
-        _le("pure family: classical-correlation loss <= marginal-A loss", _loss(cb, 0.0), _loss(h_a, 0.0), 1e-9, "exact-anchor")
+        _le("pure family: classical-correlation loss <= marginal-A loss", jump_loss(cb, 0.0), jump_loss(h_a, 0.0), 1e-9, "exact-anchor")
     )
     report.checks.append(
         _le(
             "pure family: discord loss <= min(2 marginal-A loss, marginal-B loss)",
-            _loss(discord, 0.0),
-            min(2 * _loss(h_a, 0.0), _loss(h_b, 0.0)),
+            jump_loss(discord, 0.0),
+            min(2 * jump_loss(h_a, 0.0), jump_loss(h_b, 0.0)),
             1e-9,
             "exact-anchor",
         )
@@ -779,20 +718,19 @@ def _suite_pcb(params) -> SuiteReport:
     report.checks.append(
         _le(
             "pure family: discord gain <= min(marginal-A loss, joint loss)",
-            _gain(discord, 0.0),
-            min(_loss(h_a, 0.0), _loss(h_ab, 0.0)),
+            jump_gain(discord, 0.0),
+            min(jump_loss(h_a, 0.0), jump_loss(h_ab, 0.0)),
             1e-9,
             "exact-anchor",
         )
     )
     cc = make_classical_correlated_sequence(n_grid=GRID_MEDIUM)
-    i_vals = _values(cc, mutual_information_of)
-    h_a = _values(cc, lambda x: marginal_entropy_of(x, 0))
+    i_vals, h_a = series(cc, "mutual_information", "marginal_entropy")
     report.checks.append(
         _le(
             "classical-quantum family: classical-correlation loss <= marginal-A loss",
-            _loss(i_vals, 0.0),
-            _loss(h_a, 0.0),
+            jump_loss(i_vals, 0.0),
+            jump_loss(h_a, 0.0),
             1e-9,
             "exact-anchor",
             note="on classical-quantum states the measure equals the mutual information",
@@ -811,18 +749,18 @@ def _suite_t2(params) -> SuiteReport:
     report = SuiteReport("T2", "output-entropy and channel information losses", {"energy": energy})
     dense = make_sharp_sequence(energy=energy, n_grid=GRID_DENSE)
     rng = np.random.default_rng(seed)
-    h_direct, h_ident, h_unitary = [], [], []
-    for n in dense.n_grid:
-        rho = dense.element(n)
-        h_direct.append(von_neumann_entropy(rho))
-        h_ident.append(output_entropy(identity_channel(rho.dim), rho))
-        h_unitary.append(output_entropy(unitary_channel(haar_unitary(rho.dim, rng)), rho))
+    h_direct, h_ident, h_unitary = series(
+        dense,
+        "entropy",
+        lambda rho: output_entropy(identity_channel(rho.dim), rho),
+        lambda rho: output_entropy(unitary_channel(haar_unitary(rho.dim, rng)), rho),
+    )
     report.series = {"n": list(dense.n_grid), "entropy": h_direct, "unitary_output_entropy": h_unitary}
-    loss_direct = _loss(h_direct, 0.0)
+    loss_direct = jump_loss(h_direct, 0.0)
     report.checks.append(
         _close(
             "identity channel: output-entropy loss equals the input-entropy loss",
-            _loss(h_ident, 0.0),
+            jump_loss(h_ident, 0.0),
             loss_direct,
             0.05 * max(loss_direct, 1e-12),
             "measured",
@@ -831,7 +769,7 @@ def _suite_t2(params) -> SuiteReport:
     report.checks.append(
         _close(
             "unitary channel: output-entropy loss equals the input-entropy loss",
-            _loss(h_unitary, 0.0),
+            jump_loss(h_unitary, 0.0),
             loss_direct,
             0.05 * max(loss_direct, 1e-12),
             "measured",
@@ -841,20 +779,18 @@ def _suite_t2(params) -> SuiteReport:
 
     # bounded-Choi-rank data processing on the full diagonal grid
     big = make_sharp_sequence(energy=energy, n_grid=GRID_DIAG)
-    h_in, h_ground, h_comp = [], [], []
-    for n in big.n_grid:
-        rho = big.element(n)
-        h_in.append(von_neumann_entropy(rho))
-        ground = QuantumOperation([np.eye(1, rho.dim, dtype=complex)])
-        h_ground.append(output_entropy(ground, rho))
-        comp = compression_operation(rho.dim, min(8, rho.dim))
-        h_comp.append(output_entropy(comp, rho))
-    loss_in = _loss(h_in, 0.0)
+    h_in, h_ground, h_comp = series(
+        big,
+        "entropy",
+        lambda rho: output_entropy(QuantumOperation([np.eye(1, rho.dim, dtype=complex)]), rho),
+        lambda rho: output_entropy(compression_operation(rho.dim, min(8, rho.dim)), rho),
+    )
+    loss_in = jump_loss(h_in, 0.0)
     report.checks.append(
-        _le("rank-one ground-population operation: output loss <= input loss", _loss(h_ground, 0.0), loss_in, 1e-9, "measured")
+        _le("rank-one ground-population operation: output loss <= input loss", jump_loss(h_ground, 0.0), loss_in, 1e-9, "measured")
     )
     report.checks.append(
-        _le("rank-one compression operation: output loss <= input loss", _loss(h_comp, 0.0), loss_in, 1e-9, "measured")
+        _le("rank-one compression operation: output loss <= input loss", jump_loss(h_comp, 0.0), loss_in, 1e-9, "measured")
     )
 
     # exact channel-quantity anchors on the identity channel
@@ -863,12 +799,12 @@ def _suite_t2(params) -> SuiteReport:
     i_vals = [2 * v for v in h_vals]
     ic_vals = h_vals
     report.checks.append(
-        _le("identity channel: constrained-capacity loss <= output-entropy loss", _loss(c_bar, 0.0), loss_direct, 1e-9, "exact-anchor")
+        _le("identity channel: constrained-capacity loss <= output-entropy loss", jump_loss(c_bar, 0.0), loss_direct, 1e-9, "exact-anchor")
     )
     report.checks.append(
         _le(
             "identity channel: mutual-information loss <= 2 min(input, output losses)",
-            _loss(i_vals, 0.0),
+            jump_loss(i_vals, 0.0),
             2 * min(loss_direct, loss_direct),
             1e-9,
             "exact-anchor",
@@ -877,7 +813,7 @@ def _suite_t2(params) -> SuiteReport:
     report.checks.append(
         _le(
             "identity channel: coherent-information loss <= min(2 input loss, output loss)",
-            _loss(ic_vals, 0.0),
+            jump_loss(ic_vals, 0.0),
             min(2 * loss_direct, loss_direct),
             1e-9,
             "exact-anchor",
@@ -920,7 +856,7 @@ def _suite_t2(params) -> SuiteReport:
     report.checks.append(
         _le(
             "ramp: measured mutual-information loss vanishes with the parameter",
-            _loss(ramp_vals, limit_val),
+            jump_loss(ramp_vals, limit_val),
             0.0,
             0.01,
             "measured",

@@ -302,6 +302,8 @@ MISSING_KEY_CASES = {
     "table-values-str": (_gibbs({"kind": "table", "values": ["x"]}), "quantity.hamiltonian.values"),
     "log-truncation-0": (_gibbs({"kind": "log", "truncation_dim": 0}), "quantity.hamiltonian"),
     "window-str": ({"command": "sequence", "sequence": {"family": "sharp", "window": "x"}}, "sequence.window"),
+    "window-0": ({"command": "sequence", "sequence": {"family": "sharp", "window": 0}}, "sequence.window"),
+    "window-neg": ({"command": "sequence", "sequence": {"family": "sharp", "window": -1}}, "sequence.window"),
     "grid-str": ({"command": "sequence", "sequence": {"family": "sharp", "grid": ["x"]}}, "sequence.grid"),
     "section-not-object": ({"command": "quantity", "quantity": []}, "quantity"),
     "amplitudes-zero": (_quantity("entropy", state={"kind": "pure", "amplitudes": [[0, 0], [0, 0]]}), "quantity.state.amplitudes"),

@@ -14,6 +14,10 @@ import pytest
 from entroloss import TraceClassElement, roofs
 from entroloss._optim import (
     GRADIENT_TOL,
+    GROW,
+    INITIAL_STEP,
+    MIN_STEP,
+    SHRINK,
     OptimizerBudget,
     _tangent,
     minimize_isometry,
@@ -41,10 +45,10 @@ def reference_search(objective, rows, cols, budget, identity_start=True):
             w = random_isometry(np.random.default_rng(seed), rows, cols)
         value, grad = objective(w[None])
         best, g = float(value[0]), _tangent(w, grad[0])
-        step = budget.initial_step
+        step = INITIAL_STEP
         count = 1
         for _ in range(budget.iterations):
-            if step < budget.min_step or np.linalg.norm(g) < GRADIENT_TOL:
+            if step < MIN_STEP or np.linalg.norm(g) < GRADIENT_TOL:
                 break
             cand = qr_isometry(w - step * g)
             value, grad = objective(cand[None])
@@ -53,10 +57,10 @@ def reference_search(objective, rows, cols, budget, identity_start=True):
                 g_new = _tangent(cand, grad[0])
                 moved, change = cand - w, g_new - _tangent(cand, g)
                 sy = inner(moved, change)
-                step = sy / inner(change, change) if sy > 0 else step * budget.grow
+                step = sy / inner(change, change) if sy > 0 else step * GROW
                 w, best, g = cand, float(value[0]), g_new
             else:
-                step *= budget.shrink
+                step *= SHRINK
         values.append(best)
         isometries.append(w)
         evaluations.append(count)
@@ -166,13 +170,13 @@ def test_evaluations_count_every_scored_isometry():
 
 def test_restarts_stop_once_the_step_is_spent():
     # a gradient that never leads downhill: every step is rejected, so each
-    # restart shrinks from initial_step until it falls below min_step and then
+    # restart shrinks from INITIAL_STEP until it falls below MIN_STEP and then
     # leaves the stack
     budget = OptimizerBudget(restarts=3, iterations=5000, seed=0)
     result = minimize_isometry(lambda w: (np.zeros(w.shape[0]), np.ones_like(w)), 3, 2, budget)
-    step, spent = budget.initial_step, 0
-    while step >= budget.min_step:
-        step *= budget.shrink
+    step, spent = INITIAL_STEP, 0
+    while step >= MIN_STEP:
+        step *= SHRINK
         spent += 1
     assert result.evaluations.tolist() == [1 + spent] * 3
 

@@ -16,7 +16,7 @@ from entroloss import (
     partial_trace,
     trace_distance,
 )
-from entroloss.errors import FunctionalUndefinedError, IncompatiblePurificationError
+from entroloss.errors import FunctionalUndefinedError, IncompatiblePurificationError, InvalidParameterError
 from entroloss.extended import ExtendedReal
 from entroloss.rand import random_density
 from entroloss.sequences import (
@@ -24,6 +24,7 @@ from entroloss.sequences import (
     marginal_entropy_of,
     mutual_information_of,
     pure_trace_distance,
+    series,
 )
 
 
@@ -68,8 +69,35 @@ def test_estimate_requires_long_grid(rng):
 def test_infinite_limit_marks_loss():
     rho = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
     seq = StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9)))
-    est = estimate_jump(seq, lambda x: ExtendedReal.infinity() if x is rho else 0.0, check_convergence=False)
+    est = estimate_jump(seq, lambda x: ExtendedReal.infinity() if x is rho else 0.0)
     assert est.loss.is_infinite
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_below_one_is_rejected(rng, window):
+    rho = random_density(2, rng)
+    seq = StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9)))
+    with pytest.raises(InvalidParameterError):
+        estimate_jump(seq, entropy_of, window=window)
+
+
+def test_each_grid_element_is_built_once():
+    base = make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM)
+    built = []
+
+    def generator(n):
+        built.append(n)
+        return base.element(n)
+
+    seq = StateSequence(generator=generator, limit=base.limit, n_grid=GRID_MEDIUM)
+    h, s, own = series(seq, "entropy", "pinched_entropy", lambda x: 2.0 * entropy_of(x))
+    assert built == list(GRID_MEDIUM)
+    assert h == s and own == [2.0 * v for v in h]
+    # the estimate reads the distance to the limit off the element it scores
+    built.clear()
+    est = estimate_jump(seq, entropy_of)
+    assert built == list(GRID_MEDIUM)
+    assert list(est.values) == h and est.converging
 
 
 def test_functional_failure_is_reported(rng):
