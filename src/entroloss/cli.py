@@ -60,7 +60,7 @@ from .roofs import (
     quantum_discord,
     squashed_entanglement_k,
 )
-from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, estimate_jump
+from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, read_jump, series
 from .suites import SUITES, SuiteReport, suite_run
 
 
@@ -394,7 +394,12 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
     return 0
 
 
-_SEQUENCE_PARAMS = {"energy": float, "energies": _float_list, "seed": int}
+_SEQUENCE_PARAMS = {
+    "energy": float,
+    "energies": _float_list,
+    "seed": int,
+    "sigma": lambda spec: parse_state(spec, "sequence.params.sigma"),
+}
 _SUITE_PARAMS = {"energy": float, "seed": int, "range_trials": int, "grid": _ints}
 
 
@@ -405,6 +410,8 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     if family not in registry:
         raise ConfigError(f"unknown family {family!r}; available: {sorted(registry)}")
     params = _converted(section.get("params", {}), _SEQUENCE_PARAMS, "sequence.params")
+    if family == "mix_to_pure":
+        _required(params, "sigma", "sequence.params")
     if "grid" in section:
         params["n_grid"] = _as(_ints, section["grid"], "sequence.grid")
     try:
@@ -412,22 +419,28 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     except TypeError as exc:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
     names = section.get("functionals", ["entropy"])
-    window = _as(int, section.get("window", DEFAULT_WINDOW), "sequence.window")
-    if window < 1:
-        raise ConfigError(f"'sequence.window' must be >= 1, got {window}")
-    if len(seq.n_grid) < 2 * window:
-        raise ConfigError(f"'sequence.grid' has {len(seq.n_grid)} points, fewer than 2 * window = {2 * window}")
-    estimates = {}
-    series = {"n": list(seq.n_grid)}
     for fname in names:
         if fname not in FUNCTIONALS:
             raise ConfigError(f"unknown functional {fname!r}; available: {sorted(FUNCTIONALS)}")
+    points = len(seq.n_grid)
+    if "window" in section:
+        window = _as(int, section["window"], "sequence.window")
+        if window < 1:
+            raise ConfigError(f"'sequence.window' must be >= 1, got {window}")
+    else:  # the default window shrinks to fit a short grid
+        window = max(min(DEFAULT_WINDOW, points // 2), 1)
+    if points < 2 * window:
+        raise ConfigError(f"'sequence.grid' has {points} points, fewer than 2 * window = {2 * window}")
+    try:  # one walk scores every functional and the distance to the limit
+        *columns, distances = series(seq, *names, seq.limit_distance)
+    except DimensionOverflowError as exc:  # the elements grow with n
+        raise ConfigError(f"'sequence.grid': {exc}") from exc
+    estimates = {}
+    table = {"n": list(seq.n_grid)}
+    for fname, values in zip(names, columns):
         key = fname if fname in seq.closed_forms else None
-        try:
-            est = estimate_jump(seq, fname, window=window, closed_form_key=key)
-        except DimensionOverflowError as exc:  # the elements grow with n
-            raise ConfigError(f"'sequence.grid': {exc}") from exc
-        series[fname] = list(est.values)
+        est = read_jump(seq, fname, values, distances, window=window, closed_form_key=key)
+        table[fname] = values
         estimates[fname] = {
             "limit_value": est.limit_value,
             "tail_sup": est.tail_sup,
@@ -443,8 +456,8 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     if fmt in ("json", "both"):
         write_json(os.path.join(out_dir, f"sequence_{family}.json"), payload)
     if fmt in ("csv", "both"):
-        header = list(series)
-        rows = [[series[k][i] for k in header] for i in range(len(seq.n_grid))]
+        header = list(table)
+        rows = [[table[k][i] for k in header] for i in range(points)]
         write_csv(os.path.join(out_dir, f"sequence_{family}.csv"), header, rows)
     return 0
 

@@ -7,7 +7,9 @@ truncation dimension.  The partition convergence threshold
     g(H) = inf { lam > 0 : sum_k exp(-lam E_k) < +inf }
 
 is computed symbolically from the law family (a finite truncation always has
-threshold 0, which would falsify every asymptotic check).
+threshold 0, which would falsify every asymptotic check).  A Hamiltonian
+computes its level array once, on first use, and hands out read-only
+slices of it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
 from .extended import ExtendedReal
 from .info import von_neumann_entropy, relative_entropy
 from .majorization import rearrangement
-from .operators import TraceClassElement
+from .operators import DIAG_DIM_CAP, TraceClassElement, _read_only, _require_diag_dim
 
 ENERGY_SLACK = 1e-10
 
@@ -35,7 +37,7 @@ ENERGY_SLACK = 1e-10
 class Hamiltonian:
     """Diagonal Hamiltonian defined by a closed-form eigenvalue law."""
 
-    __slots__ = ("kind", "params", "truncation_dim")
+    __slots__ = ("kind", "params", "truncation_dim", "_levels")
 
     def __init__(self, kind: str, params: tuple, truncation_dim: int):
         if truncation_dim < 1:
@@ -43,7 +45,8 @@ class Hamiltonian:
         self.kind = kind
         self.params = params
         self.truncation_dim = int(truncation_dim)
-        levels = self.energies(min(self.truncation_dim, 4096))
+        self._levels = None
+        levels = self._law(min(self.truncation_dim, 4096))
         if levels.size and (np.any(np.diff(levels) < -1e-12) or levels[0] < 0):
             raise InvalidParameterError("level law must be nonnegative and nondecreasing")
 
@@ -63,10 +66,19 @@ class Hamiltonian:
         return cls("table", values, len(values))
 
     def energies(self, dim: int) -> np.ndarray:
+        """The first ``dim`` levels, a read-only slice of the stored level array.
+
+        The first call stores every level up to the truncation (at most
+        ``DIAG_DIM_CAP`` of them, or ``dim`` if more are asked for)."""
         if dim > self.truncation_dim:
             raise SupportEscapesTruncationError(
                 f"requested {dim} levels, truncation is {self.truncation_dim}"
             )
+        if self._levels is None or self._levels.size < dim:
+            self._levels = _read_only(self._law(max(dim, min(self.truncation_dim, DIAG_DIM_CAP))))
+        return self._levels[:dim]
+
+    def _law(self, dim: int) -> np.ndarray:
         k = np.arange(dim, dtype=float)
         if self.kind == "linear":
             offset, slope = self.params
@@ -187,6 +199,7 @@ def sharp_sequence_state(h: Hamiltonian, e: float, n: int) -> TraceClassElement:
     Requires n large enough that q <= 1.
     """
     e = float(e)
+    _require_diag_dim(n + 1)
     levels = h.energies(n + 1)
     e0 = levels[0]
     if e <= e0:
@@ -198,7 +211,7 @@ def sharp_sequence_state(h: Hamiltonian, e: float, n: int) -> TraceClassElement:
     q = min(q, 1.0)
     diag = np.full(n + 1, q / n)
     diag[0] = 1.0 - q
-    return TraceClassElement(diag, diagonal=True, validate=False)
+    return TraceClassElement._unchecked(diag=diag)
 
 
 def sharp_sequence_weight(h: Hamiltonian, e: float, n: int) -> float:

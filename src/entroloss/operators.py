@@ -17,6 +17,15 @@ Conventions
   array, and ``permute_factors`` passes it on, since a factor permutation is
   a unitary conjugation.  Every other derived element (``scaled``, proper
   partial traces, ``tensor``, channel outputs) computes its own.
+* Every element keeps its von Neumann entropy once
+  ``info.von_neumann_entropy`` has computed it.  ``copy``, ``with_factors``,
+  ``group_factors``, a keep-all ``partial_trace`` and a same-dim ``embed``
+  share it; every other derived element, ``permute_factors`` included,
+  computes its own.
+* Derived diagonals (``scaled``, ``partial_trace``, ``permute_factors``,
+  ``tensor``, the sharp state and the sequence generators) are built by
+  ``TraceClassElement._unchecked`` behind ``_require_diag_dim``: no copy,
+  no positivity scan.
 """
 
 from __future__ import annotations
@@ -65,6 +74,11 @@ def _require_dense_dim(n: int) -> None:
         raise DimensionOverflowError(f"dense dimension {n} exceeds cap {DENSE_DIM_CAP}")
 
 
+def _require_diag_dim(n: int) -> None:
+    if n > DIAG_DIM_CAP:
+        raise DimensionOverflowError(f"diagonal dimension {n} exceeds cap {DIAG_DIM_CAP}")
+
+
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -93,13 +107,12 @@ class TraceClassElement:
     eigensolver.
     """
 
-    __slots__ = ("_matrix", "_diag", "_eigenvalues", "factor_dims", "dim")
+    __slots__ = ("_matrix", "_diag", "_eigenvalues", "_entropy", "factor_dims", "dim")
 
     def __init__(self, entries, factor_dims=None, diagonal=False, validate=True):
         if diagonal:
             d = np.asarray(entries, dtype=float).reshape(-1).copy()
-            if d.size > DIAG_DIM_CAP:
-                raise DimensionOverflowError(f"diagonal dimension {d.size} exceeds cap {DIAG_DIM_CAP}")
+            _require_diag_dim(d.size)
             if validate and d.size and float(d.min()) < -PSD_TOL:
                 raise NotPositiveError(f"diagonal entry {d.min():.3e} below -{PSD_TOL}")
             self._diag = d
@@ -119,6 +132,7 @@ class TraceClassElement:
             self._matrix = m
             self._diag = None
             self.dim = m.shape[0]
+        self._entropy = None
         if factor_dims is not None:
             factor_dims = tuple(int(d) for d in factor_dims)
             if math.prod(factor_dims) != self.dim:
@@ -128,16 +142,20 @@ class TraceClassElement:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _unchecked(cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None) -> "TraceClassElement":
+    def _unchecked(
+        cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None, entropy=None
+    ) -> "TraceClassElement":
         """Element from a matrix or diagonal the caller knows is valid; runs no check,
         so derived elements (partial traces, products, copies) cost no eigensolve.
         Callers pass an exactly Hermitian matrix (``m == m.conj().T`` bit for bit),
-        since ``spectrum()`` trusts it.  ``eigenvalues`` is the stored spectrum of
-        an element with the same spectrum."""
+        since ``spectrum()`` trusts it, or a 1-D float diagonal within the
+        ``_require_diag_dim`` cap that no one writes to.  ``eigenvalues`` and
+        ``entropy`` are the stored values of an element with the same spectrum."""
         out = cls.__new__(cls)
         out._matrix = matrix
         out._diag = diag
         out._eigenvalues = eigenvalues
+        out._entropy = entropy
         out.factor_dims = factor_dims
         out.dim = (matrix if diag is None else diag).shape[0]
         return out
@@ -221,14 +239,17 @@ class TraceClassElement:
         return out
 
     def copy(self) -> "TraceClassElement":
-        return TraceClassElement._unchecked(self._matrix, self._diag, self.factor_dims, self._eigenvalues)
+        return TraceClassElement._unchecked(
+            self._matrix, self._diag, self.factor_dims, self._eigenvalues, self._entropy
+        )
 
     def scaled(self, factor: float) -> "TraceClassElement":
         factor = float(factor)
         if factor < 0:
             raise NotPositiveError("cone elements cannot be scaled by a negative factor")
         if self._diag is not None:
-            return TraceClassElement(self._diag * factor, self.factor_dims, diagonal=True, validate=False)
+            _require_diag_dim(self.dim)
+            return TraceClassElement._unchecked(diag=self._diag * factor, factor_dims=self.factor_dims)
         return TraceClassElement._unchecked(self._matrix * factor, factor_dims=self.factor_dims)
 
     def embed(self, dim: int, factor_dims=None) -> "TraceClassElement":
@@ -259,9 +280,8 @@ def tensor(a: TraceClassElement, b: TraceClassElement) -> TraceClassElement:
     fb = b.factor_dims if b.factor_dims is not None else (b.dim,)
     dim = a.dim * b.dim
     if a.diagonal and b.diagonal:
-        if dim > DIAG_DIM_CAP:
-            raise DimensionOverflowError(f"product dimension {dim} exceeds cap {DIAG_DIM_CAP}")
-        return TraceClassElement(np.kron(a.diag, b.diag), fa + fb, diagonal=True, validate=False)
+        _require_diag_dim(dim)
+        return TraceClassElement._unchecked(diag=np.kron(a.diag, b.diag), factor_dims=fa + fb)
     _require_dense_dim(dim)
     return TraceClassElement._unchecked(np.kron(a.to_matrix(), b.to_matrix()), factor_dims=fa + fb)
 
@@ -282,10 +302,10 @@ def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
     if len(keep) == len(dims):
         return w.with_factors(kept_dims)
     if w.diagonal:
-        joint = w.diag.reshape(dims)
+        _require_diag_dim(math.prod(kept_dims))
         drop = tuple(i for i in range(len(dims)) if i not in keep)
-        marg = joint.sum(axis=drop)
-        return TraceClassElement(marg.reshape(-1), kept_dims, diagonal=True, validate=False)
+        marg = w.diag.reshape(dims).sum(axis=drop)
+        return TraceClassElement._unchecked(diag=marg.reshape(-1), factor_dims=kept_dims)
     k = len(dims)
     t = w.to_matrix().reshape(dims + dims)
     row = list(ascii_letters[:k])
@@ -308,8 +328,9 @@ def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
         raise BadFactorizationError(f"order={order} is not a permutation of the factors")
     new_dims = tuple(dims[i] for i in order)
     if w.diagonal:
+        _require_diag_dim(w.dim)
         joint = w.diag.reshape(dims).transpose(order)
-        return TraceClassElement(joint.reshape(-1), new_dims, diagonal=True, validate=False)
+        return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=new_dims)
     k = len(dims)
     t = w.to_matrix().reshape(dims + dims)
     perm = list(order) + [k + i for i in order]

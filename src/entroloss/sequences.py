@@ -9,16 +9,22 @@ never presents a finite-n number as the limsup.
 
 This module is the one place that evaluates functionals along a family and
 reads jumps off the values.  ``FUNCTIONALS`` names the functionals, keyed
-like a family's ``closed_forms``.  ``series`` builds each grid element once
-and evaluates every requested functional on it, named or a caller's own
-callable.  ``jump_loss`` and ``jump_gain`` read the ``trailing_window`` of a
-series against the limit value, ``DEFAULT_WINDOW`` values unless told
-otherwise.  ``estimate_jump`` combines the three for one functional.
+like a family's ``closed_forms``.  ``series`` is the walk: it builds each
+grid element once and evaluates every requested functional on it, named or
+a caller's own callable.  ``jump_loss`` and ``jump_gain`` read the
+``trailing_window`` of a series against the limit value, ``DEFAULT_WINDOW``
+values unless told otherwise.  ``read_jump`` is the read: it forms the
+full estimate from one functional's values and the distances to the limit,
+so a caller that walks the grid once with ``seq.limit_distance`` among the
+functionals reads every jump off that one walk.  ``estimate_jump`` is the
+walk and the read for one functional.
 
 Pure bipartite elements are kept in amplitude form so that sequence runs at
 dimension 2**16 never materialize a (dim^2)-sized matrix: the mutual
 information of a pure state is evaluated rank-aware as twice the marginal
-entropy.
+entropy.  A Schmidt-form state keeps its one marginal entropy (both sides
+have spectrum s^2), so its marginal entropies, mutual information,
+conditional entropy and pinched entropy score s^2 once.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
 from .extended import ExtendedReal
 from .energy import Hamiltonian, sharp_sequence_state, sharp_sequence_weight
 from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
-from .operators import TraceClassElement, partial_trace, trace_distance
+from .operators import TraceClassElement, _require_diag_dim, partial_trace, trace_distance
 
 GRID_DIAG = tuple(2**k for k in range(4, 17))
 GRID_MEDIUM = tuple(2**k for k in range(4, 10))
@@ -54,10 +60,11 @@ class PureBipartiteState:
     weights; marginals of those never touch dense algebra.
     """
 
-    __slots__ = ("dims", "_dense", "_schmidt")
+    __slots__ = ("dims", "_dense", "_schmidt", "_entropy")
 
     def __init__(self, dims, dense=None, schmidt=None):
         self.dims = (int(dims[0]), int(dims[1]))
+        self._entropy = None
         if (dense is None) == (schmidt is None):
             raise ValueError("provide exactly one of dense amplitude or schmidt weights")
         if schmidt is not None:
@@ -86,7 +93,12 @@ class PureBipartiteState:
         return TraceClassElement(m.T @ m.conj(), validate=False)
 
     def marginal_entropy(self, side: int = 0) -> float:
-        return von_neumann_entropy(self.marginal(side))
+        """Entropy of one side; in Schmidt form both sides share one stored value."""
+        if self._schmidt is None:
+            return von_neumann_entropy(self.marginal(side))
+        if self._entropy is None:
+            self._entropy = von_neumann_entropy(self.marginal(0))
+        return self._entropy
 
     def overlap(self, other: "PureBipartiteState") -> float:
         """|<psi|phi>| with the smaller state zero-padded."""
@@ -148,9 +160,17 @@ def conditional_entropy_of(x) -> float:
 
 
 def pinched_entropy_of(x) -> float:
-    """Shannon entropy of the computational-basis diagonal."""
+    """Shannon entropy of the computational-basis diagonal.
+
+    A diagonal element is its own pinching, and the diagonal of a Schmidt-form
+    |psi><psi| is s^2 on the (k, k) entries, so both return a stored entropy
+    and the Schmidt form is never densified."""
     if isinstance(x, PureBipartiteState):
+        if x._schmidt is not None:
+            return x.marginal_entropy(0)
         x = x.to_element()
+    if x.diagonal:
+        return von_neumann_entropy(x)
     return float(shannon_entropy(np.clip(x.diag, 0.0, None)))
 
 
@@ -318,16 +338,29 @@ def estimate_jump(
     window: int = DEFAULT_WINDOW,
     closed_form_key: str | None = None,
 ) -> JumpEstimate:
-    """Evaluate a functional along the grid and form the windowed jump estimate.
+    """Walk the grid for one functional and read its windowed jump estimate.
 
     The distance to the limit is read off each element as it is scored, so
     the grid is walked once."""
+    values, distances = series(seq, functional, seq.limit_distance)
+    return read_jump(seq, functional, values, distances, window, closed_form_key)
+
+
+def read_jump(
+    seq: StateSequence,
+    functional,
+    values,
+    distances,
+    window: int = DEFAULT_WINDOW,
+    closed_form_key: str | None = None,
+) -> JumpEstimate:
+    """The windowed jump estimate of a functional from its values along
+    ``seq.n_grid`` and the distances of the grid elements to the limit, as
+    ``series(seq, ..., functional, ..., seq.limit_distance)`` returns them."""
     points = len(seq.n_grid)
     if not 1 <= window <= points // 2:
         raise InvalidParameterError(f"window {window} must lie in [1, {points // 2}], half the {points}-point grid")
-    functional = _functional(functional)
-    values, distances = series(seq, functional, seq.limit_distance)
-    limit_value = _as_float(functional(seq.limit))
+    limit_value = _as_float(_functional(functional)(seq.limit))
     tail = trailing_window(values, window)
     tail_sup, tail_inf = max(tail), min(tail)
     infinite = math.isinf(limit_value)
@@ -492,9 +525,10 @@ def make_classical_correlated_sequence(
     def gen(n: int) -> TraceClassElement:
         p = base.element(n).diag
         d = p.size
+        _require_diag_dim(d * d)
         joint = np.zeros((d, d))
         np.fill_diagonal(joint, p)
-        return TraceClassElement(joint.reshape(-1), (d, d), diagonal=True, validate=False)
+        return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, d))
 
     lim = np.zeros((1, 1))
     lim[0, 0] = 1.0
@@ -526,7 +560,8 @@ def make_product_sequence(
     def gen(n: int) -> TraceClassElement:
         a = first.element(n).diag
         b = second.element(n).diag
-        return TraceClassElement(np.kron(a, b), (a.size, b.size), diagonal=True, validate=False)
+        _require_diag_dim(a.size * b.size)
+        return TraceClassElement._unchecked(diag=np.kron(a, b), factor_dims=(a.size, b.size))
 
     limit = TraceClassElement(np.ones(1), (1, 1), diagonal=True, validate=False)
     cf1 = first.closed_forms["entropy"]
@@ -555,10 +590,11 @@ def make_classical_triple_sequence(
     def gen(n: int) -> TraceClassElement:
         p = base.element(n).diag
         d = p.size
+        _require_diag_dim(d * 2 * d)
         joint = np.zeros((d, 2, d))
         ks = np.arange(d)
         joint[ks, ks % 2, ks] = p
-        return TraceClassElement(joint.reshape(-1), (d, 2, d), diagonal=True, validate=False)
+        return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, 2, d))
 
     lim = np.zeros((1, 2, 1))
     lim[0, 0, 0] = 1.0

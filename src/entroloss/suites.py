@@ -48,7 +48,6 @@ from .sequences import (
     GRID_DIAG,
     GRID_MEDIUM,
     PureBipartiteState,
-    estimate_jump,
     jump_gain,
     jump_loss,
     lift_by_purification,
@@ -58,6 +57,7 @@ from .sequences import (
     make_rotated_sharp_sequence,
     make_sharp_sequence,
     mutual_information_of,
+    read_jump,
     series,
     trailing_window,
 )
@@ -126,8 +126,12 @@ def _suite_p4(params) -> SuiteReport:
     e0 = h.ground_energy
     seq = make_sharp_sequence(h, energy, grid)
 
-    entropies, means, means_sorted = series(
-        seq, "entropy", lambda rho: mean_energy(rho, h), lambda rho: mean_energy(rearrangement(rho, h), h)
+    entropies, means, means_sorted, distances = series(
+        seq,
+        "entropy",
+        lambda rho: mean_energy(rho, h),
+        lambda rho: mean_energy(rearrangement(rho, h), h),
+        seq.limit_distance,
     )
     closed = [seq.closed_forms["entropy"](n) for n in grid]
     report = SuiteReport(
@@ -162,7 +166,7 @@ def _suite_p4(params) -> SuiteReport:
             "pointwise",
         )
     )
-    est = estimate_jump(seq, "entropy", closed_form_key="entropy")
+    est = read_jump(seq, "entropy", entropies, distances, closed_form_key="entropy")
     loss_e = jump_loss(means, e0)
     loss_e_sorted = jump_loss(means_sorted, e0)
     report.checks.append(
@@ -210,7 +214,9 @@ def _suite_p1(params) -> SuiteReport:
         p = rho.diag[rho.diag > 0]
         return float(np.sum(p * (-np.log(p))))
 
-    entropies, cross, means = series(seq, "entropy", self_cross_entropy, lambda rho: mean_energy(rho, h))
+    entropies, cross, means, distances = series(
+        seq, "entropy", self_cross_entropy, lambda rho: mean_energy(rho, h), seq.limit_distance
+    )
     report.series = {"n": list(grid), "entropy": entropies}
     # sigma_n = rho_n: the bound is an identity
     worst = max(abs(c - hn) for c, hn in zip(cross, entropies))
@@ -220,7 +226,7 @@ def _suite_p1(params) -> SuiteReport:
     # fixed full-rank Gibbs reference: bound becomes lam * energy loss
     lam = 2.0
     z = gibbs_state(h, lam, max(grid) + 1)
-    est = estimate_jump(seq, "entropy", closed_form_key="entropy")
+    est = read_jump(seq, "entropy", entropies, distances, closed_form_key="entropy")
     rhs = lam * (energy - h.ground_energy)
     report.checks.append(
         _le("closed-form entropy loss <= lam * energy loss (Gibbs reference)", est.loss_closed_form, rhs, 1e-9, "closed_form")

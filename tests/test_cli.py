@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from entroloss import operators
+from entroloss import info, operators
 from entroloss.cli import run
 
 
@@ -104,6 +104,33 @@ def test_sequence_command_lifted_family(tmp_path):
     mi = data["estimates"]["mutual_information"]
     marg = data["estimates"]["marginal_entropy"]
     assert mi["loss_closed_form"] == pytest.approx(2 * marg["loss_closed_form"], abs=1e-10)
+
+
+def _run_sequence(tmp_path, section):
+    cfg = write_config(tmp_path, {"command": "sequence", "sequence": section, "output": {"dir": str(tmp_path), "format": "both"}})
+    assert run(["--config", cfg]) == 0
+    return read_json(tmp_path / f"sequence_{section['family']}.json")["estimates"]
+
+
+def test_sequence_default_window_fits_a_short_grid(tmp_path):
+    estimates = _run_sequence(tmp_path, {"family": "rotated_sharp", "functionals": ["entropy", "pinched_entropy"]})
+    # the 4-point dense grid takes a window of 2 unless one is given
+    assert estimates["entropy"]["window"] == 2
+    assert estimates["pinched_entropy"]["window"] == 2
+    assert estimates["entropy"]["loss"] <= estimates["pinched_entropy"]["loss"] + 1e-9
+
+
+def test_sequence_mix_to_pure_takes_sigma_as_a_state(tmp_path):
+    sigma = {"kind": "diag", "values": [0.5, 0.3, 0.2]}
+    estimates = _run_sequence(tmp_path, {"family": "mix_to_pure", "params": {"sigma": sigma}})
+    # continuity in fixed dimension: only a finite-n remnant of the loss
+    assert estimates["entropy"]["window"] == 3
+    assert 0.0 < estimates["entropy"]["loss"] <= 0.1
+
+
+def test_sequence_pinched_entropy_on_the_lifted_family_default_grid(tmp_path):
+    estimates = _run_sequence(tmp_path, {"family": "sharp_lifted", "functionals": ["pinched_entropy", "marginal_entropy"]})
+    assert estimates["pinched_entropy"] == {**estimates["marginal_entropy"], "loss_closed_form": None}
 
 
 def test_suite_command_writes_reports(tmp_path):
@@ -249,8 +276,8 @@ def _sequence(params, family="sharp"):
     return {"command": "sequence", "sequence": {"family": family, "params": params}}
 
 
-def _product_grid(grid):
-    return {"command": "sequence", "sequence": {"family": "product", "grid": grid}}
+def _product_grid(grid, **extra):
+    return {"command": "sequence", "sequence": {"family": "product", "grid": grid, **extra}}
 
 
 MISSING_KEY_CASES = {
@@ -319,9 +346,16 @@ MISSING_KEY_CASES = {
         for family, key, value in (("sharp", "energy", "x"), ("product", "energies", ["x", 0.5]), ("rotated_sharp", "seed", "x"))
     },
     "sequence-unknown-param": (_sequence({"energie": 1.0}), "sequence.params"),
-    # the window defaults to 3, so a grid needs 6 points; a product element at n has dim (n + 1)**2
-    "sequence-grid-below-window": (_product_grid([16, 32, 64, 128]), "sequence.grid"),
+    # an explicit window of 3 needs 6 grid points; a product element at n has dim (n + 1)**2
+    "sequence-grid-below-window": (_product_grid([16, 32, 64, 128], window=3), "sequence.grid"),
     "sequence-grid-past-diag-cap": (_product_grid([16, 32, 64, 128, 256, 1024]), "sequence.grid"),
+    # GRID_DENSE has 4 points: an explicit window of 3 is still refused
+    "rotated_sharp-explicit-window": (
+        {"command": "sequence", "sequence": {"family": "rotated_sharp", "window": 3}},
+        "sequence.grid",
+    ),
+    "mix_to_pure-sigma-missing": (_sequence({}, "mix_to_pure"), "sequence.params.sigma"),
+    "mix_to_pure-sigma-malformed": (_sequence({"sigma": [0.5, 0.5]}, "mix_to_pure"), "sequence.params.sigma"),
 }
 
 
@@ -338,3 +372,22 @@ def test_dense_cap_exits_before_allocating(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path)}})
     assert run(["--config", cfg]) == 2
     assert "exceeds cap 4" in capsys.readouterr().err
+
+
+def test_a_repeated_run_recomputes_every_entropy(tmp_path, monkeypatch):
+    calls = []
+    real = info.spectral_entropy
+
+    def counted(eigs):
+        calls.append(1)
+        return real(eigs)
+
+    monkeypatch.setattr(info, "spectral_entropy", counted)
+    cfg = write_config(tmp_path, {"command": "suite", "suite": {"ids": ["P4", "C3"]}, "output": {"dir": str(tmp_path)}})
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run(["--config", cfg]) == 0
+        counts.append(len(calls))
+    # every stored value lives on an object the run built, so nothing carries over
+    assert counts[0] == counts[1] > 0

@@ -207,3 +207,24 @@ def test_entropy_bounded_on_energy_shell(rng):
         for n in (16, 128, 1024):
             rho = sharp_sequence_state(h, 1.0, n)
             assert von_neumann_entropy(rho) <= lam * mean_energy(rho, h) + z + 1e-8
+
+
+def test_levels_are_computed_once_and_handed_out_read_only(monkeypatch):
+    h = Hamiltonian.logarithmic(1.0, 0.0, 2**10 + 1)
+    laws = []
+    real = Hamiltonian._law
+
+    def counted(self, dim):
+        laws.append(dim)
+        return real(self, dim)
+
+    monkeypatch.setattr(Hamiltonian, "_law", counted)
+    for n in (16, 64, 256, 1024):
+        sharp_sequence_state(h, 1.0, n)
+        mean_energy(sharp_sequence_state(h, 1.0, n), h)
+    assert laws == [2**10 + 1]
+    levels = h.energies(17)
+    assert not levels.flags.writeable
+    assert np.array_equal(levels, np.log(np.arange(17) + 1.0))
+    with pytest.raises(ValueError):
+        levels[0] = 1.0

@@ -10,9 +10,11 @@ from entroloss import (
     apply,
     conditional_entropy,
     conditional_mutual_information,
+    group_factors,
     holevo_quantity,
     mutual_information,
     partial_trace,
+    permute_factors,
     pinching_distribution,
     purification_amplitude,
     relative_entropy,
@@ -458,3 +460,119 @@ def test_extended_real_arithmetic():
     assert float(ExtendedReal(1.5)) == 1.5
     with pytest.raises(OverflowError):
         inf.value
+
+
+def _eta_by_gather(x):
+    """eta as a gather of the positive entries and a scatter into zeros."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = -x[pos] * np.log(x[pos])
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+nonnegative_arrays = st.lists(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=4.0, allow_subnormal=True)),
+    min_size=0,
+    max_size=40,
+).map(lambda v: np.array(v, dtype=float))
+
+
+@given(nonnegative_arrays)
+@settings(max_examples=300, deadline=None)
+def test_eta_matches_the_gather_formula_bit_for_bit(x):
+    assert np.array_equal(_bits(info.eta(x)), _bits(_eta_by_gather(x)))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([1.0]),
+        np.zeros(5),
+        np.array([0.0, 1.0, 0.5, 0.0]),
+        np.clip(np.array([0.7, -1e-17, 0.3, -1e-17]), 0.0, None),
+    ],
+    ids=["lone-one", "all-zero", "zeros-and-one", "clipped-round-off"],
+)
+def test_eta_matches_the_gather_formula_on_edge_arrays(x):
+    assert np.array_equal(_bits(info.eta(x)), _bits(_eta_by_gather(x)))
+    # the scalar form follows the same rule, the sign of a zero included
+    for v in x:
+        assert _bits(info.eta(float(v))) == _bits(_eta_by_gather(np.array(v)))
+
+
+def test_spectral_entropy_clips_round_off_before_eta():
+    w = np.array([[0.7, -1e-17, 0.3], [1.0, 0.0, -1e-17]])
+    clipped = np.clip(w, 0.0, None)
+    expected = _eta_by_gather(clipped).sum(axis=-1) - _eta_by_gather(clipped.sum(axis=-1))
+    assert np.array_equal(_bits(info.spectral_entropy(w)), _bits(expected))
+
+
+def _counting_spectral_entropy(monkeypatch):
+    calls = []
+    real = info.spectral_entropy
+
+    def counted(eigs):
+        calls.append(np.shape(eigs))
+        return real(eigs)
+
+    monkeypatch.setattr(info, "spectral_entropy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diag", "dense"])
+def test_entropy_is_stored_on_the_element_and_shared_by_copies(rng, diagonal, monkeypatch):
+    if diagonal:
+        w = TraceClassElement(random_probability(6, rng), (2, 3), diagonal=True)
+        array = w.diag
+    else:
+        w = random_density(6, rng, factor_dims=(2, 3))
+        array = w.eigenvalues()
+    expected = float(info.spectral_entropy(array))
+    calls = _counting_spectral_entropy(monkeypatch)
+    value = von_neumann_entropy(w)
+    assert _bits(value) == _bits(expected)
+    assert len(calls) == 1
+    shared = [w.copy(), w.with_factors((3, 2)), partial_trace(w, [0, 1]), group_factors(w, (2,)), w.embed(6)]
+    for other in shared:
+        assert von_neumann_entropy(other) == value
+    assert len(calls) == 1
+    own = [w.scaled(0.5), partial_trace(w, [0]), partial_trace(w, [1]), tensor(w, w), permute_factors(w, (1, 0))]
+    for other in own:
+        von_neumann_entropy(other)
+    assert len(calls) == 1 + len(own)
+    # a repeat on a derived element reads its own stored value
+    for other in own:
+        von_neumann_entropy(other)
+    assert len(calls) == 1 + len(own)
+
+
+def test_stored_entropy_equals_spectral_entropy_bit_for_bit(rng):
+    dense = random_density(5, rng)
+    diag = TraceClassElement(random_probability(7, rng), diagonal=True)
+    assert _bits(von_neumann_entropy(dense)) == _bits(float(info.spectral_entropy(dense.eigenvalues())))
+    assert _bits(von_neumann_entropy(diag)) == _bits(float(info.spectral_entropy(diag.diag)))
+
+
+def test_checked_cmi_eigendecomposes_each_two_factor_marginal_once(rng, monkeypatch):
+    m = random_pure(64, rng).to_matrix()
+    unvalidated = conditional_mutual_information(TraceClassElement(m, (4, 4, 4), validate=False))
+    w = TraceClassElement(m, (4, 4, 4))
+    solves = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a)[-1] == 16:
+            solves.append(np.asarray(a).tobytes())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    value = conditional_mutual_information(w, check=True)
+    # H(AB) and I(A:B) share one AB element, H(BC) and I(B:C) one BC element
+    assert len(solves) == 3
+    assert len(set(solves)) == len(solves)
+    assert value == unvalidated

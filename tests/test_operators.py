@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroloss import (
     Ensemble,
+    Hamiltonian,
     TraceClassElement,
     apply,
     channel_mutual_information,
@@ -14,12 +15,16 @@ from entroloss import (
     depolarizing_channel,
     group_factors,
     identity_channel,
+    make_classical_correlated_sequence,
+    make_classical_triple_sequence,
+    make_product_sequence,
     operators,
     partial_trace,
     partial_trace_channel,
     permute_factors,
     pinching_channel,
     relative_entropy_to_product,
+    sharp_sequence_state,
     stinespring_entropy_residual,
     tensor,
     trace_distance,
@@ -171,6 +176,42 @@ def test_dense_guard_runs_before_each_allocation(site, monkeypatch):
     # raised by the guard of this very site, not by a later constructor
     assert excinfo.traceback[-1].name == "_require_dense_dim"
     assert excinfo.traceback[-2].name == site
+
+
+def _diag_guarded_sites():
+    """Each derived-diagonal site, built from inputs within a cap of 4 (the
+    sharp states at n = 2 have 3 entries) and producing more than 4 entries."""
+    flat = TraceClassElement(np.full(5, 0.2), diagonal=True)
+    pair = TraceClassElement(np.full(10, 0.1), (5, 2), diagonal=True)
+    third = TraceClassElement(np.full(3, 1 / 3), diagonal=True)
+    h = Hamiltonian.logarithmic(1.0, 0.0, 8)
+    families = {
+        "classical_correlated": make_classical_correlated_sequence,
+        "product": make_product_sequence,
+        "classical_triple": make_classical_triple_sequence,
+    }
+    sites = {
+        "scaled": ("scaled", lambda: flat.scaled(0.5)),
+        "partial_trace": ("partial_trace", lambda: partial_trace(pair, [0])),
+        "permute_factors": ("permute_factors", lambda: permute_factors(pair, (1, 0))),
+        "tensor": ("tensor", lambda: tensor(third, third)),
+        "sharp_sequence_state": ("sharp_sequence_state", lambda: sharp_sequence_state(h, 0.3, 4)),
+    }
+    for name, make in families.items():
+        seq = make(energies=(0.3, 0.2), n_grid=(2,)) if name == "product" else make(energy=0.3, n_grid=(2,))
+        sites[name] = ("gen", lambda seq=seq: seq.element(2))
+    return sites
+
+
+@pytest.mark.parametrize("site", list(_diag_guarded_sites()))
+def test_diag_guard_runs_before_each_derived_diagonal(site, monkeypatch):
+    frame, call = _diag_guarded_sites()[site]
+    monkeypatch.setattr(operators, "DIAG_DIM_CAP", 4)
+    with pytest.raises(DimensionOverflowError) as excinfo:
+        call()
+    # raised by the guard of this very site, not by a later constructor
+    assert excinfo.traceback[-1].name == "_require_diag_dim"
+    assert excinfo.traceback[-2].name == frame
 
 
 def test_channel_mutual_information_allocates_no_joint_output(monkeypatch):

@@ -15,17 +15,22 @@ from entroloss import (
     mutual_information,
     partial_trace,
     trace_distance,
+    von_neumann_entropy,
 )
+from entroloss import info
 from entroloss.errors import FunctionalUndefinedError, IncompatiblePurificationError, InvalidParameterError
 from entroloss.extended import ExtendedReal
 from entroloss.rand import random_density
 from entroloss.sequences import (
+    FUNCTIONALS,
     entropy_of,
     marginal_entropy_of,
     mutual_information_of,
     pure_trace_distance,
+    read_jump,
     series,
 )
+from entroloss.suites import suite_run
 
 
 def test_constant_sequence_has_zero_loss(rng):
@@ -237,3 +242,56 @@ def test_embedded_limit_bipartite():
     lim = seq.embedded_limit(x)
     assert lim.factor_dims == x.factor_dims
     assert lim.trace == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("suite_id", ["P1", "P4"])
+def test_energy_suites_build_each_grid_element_once(suite_id, monkeypatch):
+    grid = [16, 32, 64, 128, 256, 512]
+    built = []
+    real = StateSequence.element
+
+    def counted(self, n):
+        built.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(StateSequence, "element", counted)
+    report = suite_run(suite_id, {"grid": grid})
+    assert report.passed
+    assert built == grid
+
+
+def test_read_jump_off_one_walk_matches_estimate_jump():
+    seq = make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM)
+    h, s, distances = series(seq, "entropy", "pinched_entropy", seq.limit_distance)
+    for name, values in (("entropy", h), ("pinched_entropy", s)):
+        assert read_jump(seq, name, values, distances, closed_form_key="entropy") == estimate_jump(
+            seq, name, closed_form_key="entropy"
+        )
+
+
+def test_schmidt_state_scores_its_marginal_spectrum_once(monkeypatch):
+    lifted = lift_by_purification(make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM))
+    x = lifted.element(64)
+    calls = []
+    real = info.spectral_entropy
+
+    def counted(eigs):
+        calls.append(np.size(eigs))
+        return real(eigs)
+
+    monkeypatch.setattr(info, "spectral_entropy", counted)
+    h = FUNCTIONALS["marginal_entropy"](x)
+    assert FUNCTIONALS["marginal_entropy_b"](x) == h
+    assert FUNCTIONALS["mutual_information"](x) == 2.0 * h
+    assert FUNCTIONALS["conditional_entropy"](x) == -h
+    assert calls == [65]
+
+
+def test_pinched_entropy_of_a_schmidt_state_is_its_marginal_entropy(monkeypatch):
+    lifted = lift_by_purification(make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM))
+    x = lifted.element(512)  # (513**2)-dim: far past the dense cap
+    monkeypatch.setattr(PureBipartiteState, "to_element", None)
+    assert FUNCTIONALS["pinched_entropy"](x) == FUNCTIONALS["marginal_entropy"](x)
+    # a diagonal element is its own pinching
+    rho = make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM).element(64)
+    assert FUNCTIONALS["pinched_entropy"](rho) == von_neumann_entropy(rho)
