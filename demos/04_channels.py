@@ -10,7 +10,7 @@ from entroloss import (
     channel_mutual_information,
     choi_rank,
     coherent_information,
-    constrained_holevo,
+    constrained_holevo_estimate,
     dephasing_channel,
     depolarizing_channel,
     entropy_exchange,
@@ -59,7 +59,7 @@ print("I_c(depolarizing) =", coherent_information(depolarizing_channel(1.0, 2), 
       " (= -H(rho))")
 
 mixed = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
-cap = constrained_holevo(identity_channel(2), mixed, 2, OptimizerBudget(restarts=8, iterations=600, seed=1))
+cap = constrained_holevo_estimate(identity_channel(2), mixed, 2, OptimizerBudget(restarts=8, iterations=600, seed=1))
 print("constrained capacity of the identity at I/2:", cap.value,
       f" ({cap.direction.value}, converged={cap.converged})")
 

@@ -78,7 +78,6 @@ from .roofs import (
     KoashiWinterResult,
     c_squashed_entanglement_k,
     classical_correlations,
-    constrained_holevo_estimate as constrained_holevo,
     constrained_holevo_estimate,
     convex_closure_output_entropy,
     entanglement_of_formation,
@@ -108,6 +107,6 @@ from .sequences import (
     make_rotated_sharp_sequence,
     make_sharp_sequence,
 )
-from .suites import SUITES, SuiteCheck, SuiteReport, suite_ids, suite_run
+from .suites import SUITES, SuiteCheck, SuiteReport, suite_ids, suite_run, walk
 
 __version__ = "0.1.0"

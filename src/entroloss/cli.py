@@ -60,8 +60,8 @@ from .roofs import (
     quantum_discord,
     squashed_entanglement_k,
 )
-from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, read_jump, series
-from .suites import SUITES, SuiteReport, suite_run
+from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, check_grid, read_jump, series
+from .suites import SUITES, SuiteReport, suite_run, walk
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +117,10 @@ def _object(config: dict, key: str) -> dict:
     return section
 
 
-def _at(path: str, build, *args):
+def _at(path: str, build, *args, **kwargs):
     """Run ``build``, reporting an out-of-range parameter at the config key ``path``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except InvalidParameterError as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
 
@@ -415,7 +415,7 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     if "grid" in section:
         params["n_grid"] = _as(_ints, section["grid"], "sequence.grid")
     try:
-        seq = registry[family](**params)
+        seq = _at("sequence.grid", registry[family], **params)
     except TypeError as exc:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
     names = section.get("functionals", ["entropy"])
@@ -429,8 +429,7 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
             raise ConfigError(f"'sequence.window' must be >= 1, got {window}")
     else:  # the default window shrinks to fit a short grid
         window = max(min(DEFAULT_WINDOW, points // 2), 1)
-    if points < 2 * window:
-        raise ConfigError(f"'sequence.grid' has {points} points, fewer than 2 * window = {2 * window}")
+    _at("sequence.grid", check_grid, seq.n_grid, window)
     try:  # one walk scores every functional and the distance to the limit
         *columns, distances = series(seq, *names, seq.limit_distance)
     except DimensionOverflowError as exc:  # the elements grow with n
@@ -507,9 +506,10 @@ def cmd_suite(section: dict, out_dir: str, fmt: str) -> int:
     if isinstance(ids, str):
         ids = [ids]
     params = _converted(section.get("params", {}), _SUITE_PARAMS, "suite.params")
+    walked = _at("suite.params.grid", walk, ids, params)  # every family the suites read, walked once
     all_passed = True
     for suite_id in ids:
-        report = suite_run(suite_id, params)
+        report = suite_run(suite_id, params, walked)
         _write_suite_outputs(report, out_dir, fmt)
         status = "pass" if report.passed else "FAIL"
         print(f"[{status}] {report.suite_id}: {report.title} ({len(report.checks)} checks)")

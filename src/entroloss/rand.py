@@ -13,11 +13,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return random_isometry(rng, dim, dim)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2.0
-
-
 def random_pure(dim: int, rng: np.random.Generator, factor_dims=None) -> TraceClassElement:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -32,11 +27,6 @@ def random_density(
     m = g @ g.conj().T
     m /= np.real(np.trace(m))
     return TraceClassElement(m, factor_dims=factor_dims, validate=False)
-
-
-def random_probability(dim: int, rng: np.random.Generator) -> np.ndarray:
-    p = rng.random(dim)
-    return p / p.sum()
 
 
 def random_channel(dim_in: int, dim_out: int, choi_rank: int, rng: np.random.Generator) -> QuantumOperation:

@@ -13,7 +13,9 @@ like a family's ``closed_forms``.  ``series`` is the walk: it builds each
 grid element once and evaluates every requested functional on it, named or
 a caller's own callable.  ``jump_loss`` and ``jump_gain`` read the
 ``trailing_window`` of a series against the limit value, ``DEFAULT_WINDOW``
-values unless told otherwise.  ``read_jump`` is the read: it forms the
+values unless told otherwise, and ``check_grid`` is the one rule a grid
+must meet: nonempty, every n at least 1, and two windows long where a jump
+is read off it.  ``read_jump`` is the read: it forms the
 full estimate from one functional's values and the distances to the limit,
 so a caller that walks the grid once with ``seq.limit_distance`` among the
 functionals reads every jump off that one walk.  ``estimate_jump`` is the
@@ -315,6 +317,20 @@ def series(seq: StateSequence, *functionals) -> list:
     return columns
 
 
+def check_grid(n_grid, window: int = 0) -> tuple:
+    """``n_grid`` as a tuple of ints, refused unless it is nonempty, every n is
+    at least 1 and it holds ``2 * window`` points, enough to read a jump over
+    a trailing window of ``window`` values."""
+    grid = tuple(int(n) for n in n_grid)
+    if not grid:
+        raise InvalidParameterError("grid is empty")
+    if min(grid) < 1:
+        raise InvalidParameterError(f"grid points must be >= 1, got {min(grid)}")
+    if len(grid) < 2 * window:
+        raise InvalidParameterError(f"grid has {len(grid)} points, fewer than 2 * window = {2 * window}")
+    return grid
+
+
 def trailing_window(values, window: int = DEFAULT_WINDOW):
     """The last ``window`` values of a series, the part a jump is read from."""
     if window < 1:
@@ -476,7 +492,7 @@ def make_sharp_sequence(
     n_grid=GRID_DIAG,
 ) -> StateSequence:
     """The extremal diagonal family with fixed mean energy, converging to the ground state."""
-    grid = tuple(int(n) for n in n_grid)
+    grid = check_grid(n_grid)
     h = hamiltonian or Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
 
     def gen(n: int) -> TraceClassElement:
@@ -499,6 +515,7 @@ def make_sharp_sequence(
 
 def make_mixing_sequence(sigma: TraceClassElement, n_grid=GRID_MEDIUM) -> StateSequence:
     """rho_n = (1/n) sigma + (1 - 1/n) |0><0| in the fixed dimension of sigma."""
+    grid = check_grid(n_grid)
     d = sigma.dim
     ground = np.zeros(d)
     ground[0] = 1.0
@@ -511,7 +528,7 @@ def make_mixing_sequence(sigma: TraceClassElement, n_grid=GRID_MEDIUM) -> StateS
         return TraceClassElement(m, sigma.factor_dims, validate=False)
 
     limit = TraceClassElement(ground, diagonal=True, validate=False)
-    return StateSequence(gen, limit, tuple(n_grid), tags={"family": "mix_to_pure"})
+    return StateSequence(gen, limit, grid, tags={"family": "mix_to_pure"})
 
 
 def make_classical_correlated_sequence(
@@ -552,7 +569,7 @@ def make_product_sequence(
     n_grid=GRID_MEDIUM,
 ) -> StateSequence:
     """Product family rho_n(E1) (x) rho_n(E2) of two sharp sequences."""
-    grid = tuple(int(n) for n in n_grid)
+    grid = check_grid(n_grid)
     h = hamiltonian or Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
     first = make_sharp_sequence(h, energies[0], grid)
     second = make_sharp_sequence(h, energies[1], grid)
@@ -619,7 +636,7 @@ def make_rotated_sharp_sequence(
     The ground level is left fixed, so the limit remains |0><0| and the
     computational-basis pinching has the same limit value as the entropy.
     """
-    grid = tuple(int(n) for n in n_grid)
+    grid = check_grid(n_grid)
     base = make_sharp_sequence(hamiltonian, energy, grid)
 
     def rotation(d: int) -> np.ndarray:

@@ -36,13 +36,9 @@ from entroloss import (
     von_neumann_entropy,
 )
 from entroloss._optim import OptimizerBudget
-from entroloss.rand import (
-    random_channel,
-    random_density,
-    random_probability,
-    random_pure,
-)
+from entroloss.rand import random_channel, random_density, random_pure
 from entroloss.sequences import entropy_of, marginal_entropy_of, mutual_information_of
+from helpers import random_probability
 
 DIMS = (2, 3, 4)
 INSTANCES = 200

@@ -6,12 +6,14 @@ without failing any other test.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
-from entroloss import sequences
+from entroloss import cli, sequences
 from entroloss.sequences import estimate_jump, make_sharp_sequence
+from entroloss.suites import SUITES
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,3 +39,19 @@ def test_tracer_installs_and_counts_one_element_per_grid_point():
     assert metrics["sequences.element.calls"] == 6
     assert sequences.StateSequence.element is element and np.linalg.eigvalsh is eigvalsh
     assert sequences.estimate_jump is estimate_jump
+
+
+def test_tracer_spans_each_suite_of_a_cli_run(tmp_path):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"command": "suite", "suite": {"ids": ["P4", "C2"]}, "output": {"dir": str(tmp_path), "format": "json"}}))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert cli.run(["--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()["name"]
+    assert [int(np.sum(spans == tracer.names.index(f"suites.{sid}"))) for sid in ("P4", "C2")] == [1, 1]
+    written = [json.loads((tmp_path / f"{sid}_report.json").read_text()) for sid in ("P4", "C2")]
+    assert tracer.metrics(SUITES, 0.0)["suites.checks"] == sum(len(report["checks"]) for report in written)
+    assert list(SUITES) == ["P1", "C1", "C2", "C3", "C-maj", "C-sep", "T1", "C7", "P5", "P6", "P7", "P-CB", "P4", "T2"]

@@ -14,7 +14,7 @@ from entroloss import (
     coherent_information,
     complementary,
     compression_operation,
-    constrained_holevo,
+    constrained_holevo_estimate,
     dephasing_channel,
     depolarizing_channel,
     entropy_exchange,
@@ -164,16 +164,16 @@ def test_ext2_requires_channel():
 
 def test_constrained_holevo_identity_on_mixed():
     rho = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
-    est = constrained_holevo(identity_channel(2), rho, 2, SMALL_BUDGET)
+    est = constrained_holevo_estimate(identity_channel(2), rho, 2, SMALL_BUDGET)
     assert est.value == pytest.approx(LOG2, abs=1e-6)
     assert est.direction.value == "lower_bound"
 
 
 def test_constrained_holevo_depolarizing_and_singleton(rng):
     rho = random_density(2, rng)
-    est = constrained_holevo(depolarizing_channel(1.0, 2), rho, 3, SMALL_BUDGET)
+    est = constrained_holevo_estimate(depolarizing_channel(1.0, 2), rho, 3, SMALL_BUDGET)
     assert est.value <= 1e-9
-    est1 = constrained_holevo(identity_channel(2), rho, 1, SMALL_BUDGET)
+    est1 = constrained_holevo_estimate(identity_channel(2), rho, 1, SMALL_BUDGET)
     assert est1.value == pytest.approx(0.0, abs=1e-12)
 
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from entroloss import info, operators
+from entroloss import info, operators, sequences, suites
 from entroloss.cli import run
 
 
@@ -354,6 +354,16 @@ MISSING_KEY_CASES = {
         {"command": "sequence", "sequence": {"family": "rotated_sharp", "window": 3}},
         "sequence.grid",
     ),
+    # every grid is nonempty, every n >= 1, and a suite's grid holds two trailing windows
+    "sharp-grid-empty": ({"command": "sequence", "sequence": {"family": "sharp", "grid": []}}, "sequence.grid"),
+    "product-grid-empty": (_product_grid([]), "sequence.grid"),
+    "sharp-grid-zero": ({"command": "sequence", "sequence": {"family": "sharp", "grid": [0, 16, 32, 64]}}, "sequence.grid"),
+    "mix_to_pure-grid-zero": (
+        {"command": "sequence", "sequence": {"family": "mix_to_pure", "grid": [0, 16, 32, 64], "params": {"sigma": MIXED}}},
+        "sequence.grid",
+    ),
+    "suite-grid-empty": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"grid": []}}}, "suite.params.grid"),
+    "suite-grid-below-window": ({"command": "suite", "suite": {"ids": ["C-maj"], "params": {"grid": [16, 32]}}}, "suite.params.grid"),
     "mix_to_pure-sigma-missing": (_sequence({}, "mix_to_pure"), "sequence.params.sigma"),
     "mix_to_pure-sigma-malformed": (_sequence({"sigma": [0.5, 0.5]}, "mix_to_pure"), "sequence.params.sigma"),
 }
@@ -391,3 +401,30 @@ def test_a_repeated_run_recomputes_every_entropy(tmp_path, monkeypatch):
         counts.append(len(calls))
     # every stored value lives on an object the run built, so nothing carries over
     assert counts[0] == counts[1] > 0
+
+
+def _family_key(seq):
+    tags, h = seq.tags, seq.tags.get("hamiltonian")
+    return (tags.get("family"), tags.get("energy"), tags.get("energies"), bool(tags.get("lifted")), seq.n_grid, h and h.truncation_dim)
+
+
+def test_a_suite_pass_walks_each_family_once(tmp_path, monkeypatch):
+    walks = []
+    real = sequences.series
+
+    def recorded(seq, *functionals):
+        walks.append(_family_key(seq))
+        return real(seq, *functionals)
+
+    monkeypatch.setattr(sequences, "series", recorded)
+    monkeypatch.setattr(suites, "series", recorded)
+    payload = {"command": "suite", "suite": {"ids": "all", "params": {"energy": 1.2}}, "output": {"dir": str(tmp_path), "format": "json"}}
+    cfg = write_config(tmp_path, payload)
+    counts = []
+    for _ in range(2):
+        walks.clear()
+        assert run(["--config", cfg]) == 0
+        assert len(walks) == len(set(walks)) == 10
+        counts.append(len(walks))
+    # the second run walks every family again: nothing outlives a run
+    assert counts[0] == counts[1]

@@ -26,7 +26,8 @@ from entroloss import (
 from entroloss import info
 from entroloss.errors import DimensionMismatchError, InconsistentEnsembleError, NotUnitaryError
 from entroloss.extended import ExtendedReal
-from entroloss.rand import haar_unitary, random_channel, random_density, random_probability, random_pure
+from entroloss.rand import haar_unitary, random_channel, random_density, random_pure
+from helpers import random_probability
 
 LOG2 = math.log(2.0)
 

@@ -17,7 +17,8 @@ from entroloss import (
     von_neumann_entropy,
 )
 from entroloss.errors import DimensionMismatchError, NotMajorizedError
-from entroloss.rand import haar_unitary, random_density, random_probability, random_pure
+from entroloss.rand import haar_unitary, random_density, random_pure
+from helpers import random_probability
 
 LOG2 = math.log(2.0)
 

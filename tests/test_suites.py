@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from entroloss import SUITES, suite_ids, suite_run
+from entroloss import SUITES, info, suite_ids, suite_run, suites
 from entroloss.errors import UnknownSuiteError
+from entroloss.sequences import GRID_MEDIUM, lift_by_purification, make_sharp_sequence
+from entroloss.suites import Row
 
 
 def test_registry_size():
@@ -39,7 +42,7 @@ def test_c3_reports_both_triangle_variants():
     assert "2 *" in claims and "factor two removed" in claims
 
 
-def test_t1_has_implication_row():
+def test_c3_has_implication_row():
     report = suite_run("C3")
     assert any("equal marginal losses" in c.claim for c in report.checks)
 
@@ -61,3 +64,64 @@ def test_p4_loss_approaches_bound_from_above():
     ratios = suite_run("P4").series["loss_over_bound"]
     assert all(r > 1.0 for r in ratios)
     assert all(b <= a for a, b in zip(ratios, ratios[1:]))
+
+
+# Rows that compare a value with itself; making each side independent shrinks this list.
+SELF_COMPARISONS = {
+    ("T1", "sharpness on the lifted family: loss(I) = 2 loss(H_A)"),
+    ("P5", "loss additivity: closed-form loss of the mixture equals the weighted member loss"),
+    ("P5", "mixing family: measured Holevo values stay below the average-state loss"),
+    ("P7", "pure family: measure loss <= min marginal loss (exact pure anchor)"),
+    ("P-CB", "pure family: classical-correlation loss <= marginal-A loss"),
+    ("P-CB", "pure family: discord loss <= min(2 marginal-A loss, marginal-B loss)"),
+    ("P-CB", "pure family: discord gain <= min(marginal-A loss, joint loss)"),
+    ("P-CB", "classical-quantum family: discord vanishes along the family"),
+    ("T2", "identity channel: constrained-capacity loss <= output-entropy loss"),
+    ("T2", "identity channel: mutual-information loss <= 2 min(input, output losses)"),
+    ("T2", "identity channel: coherent-information loss <= min(2 input loss, output loss)"),
+}
+
+
+def test_self_comparison_ledger():
+    """Every row whose two sides read a common (source, column), or that reads
+    no source at all, is listed in SELF_COMPARISONS, and no other row.
+
+    The rule sees only shared sources.  Rows that compare different
+    functionals of one stored entropy are invisible to it: on a Schmidt-form
+    state H(A), H(B), I(A:B) and H(A|B) all come from one marginal entropy,
+    so the C3 and C7 rows on the lifted family pass by construction too."""
+    walked = suites.walk(suite_ids())
+    found = set()
+    for suite_id, suite in SUITES.items():
+        for row in suite.rows:
+            if not isinstance(row, Row):
+                heading = row
+                continue
+            lhs, rhs = suites._Reads(walked, heading), suites._Reads(walked, heading)
+            suites._side(row.lhs, lhs)
+            suites._side(row.rhs, rhs)
+            if lhs.sources & rhs.sources or not lhs.sources | rhs.sources:
+                found.add((suite_id, row.claim))
+    assert found == SELF_COMPARISONS
+
+
+def test_t1_columns_score_a_schmidt_element_once(monkeypatch):
+    lifted = lift_by_purification(make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM))
+    x = lifted.element(64)
+    calls = []
+    real = info.spectral_entropy
+
+    def counted(eigs):
+        calls.append(np.size(eigs))
+        return real(eigs)
+
+    monkeypatch.setattr(info, "spectral_entropy", counted)
+    values = [suites._functional(name, lifted, None)(x) for name in ("mutual_information", "decohered_mi", "marginal_entropy", "marginal_entropy_b")]
+    assert values == [2.0 * values[2], values[2], values[2], values[2]]
+    assert calls == [65]
+
+
+def test_one_suite_walks_only_its_own_families():
+    walked = suites.walk(["C2"])
+    assert {key[0].__name__ for key in walked.families} == {"_product", "make_classical_correlated_sequence"}
+    assert {name for _, name in walked.columns} == {"n", "entropy", "marginal_entropy", "marginal_entropy_b"}
