@@ -82,7 +82,16 @@ def _required(section: dict, key: str, path: str):
 
 
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """``value`` as a float array, NaN and infinities refused like any other
+    invalid number; every float a config holds, scalars included, passes here."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"numbers must be finite, got {value!r}")
+    return arr
+
+
+def _float(value) -> float:
+    return _floats(float(value)).item()
 
 
 def _ints(value) -> list:
@@ -90,22 +99,38 @@ def _ints(value) -> list:
 
 
 def _float_list(value) -> list:
-    return [float(v) for v in value]
+    return [_float(v) for v in value]
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _names(value, path: str) -> list:
+    """A list of names, as ``suite.ids`` and ``sequence.functionals`` take them."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"'{path}' must be a list of names, got {value!r}")
+    return value
 
 
 def _as(kind, value, path: str):
     """``kind(value)`` for the config value at ``path``; a value it rejects is a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'{path}' is not a valid value: {exc}") from exc
 
 
 def _converted(params, kinds: dict, path: str) -> dict:
-    """``params`` with each key named in ``kinds`` converted by ``_as`` at ``path.<key>``."""
+    """``params`` with each key converted by ``kinds[key]`` through ``_as`` at
+    ``path.<key>``; a key ``kinds`` does not name is refused."""
     if not isinstance(params, dict):
         raise ConfigError(f"'{path}' must be an object")
-    return {k: _as(kinds[k], v, f"{path}.{k}") if k in kinds else v for k, v in params.items()}
+    _reject_unknown(params, set(kinds), path)
+    return {k: _as(kinds[k], v, f"{path}.{k}") for k, v in params.items()}
 
 
 def _object(config: dict, key: str) -> dict:
@@ -162,9 +187,7 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
         return TraceClassElement.pure(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2), factor_dims=(2, 2))
     if kind == "max_mixed":
         _reject_unknown(spec, {"kind", "dim", "factor_dims"}, path)
-        d = _as(int, _required(spec, "dim", path), f"{path}.dim")
-        if d < 1:
-            raise ConfigError(f"'{path}.dim' must be >= 1, got {d}")
+        d = _as(_count, _required(spec, "dim", path), f"{path}.dim")
         return TraceClassElement(np.full(d, 1.0 / d), factor_dims=factors, diagonal=True)
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized state kind")
 
@@ -175,14 +198,14 @@ def parse_channel(spec: dict, path: str) -> QuantumOperation:
     kind = spec["kind"]
     if kind == "identity":
         _reject_unknown(spec, {"kind", "dim"}, path)
-        return identity_channel(_as(int, _required(spec, "dim", path), f"{path}.dim"))
+        return identity_channel(_as(_count, _required(spec, "dim", path), f"{path}.dim"))
     if kind == "depolarizing":
         _reject_unknown(spec, {"kind", "p", "dim"}, path)
-        p = _as(float, _required(spec, "p", path), f"{path}.p")
+        p = _as(_float, _required(spec, "p", path), f"{path}.p")
         return _at(path, depolarizing_channel, p, _as(int, spec.get("dim", 2), f"{path}.dim"))
     if kind == "dephasing":
         _reject_unknown(spec, {"kind", "p"}, path)
-        return _at(path, dephasing_channel, _as(float, _required(spec, "p", path), f"{path}.p"))
+        return _at(path, dephasing_channel, _as(_float, _required(spec, "p", path), f"{path}.p"))
     if kind == "partial_trace":
         _reject_unknown(spec, {"kind", "dims", "keep"}, path)
         dims = _as(_ints, _required(spec, "dims", path), f"{path}.dims")
@@ -204,7 +227,7 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
     kind = spec["kind"]
 
     def number(key, default):
-        return _as(float, spec.get(key, default), f"{path}.{key}")
+        return _as(_float, spec.get(key, default), f"{path}.{key}")
 
     def truncation():
         return _as(int, _required(spec, "truncation_dim", path), f"{path}.truncation_dim")
@@ -224,12 +247,10 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
 def parse_budget(spec: dict, seed: int) -> OptimizerBudget:
     _reject_unknown(spec, {"restarts", "iterations", "seed"}, "budget")
     budget = OptimizerBudget(
-        restarts=_as(int, spec.get("restarts", 16), "budget.restarts"),
+        restarts=_as(_count, spec.get("restarts", 16), "budget.restarts"),
         iterations=_as(int, spec.get("iterations", 2000), "budget.iterations"),
         seed=_as(int, spec.get("seed", seed), "budget.seed"),
     )
-    if budget.restarts < 1:
-        raise ConfigError(f"'budget.restarts' must be >= 1, got {budget.restarts}")
     if budget.iterations < 0:
         raise ConfigError(f"'budget.iterations' must be >= 0, got {budget.iterations}")
     return budget
@@ -254,7 +275,7 @@ def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, float) and math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -395,12 +416,12 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
 
 
 _SEQUENCE_PARAMS = {
-    "energy": float,
+    "energy": _float,
     "energies": _float_list,
     "seed": int,
     "sigma": lambda spec: parse_state(spec, "sequence.params.sigma"),
 }
-_SUITE_PARAMS = {"energy": float, "seed": int, "range_trials": int, "grid": _ints}
+_SUITE_PARAMS = {"energy": _float, "seed": int, "range_trials": _count, "grid": _ints}
 
 
 def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
@@ -418,15 +439,13 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
         seq = _at("sequence.grid", registry[family], **params)
     except TypeError as exc:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
-    names = section.get("functionals", ["entropy"])
+    names = _names(section.get("functionals", ["entropy"]), "sequence.functionals")
     for fname in names:
         if fname not in FUNCTIONALS:
-            raise ConfigError(f"unknown functional {fname!r}; available: {sorted(FUNCTIONALS)}")
+            raise ConfigError(f"'sequence.functionals': unknown functional {fname!r}; available: {sorted(FUNCTIONALS)}")
     points = len(seq.n_grid)
     if "window" in section:
-        window = _as(int, section["window"], "sequence.window")
-        if window < 1:
-            raise ConfigError(f"'sequence.window' must be >= 1, got {window}")
+        window = _as(_count, section["window"], "sequence.window")
     else:  # the default window shrinks to fit a short grid
         window = max(min(DEFAULT_WINDOW, points // 2), 1)
     _at("sequence.grid", check_grid, seq.n_grid, window)
@@ -503,8 +522,7 @@ def cmd_suite(section: dict, out_dir: str, fmt: str) -> int:
     ids = section.get("ids", "all")
     if ids == "all":
         ids = list(SUITES)
-    if isinstance(ids, str):
-        ids = [ids]
+    ids = _names([ids] if isinstance(ids, str) else ids, "suite.ids")
     params = _converted(section.get("params", {}), _SUITE_PARAMS, "suite.params")
     walked = _at("suite.params.grid", walk, ids, params)  # every family the suites read, walked once
     all_passed = True

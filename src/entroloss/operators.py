@@ -254,16 +254,15 @@ class TraceClassElement:
             raise DimensionMismatchError(f"cannot embed dim {self.dim} into dim {dim}")
         if dim == self.dim:
             out = self.copy()
-            if factor_dims is not None:
-                return out.with_factors(factor_dims)
-            return out
-        if self._diag is not None:
+        elif self._diag is not None:
             d = np.zeros(dim)
             d[: self.dim] = self._diag
-            return TraceClassElement(d, factor_dims, diagonal=True, validate=False)
-        m = np.zeros((dim, dim), dtype=complex)
-        m[: self.dim, : self.dim] = self._matrix
-        return TraceClassElement._unchecked(m, factor_dims=tuple(factor_dims) if factor_dims is not None else None)
+            out = TraceClassElement(d, diagonal=True, validate=False)
+        else:
+            m = np.zeros((dim, dim), dtype=complex)
+            m[: self.dim, : self.dim] = self._matrix
+            out = TraceClassElement._unchecked(m)
+        return out if factor_dims is None else out.with_factors(factor_dims)
 
     def __repr__(self):
         kind = "diag" if self.diagonal else "dense"

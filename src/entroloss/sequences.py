@@ -27,6 +27,12 @@ information of a pure state is evaluated rank-aware as twice the marginal
 entropy.  A Schmidt-form state keeps its one marginal entropy (both sides
 have spectrum s^2), so its marginal entropies, mutual information,
 conditional entropy and pinched entropy score s^2 once.
+
+A derived family is ``mapped`` from its base family (or bases): its n-th
+element is an element map of the base's n-th element and its limit is the
+same map of the base's limit, so no derived limit is written by hand.  The
+correlated, product and triple families and the target-free lift are built
+this way on the sharp family.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .errors import (
 from .extended import ExtendedReal
 from .energy import Hamiltonian, sharp_sequence_state, sharp_sequence_weight
 from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
-from .operators import TraceClassElement, _require_diag_dim, partial_trace, trace_distance
+from .operators import TraceClassElement, _require_diag_dim, partial_trace, tensor, trace_distance
 
 GRID_DIAG = tuple(2**k for k in range(4, 17))
 GRID_MEDIUM = tuple(2**k for k in range(4, 10))
@@ -108,19 +114,21 @@ class PureBipartiteState:
         if a._schmidt is not None and b._schmidt is not None:
             k = min(a._schmidt.size, b._schmidt.size)
             return float(abs(np.dot(a._schmidt[:k], b._schmidt[:k])))
-        ma = a._dense if a._dense is not None else np.diag(a._schmidt.astype(complex))
-        mb = b._dense if b._dense is not None else np.diag(b._schmidt.astype(complex))
+        ma, mb = a.amplitude(), b.amplitude()
         ra = min(ma.shape[0], mb.shape[0])
         rb = min(ma.shape[1], mb.shape[1])
         return float(abs(np.sum(ma[:ra, :rb].conj() * mb[:ra, :rb])))
 
+    def amplitude(self) -> np.ndarray:
+        """The amplitude matrix M, built from the Schmidt weights if need be."""
+        if self._schmidt is None:
+            return self._dense
+        m = np.zeros(self.dims, dtype=complex)
+        np.fill_diagonal(m, self._schmidt)
+        return m
+
     def to_element(self) -> TraceClassElement:
-        if self._schmidt is not None:
-            m = np.zeros(self.dims, dtype=complex)
-            np.fill_diagonal(m, self._schmidt)
-        else:
-            m = self._dense
-        return TraceClassElement.pure(m.reshape(-1), factor_dims=self.dims)
+        return TraceClassElement.pure(self.amplitude().reshape(-1), factor_dims=self.dims)
 
     def __repr__(self):
         kind = "schmidt" if self._schmidt is not None else "dense"
@@ -405,16 +413,28 @@ def read_jump(
 
 
 # ---------------------------------------------------------------------------
-# purification lifting
+# derived families: element maps of a base family
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_state(rho: TraceClassElement) -> np.ndarray | tuple[str, np.ndarray]:
+def mapped(fn, *bases: StateSequence, tags: dict, closed_forms: dict) -> StateSequence:
+    """The family whose n-th element is ``fn`` of the ``bases``' n-th elements
+    and whose limit is ``fn`` of their limits, on the first base's grid."""
+
+    def gen(n: int):
+        return fn(*(base.element(n) for base in bases))
+
+    return StateSequence(gen, fn(*(base.limit for base in bases)), bases[0].n_grid, tags, closed_forms)
+
+
+def _purification(rho: TraceClassElement) -> PureBipartiteState:
+    """The canonical purification, amplitude sqrt(rho); Schmidt form for a diagonal rho."""
+    d = rho.dim
     if rho.diagonal:
-        return ("diag", np.sqrt(np.clip(rho.diag, 0.0, None)))
+        return PureBipartiteState((d, d), schmidt=np.sqrt(np.clip(rho.diag, 0.0, None)))
     dec = rho.spectrum()
     w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
+    return PureBipartiteState((d, d), dense=(dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -427,58 +447,38 @@ def lift_by_purification(seq: StateSequence, target: PureBipartiteState | None =
 
     Each rho_n maps to the pure state with amplitude sqrt(rho_n) V, where V
     is the unitary polar factor aligning the canonical purification with the
-    requested target (identity when no target is given).  Marginals equal
-    rho_n exactly and the lifted sequence converges whenever the original
-    does.
+    requested target.  Without a target V is the identity and the lift is
+    the purification map of ``seq``, limit included; with one the limit is
+    the target.  Marginals equal rho_n exactly and the lifted sequence
+    converges whenever the original does.
     """
     lim = seq.limit
     if isinstance(lim, PureBipartiteState):
         raise IncompatiblePurificationError("sequence is already lifted")
-    d0 = lim.dim
-    if target is None:
-        v_small = None
-        amp0 = _sqrt_state(lim)
-        limit_pure = (
-            PureBipartiteState((d0, d0), schmidt=amp0[1])
-            if isinstance(amp0, tuple)
-            else PureBipartiteState((d0, d0), dense=amp0)
-        )
-    else:
-        if target.dims != (d0, d0):
-            raise IncompatiblePurificationError(
-                f"target dims {target.dims} do not purify a dim-{d0} limit"
-            )
-        if trace_distance(target.marginal(0), lim) > 1e-8:
-            raise IncompatiblePurificationError("target marginal does not match the limit")
-        m0 = target._dense if target._dense is not None else np.diag(target._schmidt.astype(complex))
-        v_small = _polar_unitary(m0)
-        limit_pure = target
-
-    def gen(n: int):
-        rho = seq.element(n)
-        d = rho.dim
-        root = _sqrt_state(rho)
-        if v_small is None:
-            if isinstance(root, tuple):
-                return PureBipartiteState((d, d), schmidt=root[1])
-            return PureBipartiteState((d, d), dense=root)
-        v = np.eye(d, dtype=complex)
-        v[:d0, :d0] = v_small
-        dense = np.diag(root[1].astype(complex)) if isinstance(root, tuple) else root
-        return PureBipartiteState((d, d), dense=dense @ v)
-
     closed = {}
     if "entropy" in seq.closed_forms:
         base = seq.closed_forms["entropy"]
         closed["marginal_entropy"] = base
         closed["mutual_information"] = lambda n: 2.0 * base(n)
-    return StateSequence(
-        generator=gen,
-        limit=limit_pure,
-        n_grid=seq.n_grid,
-        tags={**seq.tags, "lifted": True},
-        closed_forms=closed,
-    )
+    tags = {**seq.tags, "lifted": True}
+    if target is None:
+        return mapped(_purification, seq, tags=tags, closed_forms=closed)
+    d0 = lim.dim
+    if target.dims != (d0, d0):
+        raise IncompatiblePurificationError(
+            f"target dims {target.dims} do not purify a dim-{d0} limit"
+        )
+    if trace_distance(target.marginal(0), lim) > 1e-8:
+        raise IncompatiblePurificationError("target marginal does not match the limit")
+    v_small = _polar_unitary(target.amplitude())
+
+    def gen(n: int):
+        root = _purification(seq.element(n))
+        v = np.eye(root.dims[1], dtype=complex)
+        v[:d0, :d0] = v_small
+        return PureBipartiteState(root.dims, dense=root.amplitude() @ v)
+
+    return StateSequence(gen, target, seq.n_grid, tags, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -531,62 +531,42 @@ def make_mixing_sequence(sigma: TraceClassElement, n_grid=GRID_MEDIUM) -> StateS
     return StateSequence(gen, limit, grid, tags={"family": "mix_to_pure"})
 
 
-def make_classical_correlated_sequence(
-    hamiltonian: Hamiltonian | None = None,
-    energy: float = 1.0,
-    n_grid=GRID_MEDIUM,
-) -> StateSequence:
+def _correlated(rho: TraceClassElement) -> TraceClassElement:
+    """The joint distribution with weight p(k) on (k, k)."""
+    p = rho.diag
+    d = p.size
+    _require_diag_dim(d * d)
+    joint = np.zeros((d, d))
+    np.fill_diagonal(joint, p)
+    return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, d))
+
+
+def make_classical_correlated_sequence(energy: float = 1.0, n_grid=GRID_MEDIUM) -> StateSequence:
     """Perfectly correlated classical bipartite family: joint weight p_n(k) on (k, k)."""
-    base = make_sharp_sequence(hamiltonian, energy, n_grid)
-
-    def gen(n: int) -> TraceClassElement:
-        p = base.element(n).diag
-        d = p.size
-        _require_diag_dim(d * d)
-        joint = np.zeros((d, d))
-        np.fill_diagonal(joint, p)
-        return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, d))
-
-    lim = np.zeros((1, 1))
-    lim[0, 0] = 1.0
-    limit = TraceClassElement(lim.reshape(-1), (1, 1), diagonal=True, validate=False)
-    return StateSequence(
-        generator=gen,
-        limit=limit,
-        n_grid=base.n_grid,
+    base = make_sharp_sequence(energy=energy, n_grid=n_grid)
+    closed = base.closed_forms["entropy"]
+    return mapped(
+        _correlated,
+        base,
         tags={"family": "classical_correlated", "energy": energy},
         closed_forms={
-            "entropy": base.closed_forms["entropy"],
-            "marginal_entropy": base.closed_forms["entropy"],
-            "mutual_information": base.closed_forms["entropy"],
+            "entropy": closed,
+            "marginal_entropy": closed,
+            "mutual_information": closed,
         },
     )
 
 
-def make_product_sequence(
-    energies=(1.0, 0.5),
-    hamiltonian: Hamiltonian | None = None,
-    n_grid=GRID_MEDIUM,
-) -> StateSequence:
+def make_product_sequence(energies=(1.0, 0.5), n_grid=GRID_MEDIUM) -> StateSequence:
     """Product family rho_n(E1) (x) rho_n(E2) of two sharp sequences."""
-    grid = check_grid(n_grid)
-    h = hamiltonian or Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
-    first = make_sharp_sequence(h, energies[0], grid)
-    second = make_sharp_sequence(h, energies[1], grid)
-
-    def gen(n: int) -> TraceClassElement:
-        a = first.element(n).diag
-        b = second.element(n).diag
-        _require_diag_dim(a.size * b.size)
-        return TraceClassElement._unchecked(diag=np.kron(a, b), factor_dims=(a.size, b.size))
-
-    limit = TraceClassElement(np.ones(1), (1, 1), diagonal=True, validate=False)
+    first = make_sharp_sequence(energy=energies[0], n_grid=n_grid)
+    second = make_sharp_sequence(energy=energies[1], n_grid=n_grid)
     cf1 = first.closed_forms["entropy"]
     cf2 = second.closed_forms["entropy"]
-    return StateSequence(
-        generator=gen,
-        limit=limit,
-        n_grid=grid,
+    return mapped(
+        tensor,
+        first,
+        second,
         tags={"family": "product", "energies": tuple(energies)},
         closed_forms={
             "entropy": lambda n: cf1(n) + cf2(n),
@@ -596,48 +576,36 @@ def make_product_sequence(
     )
 
 
-def make_classical_triple_sequence(
-    hamiltonian: Hamiltonian | None = None,
-    energy: float = 1.0,
-    n_grid=GRID_MEDIUM,
-) -> StateSequence:
+def _triple(rho: TraceClassElement) -> TraceClassElement:
+    """The tripartite distribution with weight p(k) on (k, k mod 2, k)."""
+    p = rho.diag
+    d = p.size
+    _require_diag_dim(d * 2 * d)
+    joint = np.zeros((d, 2, d))
+    ks = np.arange(d)
+    joint[ks, ks % 2, ks] = p
+    return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, 2, d))
+
+
+def make_classical_triple_sequence(energy: float = 1.0, n_grid=GRID_MEDIUM) -> StateSequence:
     """Classical tripartite family supported on (k, k mod 2, k)."""
-    base = make_sharp_sequence(hamiltonian, energy, n_grid)
-
-    def gen(n: int) -> TraceClassElement:
-        p = base.element(n).diag
-        d = p.size
-        _require_diag_dim(d * 2 * d)
-        joint = np.zeros((d, 2, d))
-        ks = np.arange(d)
-        joint[ks, ks % 2, ks] = p
-        return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, 2, d))
-
-    lim = np.zeros((1, 2, 1))
-    lim[0, 0, 0] = 1.0
-    limit = TraceClassElement(lim.reshape(-1), (1, 2, 1), diagonal=True, validate=False)
-    return StateSequence(
-        generator=gen,
-        limit=limit,
-        n_grid=base.n_grid,
-        tags={"family": "classical_triple", "energy": energy},
-        closed_forms={"entropy": base.closed_forms["entropy"]},
-    )
+    base = make_sharp_sequence(energy=energy, n_grid=n_grid)
+    tags = {"family": "classical_triple", "energy": energy}
+    return mapped(_triple, base, tags=tags, closed_forms={"entropy": base.closed_forms["entropy"]})
 
 
 def make_rotated_sharp_sequence(
-    hamiltonian: Hamiltonian | None = None,
     energy: float = 1.0,
     n_grid=GRID_DENSE,
     seed: int = 7,
 ) -> StateSequence:
     """Dense family U_n rho_n U_n^dag with a seeded rotation of the excited block.
 
-    The ground level is left fixed, so the limit remains |0><0| and the
-    computational-basis pinching has the same limit value as the entropy.
+    The ground level is left fixed, so the limit remains the base's |0><0|
+    and the computational-basis pinching has the same limit value as the
+    entropy.
     """
-    grid = check_grid(n_grid)
-    base = make_sharp_sequence(hamiltonian, energy, grid)
+    base = make_sharp_sequence(energy=energy, n_grid=n_grid)
 
     def rotation(d: int) -> np.ndarray:
         u = np.eye(d, dtype=complex)
@@ -655,8 +623,7 @@ def make_rotated_sharp_sequence(
         u = rotation(d)
         return TraceClassElement((u * full) @ u.conj().T, validate=False)
 
-    limit = TraceClassElement(np.array([1.0]), diagonal=True, validate=False)
-    return StateSequence(gen, limit, grid, tags={"family": "rotated_sharp", "energy": energy})
+    return StateSequence(gen, base.limit, base.n_grid, tags={"family": "rotated_sharp", "energy": energy})
 
 
 def builtin_families() -> dict:

@@ -19,9 +19,13 @@ requested suites read on it, then runs each bespoke work once, and
 ``suite_run`` builds a report from the walk.  A walk lives for one
 ``suite_run`` call or one ``entroloss suite`` command; nothing is cached at
 module level and no element outlives its walk.  Only identical constructor
-calls share a key: P5's Hamiltonian is truncated one level further, T1 at
-an energy other than 1 has its own lifted and correlated families, and a
-``grid`` parameter gives P1, P4 and C-maj their own sharp family.
+calls share a key: T1 at an energy other than 1 has its own lifted and
+correlated families, and a ``grid`` parameter gives P1, P4 and C-maj their
+own sharp family.  Columns are scored by the library's own functionals
+(``info``, ``sequences``, ``energy``, ``channels``, ``majorization``), so
+a fault there can fail a row; the exceptions are P1's
+``self_cross_entropy``, the independent side of its equality row, and P5's
+``orthogonal_holevo``.
 
 Each check row records which estimator basis it uses:
 
@@ -55,16 +59,16 @@ from .channels import (
     output_entropy,
     unitary_channel,
 )
-from .energy import Hamiltonian, gibbs_state, gibbs_threshold, mean_energy
+from .energy import gibbs_state, gibbs_threshold, mean_energy
 from .errors import UnknownSuiteError
-from .info import shannon_entropy, von_neumann_entropy
+from .info import Ensemble, conditional_mutual_information, shannon_entropy, von_neumann_entropy
 from .majorization import (
     entropy_gap_decomposition,
     rearrangement,
     separable_majorization_check,
     spectrum_majorizes,
 )
-from .operators import TraceClassElement
+from .operators import TraceClassElement, partial_trace
 from .rand import haar_unitary, random_channel, random_density
 from .sequences import (
     DEFAULT_WINDOW,
@@ -151,11 +155,6 @@ def _lifted(energy, n_grid):
     return lift_by_purification(make_sharp_sequence(energy=energy, n_grid=n_grid))
 
 
-def _padded(energy, n_grid):
-    """The sharp family on a Hamiltonian truncated one level past the default."""
-    return make_sharp_sequence(Hamiltonian.logarithmic(1.0, 0.0, max(n_grid) + 2), energy, n_grid)
-
-
 def _product(energy, n_grid):
     """The product family; its energy slot holds the two factors' energies."""
     return make_product_sequence(energy, n_grid=n_grid)
@@ -167,7 +166,7 @@ FAMILIES = {
     "sharp": (make_sharp_sequence, "energy", "grid"),
     "sharp_diag": (make_sharp_sequence, "energy", GRID_DIAG),
     "sharp_dense": (make_sharp_sequence, "energy", GRID_DENSE),
-    "sharp_padded": (_padded, "energy", GRID_MEDIUM),
+    "sharp_medium": (make_sharp_sequence, "energy", GRID_MEDIUM),
     "rotated_sharp": (make_rotated_sharp_sequence, "energy", GRID_DENSE),
     "lifted": (_lifted, 1.0, GRID_DIAG),
     "lifted_at_energy": (_lifted, "energy", GRID_DIAG),
@@ -205,27 +204,19 @@ def _orthogonal_holevo(rho) -> float:
 
 def _average_entropy(rho) -> float:
     """Entropy of the equal-weight average of the members (sharp_n, ground)."""
-    avg = 0.5 * rho.diag.copy()
-    avg[0] += 0.5
-    return float(shannon_entropy(avg))
-
-
-def _shannon(p) -> float:
-    return float(shannon_entropy(np.asarray(p).reshape(-1)))
-
-
-def _classical_cmi(x) -> float:
-    joint = x.diag.reshape(x.factor_dims)
-    return _shannon(joint.sum(axis=2)) + _shannon(joint.sum(axis=0)) - _shannon(joint) - _shannon(joint.sum(axis=(0, 2)))
+    ground = TraceClassElement(np.eye(1, rho.dim).reshape(-1), diagonal=True, validate=False)
+    return von_neumann_entropy(Ensemble([0.5, 0.5], [rho, ground]).average)
 
 
 def _mi_ac(x) -> float:
-    p_ac = x.diag.reshape(x.factor_dims).sum(axis=1)
-    return _shannon(p_ac.sum(axis=1)) + _shannon(p_ac.sum(axis=0)) - _shannon(p_ac)
+    """I(A:C) = H(A) + H(C) - H(AC) of the AC marginal, unscaled; the library's
+    ``mutual_information`` divides by the trace first, which moves the last bit."""
+    ac = partial_trace(x, [0, 2])
+    return FUNCTIONALS[H_A](ac) + FUNCTIONALS[H_B](ac) - von_neumann_entropy(ac)
 
 
-def _marginal_shannon(axes):
-    return lambda x: _shannon(x.diag.reshape(x.factor_dims).sum(axis=axes))
+def _marginal(keep):
+    return lambda x: von_neumann_entropy(partial_trace(x, keep))
 
 
 _FUNCTIONALS = {
@@ -235,13 +226,10 @@ _FUNCTIONALS = {
     "decohered_mi": _decohered_mi,
     "orthogonal_holevo": _orthogonal_holevo,
     "average_entropy": _average_entropy,
-    "half_entropy": lambda rho: 0.5 * float(shannon_entropy(rho.diag)),
-    "classical_cmi": _classical_cmi,
+    "half_entropy": lambda rho: 0.5 * von_neumann_entropy(rho),
+    "cmi": lambda x: conditional_mutual_information(x, check=False),
     "mi_ac": _mi_ac,
-    **{
-        f"shannon_{part}": _marginal_shannon(axes)
-        for part, axes in (("a", (1, 2)), ("b", (0, 2)), ("c", (0, 1)), ("ab", (2,)), ("bc", (0,)))
-    },
+    **{f"marginal_entropy_{part}": _marginal(keep) for part, keep in (("c", [2]), ("ab", [0, 1]), ("bc", [1, 2]))},
     "identity_output_entropy": lambda rho: output_entropy(identity_channel(rho.dim), rho),
     "ground_output_entropy": lambda rho: output_entropy(QuantumOperation([np.eye(1, rho.dim, dtype=complex)]), rho),
     "compression_output_entropy": lambda rho: output_entropy(compression_operation(rho.dim, min(8, rho.dim)), rho),
@@ -262,12 +250,11 @@ def _functional(name: str, seq, rng):
 
 
 def _majorized_pairs(p, rng) -> dict:
-    """C-maj's pair loop over two sharp families on one Hamiltonian; the
-    colder one majorizes the hotter one termwise."""
+    """C-maj's pair loop over two sharp families on the default Hamiltonian;
+    the colder one majorizes the hotter one termwise."""
     grid = p["grid"]
-    h = Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
-    low = make_sharp_sequence(h, 0.6 * p["energy"], grid)
-    high = make_sharp_sequence(h, p["energy"], grid)
+    low = make_sharp_sequence(energy=0.6 * p["energy"], n_grid=grid)
+    high = make_sharp_sequence(energy=p["energy"], n_grid=grid)
     out = {"n": list(grid), "ordered": True, "h_low": [], "h_high": [], "kl_term": [], "gap_term": [], "residual": []}
     for n in grid:
         rho, sigma = low.element(n), high.element(n)
@@ -634,7 +621,7 @@ SUITES = {
         params=_energy,
         series={"holevo_mixing": _holevo_mixing, "average_entropy": "average_entropy", "half_member_entropy": "half_entropy"},
         rows=(
-            ("sharp_padded", "orthogonal_holevo", "average_entropy", "half_entropy"),
+            ("sharp_medium", "orthogonal_holevo", "average_entropy", "half_entropy"),
             Row(
                 "orthogonal-member family: Holevo loss <= min(average-state loss, 2 * weight-distribution loss)",
                 _le,
@@ -670,22 +657,22 @@ SUITES = {
     ),
     "P6": Suite(
         "conditional mutual information loss bounds",
-        series={"cmi": "classical_cmi", "mi_ac": "mi_ac", "h_a": "shannon_a", "h_b": "shannon_b"},
+        series={"cmi": "cmi", "mi_ac": "mi_ac", "h_a": H_A, "h_b": H_B},
         rows=(
-            ("triple", "classical_cmi", "mi_ac", "shannon_a", "shannon_b", "shannon_c", "shannon_ab", "shannon_bc", H),
-            Row("strong subadditivity along the family (every grid point)", _le, lambda r: -min(r["classical_cmi"]), 0.0, basis="pointwise"),
+            ("triple", "cmi", "mi_ac", H_A, H_B, "marginal_entropy_c", "marginal_entropy_ab", "marginal_entropy_bc", H),
+            Row("strong subadditivity along the family (every grid point)", _le, lambda r: -min(r["cmi"]), 0.0, basis="pointwise"),
             Row(
                 "cmi loss <= 2 min(losses of H_A, H_C, H_AB, H_BC)",
                 _le,
-                "classical_cmi",
-                lambda r: 2 * min(r("shannon_a"), r("shannon_c"), r("shannon_ab"), r("shannon_bc")),
+                "cmi",
+                lambda r: 2 * min(r(H_A), r("marginal_entropy_c"), r("marginal_entropy_ab"), r("marginal_entropy_bc")),
                 note="A and C coincide on this family, so their losses agree",
             ),
             Row(
                 "cmi loss <= mi(A:C) loss + 2 min(middle-marginal loss, joint loss)",
                 _le,
-                "classical_cmi",
-                lambda r: r("mi_ac") + 2 * min(r("shannon_b"), r(H)),
+                "cmi",
+                lambda r: r("mi_ac") + 2 * min(r(H_B), r(H)),
             ),
         ),
     ),

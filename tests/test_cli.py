@@ -5,7 +5,8 @@ import os
 import pytest
 
 from entroloss import info, operators, sequences, suites
-from entroloss.cli import run
+from entroloss.cli import _jsonable, run
+from entroloss.sequences import FUNCTIONALS, builtin_families
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -316,6 +317,7 @@ MISSING_KEY_CASES = {
     "restarts-str": (_budgeted({"restarts": "x"}), "budget.restarts"),
     "seed-str": ({**_quantity("entropy", state=MIXED), "seed": "x"}, "seed"),
     "identity-dim-str": (_output_entropy({"kind": "identity", "dim": "x"}), "quantity.channel.dim"),
+    "identity-dim-0": (_output_entropy({"kind": "identity", "dim": 0}), "quantity.channel.dim"),
     "max_mixed-dim-str": (_quantity("entropy", state={"kind": "max_mixed", "dim": "x"}), "quantity.state.dim"),
     "factor_dims-str": (_quantity("entropy", state={**MIXED, "factor_dims": "ab"}), "quantity.state.factor_dims"),
     "diag-values-str": (_quantity("entropy", state={"kind": "diag", "values": ["x"]}), "quantity.state.values"),
@@ -366,6 +368,38 @@ MISSING_KEY_CASES = {
     "suite-grid-below-window": ({"command": "suite", "suite": {"ids": ["C-maj"], "params": {"grid": [16, 32]}}}, "suite.params.grid"),
     "mix_to_pure-sigma-missing": (_sequence({}, "mix_to_pure"), "sequence.params.sigma"),
     "mix_to_pure-sigma-malformed": (_sequence({"sigma": [0.5, 0.5]}, "mix_to_pure"), "sequence.params.sigma"),
+    # a config number must be finite
+    "diag-values-nan": (_quantity("entropy", state={"kind": "diag", "values": [math.nan, 0.5]}), "quantity.state.values"),
+    "matrix-entries-nan": (
+        _quantity("entropy", state={"kind": "matrix", "entries": [[[math.nan, 0], [0, 0]], [[0, 0], [0.5, 0]]]}),
+        "quantity.state.entries",
+    ),
+    "kraus-operator-nan": (
+        _output_entropy({"kind": "kraus", "operators": [[[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+        "quantity.channel.operators",
+    ),
+    "table-level-nan": (
+        _quantity("mean_energy", state={"kind": "max_mixed", "dim": 2}, hamiltonian={"kind": "table", "values": [0.0, math.nan]}),
+        "quantity.hamiltonian.values",
+    ),
+    "log-scale-nan": (_gibbs({"kind": "log", "scale": math.nan, "truncation_dim": 4}), "quantity.hamiltonian.scale"),
+    "suite-energy-nan": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"energy": math.nan}}}, "suite.params.energy"),
+    "suite-seed-inf": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"seed": math.inf}}}, "suite.params.seed"),
+    # config shapes and unknown keys
+    "suite-ids-int": ({"command": "suite", "suite": {"ids": 5}}, "suite.ids"),
+    "suite-ids-nested": ({"command": "suite", "suite": {"ids": [["P4"]]}}, "suite.ids"),
+    "suite-unknown-param": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"energie": 1.7}}}, "suite.params"),
+    "sequence-hamiltonian-param": (_sequence({"hamiltonian": {"kind": "log", "truncation_dim": 70000}}), "sequence.params"),
+    "sequence-n_grid-param": (_sequence({"n_grid": [16, 32, 64, 128, 256, 512]}), "sequence.params"),
+    "sequence-functionals-str": ({"command": "sequence", "sequence": {"family": "sharp", "functionals": "entropy"}}, "sequence.functionals"),
+    # zero trials would make T2's range row a vacuous max over nothing
+    **{
+        f"suite-range_trials-{value}": (
+            {"command": "suite", "suite": {"ids": ["T2"], "params": {"range_trials": value}}},
+            "suite.params.range_trials",
+        )
+        for value in (0, -3)
+    },
 }
 
 
@@ -428,3 +462,18 @@ def test_a_suite_pass_walks_each_family_once(tmp_path, monkeypatch):
         counts.append(len(walks))
     # the second run walks every family again: nothing outlives a run
     assert counts[0] == counts[1]
+
+
+def test_jsonable_keeps_the_sign_of_an_infinity():
+    assert _jsonable([math.inf, -math.inf, 1.5]) == ["inf", "-inf", 1.5]
+
+
+@pytest.mark.parametrize("family", sorted(builtin_families()))
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_every_family_and_functional_exits_cleanly_at_defaults(tmp_path, family, functional):
+    """Each built-in family with each named functional either runs or is a
+    config error; none raises out of ``run``."""
+    params = {"sigma": {"kind": "diag", "values": [0.5, 0.3, 0.2]}} if family == "mix_to_pure" else {}
+    section = {"family": family, "params": params, "functionals": [functional]}
+    cfg = write_config(tmp_path, {"command": "sequence", "sequence": section, "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) in (0, 2)

@@ -186,10 +186,11 @@ def _diag_guarded_sites():
     pair = TraceClassElement(np.full(10, 0.1), (5, 2), diagonal=True)
     third = TraceClassElement(np.full(3, 1 / 3), diagonal=True)
     h = Hamiltonian.logarithmic(1.0, 0.0, 8)
+    # a derived family's element is its element map of the sharp element(s)
     families = {
-        "classical_correlated": make_classical_correlated_sequence,
-        "product": make_product_sequence,
-        "classical_triple": make_classical_triple_sequence,
+        "classical_correlated": (make_classical_correlated_sequence, "_correlated"),
+        "product": (make_product_sequence, "tensor"),
+        "classical_triple": (make_classical_triple_sequence, "_triple"),
     }
     sites = {
         "scaled": ("scaled", lambda: flat.scaled(0.5)),
@@ -198,9 +199,9 @@ def _diag_guarded_sites():
         "tensor": ("tensor", lambda: tensor(third, third)),
         "sharp_sequence_state": ("sharp_sequence_state", lambda: sharp_sequence_state(h, 0.3, 4)),
     }
-    for name, make in families.items():
+    for name, (make, frame) in families.items():
         seq = make(energies=(0.3, 0.2), n_grid=(2,)) if name == "product" else make(energy=0.3, n_grid=(2,))
-        sites[name] = ("gen", lambda seq=seq: seq.element(2))
+        sites[name] = (frame, lambda seq=seq: seq.element(2))
     return sites
 
 
@@ -260,6 +261,16 @@ def test_partial_trace_requires_factors(rng):
     w = random_density(4, rng)
     with pytest.raises(BadFactorizationError):
         partial_trace(w, [0])
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_embed_checks_factor_dims_for_both_storage_kinds(diagonal):
+    w = TraceClassElement(np.full(4, 0.25), diagonal=True)
+    w = w if diagonal else TraceClassElement(w.to_matrix())
+    assert w.embed(8, factor_dims=(2, 4)).factor_dims == (2, 4)
+    for dim in (4, 8):
+        with pytest.raises(BadFactorizationError):
+            w.embed(dim, factor_dims=(2, 3))
 
 
 def test_permute_factors_roundtrip(rng):

@@ -3,7 +3,9 @@ import pytest
 
 from entroloss import SUITES, info, suite_ids, suite_run, suites
 from entroloss.errors import UnknownSuiteError
-from entroloss.sequences import GRID_MEDIUM, lift_by_purification, make_sharp_sequence
+from entroloss.info import conditional_mutual_information, von_neumann_entropy
+from entroloss.operators import partial_trace
+from entroloss.sequences import GRID_MEDIUM, lift_by_purification, make_classical_triple_sequence, make_sharp_sequence
 from entroloss.suites import Row
 
 
@@ -125,3 +127,53 @@ def test_one_suite_walks_only_its_own_families():
     walked = suites.walk(["C2"])
     assert {key[0].__name__ for key in walked.families} == {"_product", "make_classical_correlated_sequence"}
     assert {name for _, name in walked.columns} == {"n", "entropy", "marginal_entropy", "marginal_entropy_b"}
+
+
+P6_MARGINALS = {
+    "marginal_entropy": [0],
+    "marginal_entropy_b": [1],
+    "marginal_entropy_c": [2],
+    "marginal_entropy_ab": [0, 1],
+    "marginal_entropy_bc": [1, 2],
+}
+
+
+def test_p6_columns_are_the_library_functionals():
+    seq = make_classical_triple_sequence(energy=1.0, n_grid=(64,))
+    x = seq.element(64)
+    ac = partial_trace(x, [0, 2])
+    library = {
+        "cmi": conditional_mutual_information(x, check=False),
+        "mi_ac": von_neumann_entropy(partial_trace(ac, [0])) + von_neumann_entropy(partial_trace(ac, [1])) - von_neumann_entropy(ac),
+        **{name: von_neumann_entropy(partial_trace(x, keep)) for name, keep in P6_MARGINALS.items()},
+    }
+    assert {name: suites._functional(name, seq, None)(x) for name in library} == library
+
+
+def test_p6_strong_subadditivity_row_reads_the_library_cmi(monkeypatch):
+    claim = "strong subadditivity along the family (every grid point)"
+    real = suites.conditional_mutual_information
+
+    def ssa_row():
+        return next(c for c in suite_run("P6").checks if c.claim == claim)
+
+    unbiased = ssa_row()
+    monkeypatch.setattr(suites, "conditional_mutual_information", lambda x, check=True: real(x, check=check) - 1e-3)
+    # the family's CMI stays above 1.3, so a -1e-3 bias moves the row without failing it
+    assert ssa_row().lhs == pytest.approx(unbiased.lhs + 1e-3, abs=1e-12)
+    monkeypatch.setattr(suites, "conditional_mutual_information", lambda x, check=True: -real(x, check=check))
+    assert unbiased.passed and not ssa_row().passed
+
+
+def test_p6_scores_each_joint_diagonal_once(monkeypatch):
+    calls = []
+    real = info.spectral_entropy
+
+    def counted(eigs):
+        calls.append(np.size(eigs))
+        return real(eigs)
+
+    monkeypatch.setattr(info, "spectral_entropy", counted)
+    suites.walk(["P6"])
+    # the joint at n = 512 has 513 * 2 * 513 entries; the CMI and the entropy column share its score
+    assert calls.count(513 * 2 * 513) == 1
