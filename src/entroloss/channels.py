@@ -6,6 +6,18 @@ operations and the Choi matrix are derived from the Kraus set; complementary
 outputs are only ever compared through basis-independent functionals since
 the complementary is fixed only up to an isometry on the environment.
 
+An operation whose Kraus operators are scaled partial permutations (at most
+one nonzero entry per row and per column) may instead be built from its
+nonzero entries (Kraus index, row, column, amplitude) by
+``QuantumOperation.from_entries``; ``compression_operation`` builds this
+entries form.  Its sum K^dag K is diagonal, so the trace check is one
+``bincount`` over the columns, and ``apply`` maps a diagonal input to a
+diagonal output with one ``bincount`` over the rows: O(entries) work and no
+dense matrix, at any dimension up to ``DIAG_DIM_CAP``.  Every other
+consumer (dense inputs, complementary, Stinespring, Choi matrix, channel
+mutual information, roofs) reads ``op.kraus``, which an entries-form
+operation builds on first use, behind ``_require_dense_dim``, and keeps.
+
 The channel mutual information handles the joint output
 tau = (Phi (x) Id)(|psi><psi|) as W W^dag, with the columns w_k = vec(K_k M)
 of the purification amplitude M: its spectrum is that of the K x K Gram
@@ -31,6 +43,7 @@ from .operators import (
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
     _require_dense_dim,
+    _require_diag_dim,
     purification_amplitude,
     trace_distance,
 )
@@ -43,9 +56,11 @@ PROBE_SLACK = 1e-12  # allowed rise of a probe distance along a channel sequence
 
 
 class QuantumOperation:
-    """Kraus-represented CP trace-non-increasing map."""
+    """Kraus-represented CP trace-non-increasing map, from dense Kraus
+    matrices or (``from_entries``) from the entries of scaled partial
+    permutations."""
 
-    __slots__ = ("kraus", "dim_in", "dim_out", "trace_preserving", "meta")
+    __slots__ = ("_kraus", "_entries", "dim_in", "dim_out", "trace_preserving", "meta")
 
     def __init__(self, kraus, meta=None):
         mats = [np.asarray(k, dtype=complex) for k in kraus]
@@ -54,7 +69,8 @@ class QuantumOperation:
         shape = mats[0].shape
         if any(m.shape != shape for m in mats):
             raise DimensionMismatchError("all Kraus operators must share one shape")
-        self.kraus = mats
+        self._kraus = mats
+        self._entries = None
         self.dim_out, self.dim_in = shape
         stacked = np.concatenate(mats, axis=0)  # (n_kraus * dim_out, dim_in)
         rows = stacked.shape[0]
@@ -72,6 +88,45 @@ class QuantumOperation:
             raise TraceIncreasingError(f"largest eigenvalue of sum K^dag K is {top!r}")
         self.meta = dict(meta) if meta else {}
 
+    @classmethod
+    def from_entries(cls, dim_out: int, dim_in: int, index, row, col, amp, meta=None) -> "QuantumOperation":
+        """Operation whose Kraus operator ``index[i]`` holds ``amp[i]`` at
+        (``row[i]``, ``col[i]``) and zeros elsewhere; each operator may hold
+        at most one entry per row and per column."""
+        dim_out, dim_in = int(dim_out), int(dim_in)
+        index, row, col = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (index, row, col))
+        amp = np.asarray(amp, dtype=complex).reshape(-1)
+        if not 0 < index.size == row.size == col.size == amp.size:
+            raise DimensionMismatchError("entries need one Kraus index, row, column and amplitude each, at least one")
+        if min(index.min(), row.min(), col.min()) < 0 or row.max() >= dim_out or col.max() >= dim_in:
+            raise DimensionMismatchError(f"an entry lies outside the {dim_out}x{dim_in} Kraus operators")
+        _require_diag_dim(max(dim_out, dim_in))
+        for line, size in ((row, dim_out), (col, dim_in)):
+            if np.unique(index * size + line).size != index.size:
+                raise DimensionMismatchError("a Kraus operator holds two entries in one row or column")
+        weight = np.bincount(col, np.abs(amp) ** 2, minlength=dim_in)  # the diagonal sum K^dag K
+        top = float(weight.max())
+        if top > 1.0 + KRAUS_TOL:
+            raise TraceIncreasingError(f"largest eigenvalue of sum K^dag K is {top!r}")
+        op = cls.__new__(cls)
+        op._kraus = None
+        op._entries = (index, row, col, amp)
+        op.dim_out, op.dim_in = dim_out, dim_in
+        op.trace_preserving = float(weight.min()) >= 1.0 - KRAUS_TOL
+        op.meta = dict(meta) if meta else {}
+        return op
+
+    @property
+    def kraus(self) -> list:
+        """The dense Kraus matrices; an entries-form operation builds them on first use."""
+        if self._kraus is None:
+            index, row, col, amp = self._entries
+            _require_dense_dim(max(self.dim_out, self.dim_in))
+            mats = np.zeros((int(index.max()) + 1, self.dim_out, self.dim_in), dtype=complex)
+            mats[index, row, col] = amp
+            self._kraus = list(mats)
+        return self._kraus
+
     def require_channel(self) -> "QuantumOperation":
         if not self.trace_preserving:
             raise NotAChannelError("operation is not trace preserving")
@@ -85,16 +140,22 @@ class QuantumOperation:
         return QuantumOperation(kraus)
 
     def __repr__(self):
+        count = len(self._kraus) if self._entries is None else int(self._entries[0].max()) + 1
         return (
             f"QuantumOperation({self.dim_in}->{self.dim_out}, "
-            f"{len(self.kraus)} Kraus, tp={self.trace_preserving})"
+            f"{count} Kraus, tp={self.trace_preserving})"
         )
 
 
 def apply(op: QuantumOperation, rho: TraceClassElement) -> TraceClassElement:
-    """sum_k K rho K^dag; diagonal inputs avoid materializing the matrix."""
+    """sum_k K rho K^dag; diagonal inputs avoid materializing the matrix, and
+    an entries-form operation maps them to a diagonal output."""
     if rho.dim != op.dim_in:
         raise DimensionMismatchError(f"state dim {rho.dim} does not match input dim {op.dim_in}")
+    if rho.diagonal and op._entries is not None:
+        _, row, col, amp = op._entries
+        out = np.bincount(row, np.abs(amp) ** 2 * rho.diag[col], minlength=op.dim_out)
+        return TraceClassElement._unchecked(diag=out)
     _require_dense_dim(op.dim_out)
     if rho.diagonal:
         d = rho.diag
@@ -312,12 +373,16 @@ def partial_trace_channel(dims, keep: int) -> QuantumOperation:
 
 
 def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
-    """Trace-non-increasing cut-down to the first dim_out levels (single Kraus, Choi rank 1)."""
+    """Trace-non-increasing cut-down to the first dim_out levels (single Kraus,
+    Choi rank 1), in entries form."""
+    if dim_out < 1:
+        raise InvalidParameterError("compression dimension must be >= 1")
     if dim_out > dim_in:
         raise DimensionMismatchError("compression cannot enlarge the space")
-    k = np.zeros((dim_out, dim_in), dtype=complex)
-    k[:, :dim_out] = np.eye(dim_out)
-    return QuantumOperation([k], meta={"kind": "compression"})
+    levels = np.arange(dim_out)
+    return QuantumOperation.from_entries(
+        dim_out, dim_in, np.zeros(dim_out), levels, levels, np.ones(dim_out), meta={"kind": "compression"}
+    )
 
 
 def _validate_povm(povm, dim: int) -> list[np.ndarray]:

@@ -434,9 +434,9 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     if family == "mix_to_pure":
         _required(params, "sigma", "sequence.params")
     if "grid" in section:
-        params["n_grid"] = _as(_ints, section["grid"], "sequence.grid")
-    try:
-        seq = _at("sequence.grid", registry[family], **params)
+        params["n_grid"] = _at("sequence.grid", check_grid, _as(_ints, section["grid"], "sequence.grid"))
+    try:  # with the grid checked, a builder refuses only the family's energies
+        seq = _at(f"sequence.params.{'energies' if family == 'product' else 'energy'}", registry[family], **params)
     except TypeError as exc:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
     names = _names(section.get("functionals", ["entropy"]), "sequence.functionals")
@@ -524,7 +524,9 @@ def cmd_suite(section: dict, out_dir: str, fmt: str) -> int:
         ids = list(SUITES)
     ids = _names([ids] if isinstance(ids, str) else ids, "suite.ids")
     params = _converted(section.get("params", {}), _SUITE_PARAMS, "suite.params")
-    walked = _at("suite.params.grid", walk, ids, params)  # every family the suites read, walked once
+    if "grid" in params:  # checked here, so that a walk refuses only the energy
+        params["grid"] = _at("suite.params.grid", check_grid, params["grid"], DEFAULT_WINDOW)
+    walked = _at("suite.params.energy", walk, ids, params)  # every family the suites read, walked once
     all_passed = True
     for suite_id in ids:
         report = suite_run(suite_id, params, walked)

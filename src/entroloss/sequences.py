@@ -494,6 +494,8 @@ def make_sharp_sequence(
     """The extremal diagonal family with fixed mean energy, converging to the ground state."""
     grid = check_grid(n_grid)
     h = hamiltonian or Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
+    if not energy > h.ground_energy:
+        raise InvalidParameterError(f"energy {energy!r} must exceed the ground energy {h.ground_energy!r}")
 
     def gen(n: int) -> TraceClassElement:
         return sharp_sequence_state(h, energy, n)
@@ -559,6 +561,8 @@ def make_classical_correlated_sequence(energy: float = 1.0, n_grid=GRID_MEDIUM) 
 
 def make_product_sequence(energies=(1.0, 0.5), n_grid=GRID_MEDIUM) -> StateSequence:
     """Product family rho_n(E1) (x) rho_n(E2) of two sharp sequences."""
+    if len(energies) != 2:
+        raise InvalidParameterError(f"the product family takes two energies, got {len(energies)}")
     first = make_sharp_sequence(energy=energies[0], n_grid=n_grid)
     second = make_sharp_sequence(energy=energies[1], n_grid=n_grid)
     cf1 = first.closed_forms["entropy"]

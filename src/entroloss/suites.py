@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    QuantumOperation,
     ChannelSequence,
     channel_mutual_information,
     coherent_information,
@@ -231,7 +230,7 @@ _FUNCTIONALS = {
     "mi_ac": _mi_ac,
     **{f"marginal_entropy_{part}": _marginal(keep) for part, keep in (("c", [2]), ("ab", [0, 1]), ("bc", [1, 2]))},
     "identity_output_entropy": lambda rho: output_entropy(identity_channel(rho.dim), rho),
-    "ground_output_entropy": lambda rho: output_entropy(QuantumOperation([np.eye(1, rho.dim, dtype=complex)]), rho),
+    "ground_output_entropy": lambda rho: output_entropy(compression_operation(rho.dim, 1), rho),
     "compression_output_entropy": lambda rho: output_entropy(compression_operation(rho.dim, min(8, rho.dim)), rho),
 }
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from entroloss import (
 from entroloss._optim import OptimizerBudget, random_isometry
 from entroloss.errors import (
     DimensionMismatchError,
+    DimensionOverflowError,
+    InvalidParameterError,
     InvalidPOVMError,
     NotAChannelError,
     TraceIncreasingError,
@@ -313,6 +317,90 @@ def test_compression_operation(rng):
     out = apply(op, rho)
     assert out.dim == 2
     assert out.trace <= rho.trace + 1e-12
+
+
+@pytest.mark.parametrize("dim_out", [0, -1])
+def test_compression_refuses_an_empty_output(dim_out):
+    with pytest.raises(InvalidParameterError):
+        compression_operation(4, dim_out)
+
+
+def _scaled_partial_permutations(rng, dim_out, dim_in, n_kraus, trace_preserving):
+    """Entries of ``n_kraus`` random scaled partial permutations; a trace-preserving
+    draw covers every column and rescales each column's weight to 1, any other
+    draw leaves every column's weight in (0, 1]."""
+    index, row, col = [], [], []
+    cover = rng.permutation(dim_in) if trace_preserving else np.zeros(0, dtype=int)
+    for k in range(n_kraus):
+        cols = cover[k::n_kraus]
+        low = 0 if trace_preserving else 1
+        extra = rng.integers(low, min(dim_out, dim_in) - cols.size + 1)
+        cols = np.concatenate([cols, rng.choice(np.setdiff1d(np.arange(dim_in), cols), extra, replace=False)])
+        index += [k] * cols.size
+        row += list(rng.choice(dim_out, cols.size, replace=False))
+        col += list(cols)
+    amp = rng.standard_normal(len(col)) + 1j * rng.standard_normal(len(col))
+    weight = np.bincount(col, np.abs(amp) ** 2, minlength=dim_in)
+    if not trace_preserving:
+        weight *= rng.uniform(1.0, 2.0, dim_in)
+    return index, row, col, amp / np.sqrt(weight[col])
+
+
+ENTRIES_CASES = [
+    (dim_out, dim_in, n_kraus, tp)
+    for dim_out, dim_in, n_kraus in itertools.product(range(2, 7), range(2, 7), (1, 2, 3))
+    for tp in (False, True)
+    if not tp or -(-dim_in // n_kraus) <= dim_out  # a cover needs ceil(dim_in / n_kraus) rows
+]
+
+
+@pytest.mark.parametrize("dim_out, dim_in, n_kraus, tp", ENTRIES_CASES)
+def test_entries_form_matches_its_dense_kraus(dim_out, dim_in, n_kraus, tp):
+    rng = np.random.default_rng((dim_out, dim_in, n_kraus, tp))
+    op = QuantumOperation.from_entries(dim_out, dim_in, *_scaled_partial_permutations(rng, dim_out, dim_in, n_kraus, tp))
+    diag = TraceClassElement(rng.dirichlet(np.ones(dim_in)), diagonal=True)
+    dense = random_density(dim_in, rng)
+    assert apply(op, diag).diagonal
+    ref = QuantumOperation(op.kraus)
+    assert op.trace_preserving == ref.trace_preserving == tp
+    for rho in (diag, dense):
+        assert np.max(np.abs(apply(op, rho).to_matrix() - apply(ref, rho).to_matrix())) <= 1e-12
+    if tp:
+        assert choi_rank(op) == choi_rank(ref)
+        for rho in (diag, dense):
+            assert abs(entropy_exchange(op, rho) - entropy_exchange(ref, rho)) <= 1e-12
+            assert abs(channel_mutual_information(op, rho) - channel_mutual_information(ref, rho)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        (([0, 0], [0, 0], [0, 1], [0.5, 0.5]), DimensionMismatchError),  # two entries in one row
+        (([0, 0], [0, 1], [1, 1], [0.5, 0.5]), DimensionMismatchError),  # two entries in one column
+        (([0], [2], [0], [1.0]), DimensionMismatchError),  # an entry outside the 2x2 operator
+        (([], [], [], []), DimensionMismatchError),
+        (([0, 1], [0, 0], [1, 1], [0.8, 0.8j]), TraceIncreasingError),  # column weight 1.28
+    ],
+)
+def test_entries_form_refuses_bad_entries(entries, error):
+    with pytest.raises(error):
+        QuantumOperation.from_entries(2, 2, *entries)
+
+
+def test_compression_beyond_the_dense_cap_builds_no_kraus_matrix():
+    rho = make_sharp_sequence(energy=1.2).element(2**16)
+    output_entropy(compression_operation(4, 2), TraceClassElement(np.full(4, 0.25), diagonal=True))  # imports done
+    tracemalloc.start()
+    try:
+        op = compression_operation(rho.dim, 8)
+        value = output_entropy(op, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # one dense 8 x (2**16 + 1) Kraus matrix is 8.4 MB
+    assert value == von_neumann_entropy(TraceClassElement(rho.diag[:8], diagonal=True))
+    with pytest.raises(DimensionOverflowError):
+        op.kraus
 
 
 def test_channel_sequence_validation():

@@ -348,6 +348,14 @@ MISSING_KEY_CASES = {
         for family, key, value in (("sharp", "energy", "x"), ("product", "energies", ["x", 0.5]), ("rotated_sharp", "seed", "x"))
     },
     "sequence-unknown-param": (_sequence({"energie": 1.0}), "sequence.params"),
+    # the product family takes exactly two energies, and every sharp energy exceeds the ground energy 0
+    "product-energies-one": (_sequence({"energies": [1.0]}, "product"), "sequence.params.energies"),
+    "product-energies-three": (_sequence({"energies": [1.0, 0.5, 0.2]}, "product"), "sequence.params.energies"),
+    "product-energy-below-ground": (_sequence({"energies": [1.0, -0.5]}, "product"), "sequence.params.energies"),
+    "sharp-energy-below-ground": (_sequence({"energy": -1}), "sequence.params.energy"),
+    "sharp-energy-at-ground": (_sequence({"energy": 0}), "sequence.params.energy"),
+    "triple-energy-below-ground": (_sequence({"energy": -1}, "classical_triple"), "sequence.params.energy"),
+    "suite-energy-below-ground": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"energy": -1}}}, "suite.params.energy"),
     # an explicit window of 3 needs 6 grid points; a product element at n has dim (n + 1)**2
     "sequence-grid-below-window": (_product_grid([16, 32, 64, 128], window=3), "sequence.grid"),
     "sequence-grid-past-diag-cap": (_product_grid([16, 32, 64, 128, 256, 1024]), "sequence.grid"),

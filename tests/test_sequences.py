@@ -11,6 +11,7 @@ from entroloss import (
     lift_by_purification,
     make_classical_correlated_sequence,
     make_mixing_sequence,
+    make_product_sequence,
     make_sharp_sequence,
     mutual_information,
     partial_trace,
@@ -51,6 +52,12 @@ def test_sharp_sequence_closed_form_band():
     # must be reported separately from the asymptotic estimate
     assert float(est.loss) > est.loss_closed_form
     assert est.monotone_tail and est.converging
+
+
+@pytest.mark.parametrize("build", [lambda: make_sharp_sequence(energy=0.0), lambda: make_product_sequence((1.0,)), lambda: make_product_sequence((1.0, 0.5, 0.2))])
+def test_sharp_energies_are_checked_when_the_family_is_built(build):
+    with pytest.raises(InvalidParameterError):
+        build()
 
 
 def test_fixed_dimension_mixing_sequence_is_continuous(rng):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from entroloss import SUITES, info, suite_ids, suite_run, suites
+from entroloss import SUITES, QuantumOperation, info, output_entropy, suite_ids, suite_run, suites
 from entroloss.errors import UnknownSuiteError
 from entroloss.info import conditional_mutual_information, von_neumann_entropy
 from entroloss.operators import partial_trace
-from entroloss.sequences import GRID_MEDIUM, lift_by_purification, make_classical_triple_sequence, make_sharp_sequence
+from entroloss.sequences import GRID_DIAG, GRID_MEDIUM, lift_by_purification, make_classical_triple_sequence, make_sharp_sequence
 from entroloss.suites import Row
 
 
@@ -31,6 +31,16 @@ def test_p4_series_columns():
     assert {"n", "entropy", "mean_energy", "closed_form_loss", "loss_over_bound"} <= set(report.series)
     n = len(report.series["n"])
     assert all(len(col) == n for col in report.series.values())
+
+
+@pytest.mark.parametrize("energy", [0.5, 1.2, 2.0])
+def test_t2_operation_columns_match_dense_kraus_bit_for_bit(energy):
+    seq = make_sharp_sequence(energy=energy)
+    for n in [n for n in GRID_DIAG if n <= 2**12]:
+        rho = seq.element(n)
+        for name, rank in (("ground_output_entropy", 1), ("compression_output_entropy", 8)):
+            dense = QuantumOperation([np.eye(rank, rho.dim, dtype=complex)])
+            assert suites._FUNCTIONALS[name](rho) == output_entropy(dense, rho)
 
 
 def test_c1_declares_equality_for_diagonal_families():
