@@ -24,7 +24,7 @@ from entroloss import (
 # ----------------------------------------------------------------------
 # von Neumann entropy and its homogeneous extension to the cone
 # ----------------------------------------------------------------------
-mixed = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+mixed = TraceClassElement(np.array([0.5, 0.5]))
 print("H(I/2)          =", von_neumann_entropy(mixed), " (log 2 =", math.log(2), ")")
 
 pure = TraceClassElement.pure([1.0, 0.0])
@@ -37,8 +37,8 @@ print("H(0.5 * I/2)    =", von_neumann_entropy(mixed.scaled(0.5)), " (= 0.5 log 
 # ----------------------------------------------------------------------
 zero, one = TraceClassElement.pure([1.0, 0.0]), TraceClassElement.pure([0.0, 1.0])
 print("\nH(|0><0| || |1><1|) =", relative_entropy(zero, one))
-p = TraceClassElement(np.array([0.7, 0.3]), diagonal=True)
-q = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+p = TraceClassElement(np.array([0.7, 0.3]))
+q = TraceClassElement(np.array([0.5, 0.5]))
 print("H(diag(.7,.3) || I/2) =", float(relative_entropy(p, q)), " (classical KL)")
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,8 @@ p = np.sort(rng.random(5))[::-1]
 p /= p.sum()
 q = 0.4 * p + 0.6 * np.mean([rng.permutation(p) for _ in range(6)], axis=0)
 q /= q.sum()
-rho = TraceClassElement(p, diagonal=True)
-sigma = TraceClassElement(q, diagonal=True)
+rho = TraceClassElement(p)
+sigma = TraceClassElement(q)
 print("rho majorizes sigma:", majorizes(rho, sigma))
 
 d_term, f_term = entropy_gap_decomposition(rho, sigma)
@@ -59,7 +59,7 @@ print("entropy preserved :", abs(von_neumann_entropy(state) - von_neumann_entrop
 # ----------------------------------------------------------------------
 joint = np.zeros((2, 2))
 joint[0, 0] = joint[1, 1] = 0.5
-classical = TraceClassElement(joint.reshape(-1), factor_dims=(2, 2), diagonal=True)
+classical = TraceClassElement(joint.reshape(-1), factor_dims=(2, 2))
 print("\nclassical correlated state passes:", separable_majorization_check(classical))
 
 bell = TraceClassElement.pure(np.array([1, 0, 0, 1]) / np.sqrt(2), factor_dims=(2, 2))

@@ -58,7 +58,7 @@ print("I_c(identity)     =", coherent_information(identity_channel(2), rho))
 print("I_c(depolarizing) =", coherent_information(depolarizing_channel(1.0, 2), rho),
       " (= -H(rho))")
 
-mixed = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+mixed = TraceClassElement(np.array([0.5, 0.5]))
 cap = constrained_holevo_estimate(identity_channel(2), mixed, 2, OptimizerBudget(restarts=8, iterations=600, seed=1))
 print("constrained capacity of the identity at I/2:", cap.value,
       f" ({cap.direction.value}, converged={cap.converged})")

@@ -32,7 +32,7 @@ budget = OptimizerBudget(restarts=8, iterations=800, seed=11)
 # ----------------------------------------------------------------------
 # entropy approximators: exact anchors at k = 1 and k >= rank
 # ----------------------------------------------------------------------
-mixed = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+mixed = TraceClassElement(np.array([0.5, 0.5]))
 print("H_1 approximator of I/2:", entropy_k_approximation(mixed, 1).value, "(rank-one members)")
 gap = entropy_k_gap(mixed, 1)
 print("gap at k=1:", gap.value, " = H(I/2) =", von_neumann_entropy(mixed))
@@ -44,7 +44,7 @@ bell = TraceClassElement.pure(np.array([1, 0, 0, 1]) / math.sqrt(2), factor_dims
 print("\nE_F(Bell) =", entanglement_of_formation(bell).value, "(exact pure anchor)")
 
 a, b = random_pure(4, rng, (2, 2)), random_pure(4, rng, (2, 2))
-omega = TraceClassElement(0.5 * a.to_matrix() + 0.5 * b.to_matrix(), (2, 2), validate=False)
+omega = TraceClassElement(0.5 * a.to_matrix() + 0.5 * b.to_matrix(), (2, 2))
 est = entanglement_of_formation(omega, members=2, budget=budget)
 oracle = formation_two_member_grid(omega)
 print("rank-2 mixture:  optimizer", round(est.value, 6), " grid oracle", round(oracle, 6),

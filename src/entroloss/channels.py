@@ -60,9 +60,9 @@ class QuantumOperation:
     matrices or (``from_entries``) from the entries of scaled partial
     permutations."""
 
-    __slots__ = ("_kraus", "_entries", "dim_in", "dim_out", "trace_preserving", "meta")
+    __slots__ = ("_kraus", "_entries", "dim_in", "dim_out", "trace_preserving")
 
-    def __init__(self, kraus, meta=None):
+    def __init__(self, kraus):
         mats = [np.asarray(k, dtype=complex) for k in kraus]
         if not mats:
             raise DimensionMismatchError("at least one Kraus operator is required")
@@ -86,10 +86,9 @@ class QuantumOperation:
             top = 1.0 if self.trace_preserving else float(np.linalg.eigvalsh(gram)[-1])
         if top > 1.0 + KRAUS_TOL:
             raise TraceIncreasingError(f"largest eigenvalue of sum K^dag K is {top!r}")
-        self.meta = dict(meta) if meta else {}
 
     @classmethod
-    def from_entries(cls, dim_out: int, dim_in: int, index, row, col, amp, meta=None) -> "QuantumOperation":
+    def from_entries(cls, dim_out: int, dim_in: int, index, row, col, amp) -> "QuantumOperation":
         """Operation whose Kraus operator ``index[i]`` holds ``amp[i]`` at
         (``row[i]``, ``col[i]``) and zeros elsewhere; each operator may hold
         at most one entry per row and per column."""
@@ -113,7 +112,6 @@ class QuantumOperation:
         op._entries = (index, row, col, amp)
         op.dim_out, op.dim_in = dim_out, dim_in
         op.trace_preserving = float(weight.min()) >= 1.0 - KRAUS_TOL
-        op.meta = dict(meta) if meta else {}
         return op
 
     @property
@@ -167,7 +165,7 @@ def apply(op: QuantumOperation, rho: TraceClassElement) -> TraceClassElement:
         out = np.zeros((op.dim_out, op.dim_out), dtype=complex)
         for k in op.kraus:
             out += k @ m @ k.conj().T
-    return TraceClassElement(out, validate=False)
+    return TraceClassElement(out)
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ def complementary(op: QuantumOperation) -> QuantumOperation:
     env = len(op.kraus)
     stacked = np.stack(op.kraus)  # (env, out, in)
     kraus = [stacked[:, b, :].copy() for b in range(op.dim_out)]
-    return QuantumOperation(kraus, meta={"complementary_of": op.meta.get("kind")})
+    return QuantumOperation(kraus)
 
 
 def choi_matrix(op: QuantumOperation) -> np.ndarray:
@@ -233,7 +231,7 @@ def stinespring_entropy_residual(op: QuantumOperation, rho: TraceClassElement) -
     v = stinespring(op)
     _require_dense_dim(v.isometry.shape[0])
     dilated = v.isometry @ rho.to_matrix() @ v.isometry.conj().T
-    joint = TraceClassElement(dilated, (v.out_dim, v.env_dim), validate=False)
+    joint = TraceClassElement(dilated, (v.out_dim, v.env_dim))
     i_be = float(mutual_information(joint))
     lhs = output_entropy(op, rho) + entropy_exchange(op, rho)
     rhs = von_neumann_entropy(rho) + i_be
@@ -261,7 +259,7 @@ def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> 
 
     def value_for(amp: np.ndarray) -> float:
         # marginal of the purification on R: (M^T conj(M))
-        varrho = TraceClassElement(amp.T @ amp.conj(), validate=False)
+        varrho = TraceClassElement(amp.T @ amp.conj())
         return float(relative_entropy_of_factor(kraus @ amp, out, varrho))
 
     first = value_for(m)
@@ -298,11 +296,11 @@ def coherent_information(op: QuantumOperation, rho: TraceClassElement) -> float:
 
 def identity_channel(dim: int) -> QuantumOperation:
     _require_dense_dim(dim)
-    return QuantumOperation([np.eye(dim, dtype=complex)], meta={"kind": "identity"})
+    return QuantumOperation([np.eye(dim, dtype=complex)])
 
 
 def unitary_channel(u: np.ndarray) -> QuantumOperation:
-    return QuantumOperation([np.asarray(u, dtype=complex)], meta={"kind": "unitary"})
+    return QuantumOperation([np.asarray(u, dtype=complex)])
 
 
 def _weyl(d: int, a: int, b: int) -> np.ndarray:
@@ -326,7 +324,7 @@ def depolarizing_channel(p: float, dim: int = 2) -> QuantumOperation:
             if a == 0 and b == 0:
                 continue
             kraus.append(np.sqrt(p) / dim * _weyl(dim, a, b))
-    return QuantumOperation(kraus, meta={"kind": "depolarizing", "p": p})
+    return QuantumOperation(kraus)
 
 
 def dephasing_channel(p: float) -> QuantumOperation:
@@ -336,7 +334,7 @@ def dephasing_channel(p: float) -> QuantumOperation:
         raise InvalidParameterError("dephasing parameter must lie in [0, 1]")
     z = np.diag([1.0, -1.0]).astype(complex)
     kraus = [np.sqrt(1.0 - p / 2.0) * np.eye(2, dtype=complex), np.sqrt(p / 2.0) * z]
-    return QuantumOperation(kraus, meta={"kind": "dephasing", "p": p})
+    return QuantumOperation(kraus)
 
 
 def pinching_channel(dim: int) -> QuantumOperation:
@@ -347,7 +345,7 @@ def pinching_channel(dim: int) -> QuantumOperation:
         e = np.zeros((dim, dim), dtype=complex)
         e[k, k] = 1.0
         kraus.append(e)
-    return QuantumOperation(kraus, meta={"kind": "pinching"})
+    return QuantumOperation(kraus)
 
 
 def partial_trace_channel(dims, keep: int) -> QuantumOperation:
@@ -369,7 +367,7 @@ def partial_trace_channel(dims, keep: int) -> QuantumOperation:
             kraus.append(k)
     else:
         raise DimensionMismatchError("keep must be 0 or 1")
-    return QuantumOperation(kraus, meta={"kind": "partial_trace", "keep": keep})
+    return QuantumOperation(kraus)
 
 
 def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
@@ -380,9 +378,7 @@ def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
     if dim_out > dim_in:
         raise DimensionMismatchError("compression cannot enlarge the space")
     levels = np.arange(dim_out)
-    return QuantumOperation.from_entries(
-        dim_out, dim_in, np.zeros(dim_out), levels, levels, np.ones(dim_out), meta={"kind": "compression"}
-    )
+    return QuantumOperation.from_entries(dim_out, dim_in, np.zeros(dim_out), levels, levels, np.ones(dim_out))
 
 
 def _validate_povm(povm, dim: int) -> list[np.ndarray]:
@@ -425,14 +421,12 @@ def measure_prepare_channel(povm, preps) -> QuantumOperation:
                     continue
                 ket = np.sqrt(wt[s]) * vt[:, s]
                 kraus.append(np.outer(ket, bra))
-    return QuantumOperation(kraus, meta={"kind": "measure_prepare"})
+    return QuantumOperation(kraus)
 
 
 def pseudo_diagonal_channel(povm, preps) -> QuantumOperation:
     """Complementary of a measure-and-prepare channel."""
-    op = complementary(measure_prepare_channel(povm, preps))
-    op.meta["kind"] = "pseudo_diagonal"
-    return op
+    return complementary(measure_prepare_channel(povm, preps))
 
 
 class ChannelSequence:

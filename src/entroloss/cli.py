@@ -170,7 +170,7 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
     if kind == "diag":
         _reject_unknown(spec, {"kind", "values", "factor_dims"}, path)
         values = _as(_floats, _required(spec, "values", path), f"{path}.values")
-        return TraceClassElement(values, factor_dims=factors, diagonal=True)
+        return TraceClassElement(values.reshape(-1), factor_dims=factors)  # flat: nested values would build a matrix
     if kind == "pure":
         _reject_unknown(spec, {"kind", "amplitudes", "factor_dims"}, path)
         amp = _as(_floats, _required(spec, "amplitudes", path), f"{path}.amplitudes")
@@ -188,7 +188,7 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
     if kind == "max_mixed":
         _reject_unknown(spec, {"kind", "dim", "factor_dims"}, path)
         d = _as(_count, _required(spec, "dim", path), f"{path}.dim")
-        return TraceClassElement(np.full(d, 1.0 / d), factor_dims=factors, diagonal=True)
+        return TraceClassElement(np.full(d, 1.0 / d), factor_dims=factors)
     raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized state kind")
 
 

@@ -32,6 +32,7 @@ from .majorization import rearrangement
 from .operators import DIAG_DIM_CAP, TraceClassElement, _read_only, _require_diag_dim
 
 ENERGY_SLACK = 1e-10
+Q_SLACK = 1e-15  # allowed excess of the sharp weight q over 1
 
 
 class Hamiltonian:
@@ -162,7 +163,7 @@ def gibbs_state(
         raise TruncationTailError(
             f"tail bound {tail:.3e} exceeds {tail_fraction_limit} of the partition sum {z:.6e}"
         )
-    state = TraceClassElement(weights / z, diagonal=True, validate=False)
+    state = TraceClassElement(weights / z)
     return GibbsState(lam=lam, state=state, log_partition=float(np.log(z)), tail_bound=tail)
 
 
@@ -200,14 +201,11 @@ def sharp_sequence_state(h: Hamiltonian, e: float, n: int) -> TraceClassElement:
     """
     e = float(e)
     _require_diag_dim(n + 1)
-    levels = h.energies(n + 1)
-    e0 = levels[0]
-    if e <= e0:
-        raise ValueError(f"target energy {e} must exceed the ground energy {e0}")
-    denom = float(levels[1:].mean()) - e0
-    q = (e - e0) / denom
-    if q > 1.0 + 1e-15:
-        raise QExceedsOneError(f"q={q!r} exceeds 1 at n={n}; increase n")
+    if e <= h.ground_energy:
+        raise ValueError(f"target energy {e} must exceed the ground energy {h.ground_energy}")
+    q = sharp_sequence_weight(h, e, n)
+    if q > 1.0 + Q_SLACK:
+        raise QExceedsOneError(f"q={float(q)!r} exceeds 1 at n={n}; increase n")
     q = min(q, 1.0)
     diag = np.full(n + 1, q / n)
     diag[0] = 1.0 - q

@@ -319,12 +319,12 @@ class Ensemble:
             avg = np.zeros(members[0].dim)
             for wi, m in zip(w, members):
                 avg += wi * m.diag
-            self.average = TraceClassElement(avg, members[0].factor_dims, diagonal=True, validate=False)
+            self.average = TraceClassElement(avg, members[0].factor_dims)
         else:
             avg = np.zeros((members[0].dim, members[0].dim), dtype=complex)
             for wi, m in zip(w, members):
                 avg += wi * m.to_matrix()
-            self.average = TraceClassElement(avg, members[0].factor_dims, validate=False)
+            self.average = TraceClassElement(avg, members[0].factor_dims)
 
     @property
     def is_state_ensemble(self) -> bool:

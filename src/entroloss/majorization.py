@@ -90,7 +90,7 @@ def rearrangement(rho: TraceClassElement, hamiltonian=None) -> TraceClassElement
             f"Hamiltonian truncation {hamiltonian.truncation_dim} below state dim {rho.dim}"
         )
     spec = np.clip(rho.eigenvalues_descending(), 0.0, None)
-    return TraceClassElement(spec, diagonal=True, validate=False)
+    return TraceClassElement(spec)
 
 
 def separable_majorization_check(omega: TraceClassElement, construction=None) -> bool:
@@ -107,9 +107,7 @@ def separable_majorization_check(omega: TraceClassElement, construction=None) ->
         rebuilt = None
         for weight, a, b in construction:
             term = tensor(a, b).scaled(float(weight))
-            rebuilt = term if rebuilt is None else TraceClassElement(
-                rebuilt.to_matrix() + term.to_matrix(), omega.factor_dims, validate=False
-            )
+            rebuilt = term if rebuilt is None else TraceClassElement(rebuilt.to_matrix() + term.to_matrix(), omega.factor_dims)
         if rebuilt is None or trace_distance(rebuilt, omega) > 1e-10:
             raise NotMajorizedError("construction does not reassemble the given state")
     # the joint spectrum is the longest: its partial sums are taken once

@@ -2,16 +2,19 @@
 
 Conventions
 -----------
-* Operators are dense complex numpy matrices.  A trace-class element may be
-  flagged ``diagonal``; such elements store only their diagonal and every
-  operation on them takes an O(dim) fast path, which is what makes sequence
-  runs at dimension 2**16 feasible.
+* One constructor, ``TraceClassElement(entries, factor_dims=None)``, and the
+  rank of ``entries`` picks the storage: a 1-D array is stored as a
+  diagonal, and every operation on it takes an O(dim) fast path, which is
+  what makes sequence runs at dimension 2**16 feasible; a 2-D array is a
+  dense complex matrix.  Every public construction validates: a diagonal
+  is checked for negative entries, a matrix for Hermiticity and, through
+  its stored ``eigvalsh`` spectrum, for positivity.
 * Multipartite structure is carried as an ordered list of subsystem
   dimensions (``factor_dims``) whose product equals the total dimension.
 * Spectra are reported sorted in decreasing order, except the read-only
   ascending ``eigvalsh`` array of ``TraceClassElement.eigenvalues()``.
 * A dense element runs ``eigvalsh`` at most once and keeps the result (the
-  validating constructor keeps the one its PSD check computes).  Elements
+  constructor keeps the one its PSD check computes).  Elements
   holding the same matrix (``copy``, ``with_factors``, ``group_factors``, a
   ``partial_trace`` keeping every factor, a same-dim ``embed``) share the
   array, and ``permute_factors`` passes it on, since a factor permutation is
@@ -22,10 +25,11 @@ Conventions
   ``group_factors``, a keep-all ``partial_trace`` and a same-dim ``embed``
   share it; every other derived element, ``permute_factors`` included,
   computes its own.
-* Derived diagonals (``scaled``, ``partial_trace``, ``permute_factors``,
-  ``tensor``, the sharp state and the sequence generators) are built by
-  ``TraceClassElement._unchecked`` behind ``_require_diag_dim``: no copy,
-  no positivity scan.
+* ``TraceClassElement._unchecked`` is for derived elements only (copies,
+  ``scaled``, ``partial_trace``, ``permute_factors``, ``tensor``, the sharp
+  state, channel outputs on diagonals): no copy and no check, so its
+  callers keep a diagonal behind ``_require_diag_dim`` and a matrix exactly
+  Hermitian.
 """
 
 from __future__ import annotations
@@ -55,13 +59,6 @@ SUPPORT_CUTOFF_RTOL = 1e-12
 # so they may grow far beyond what a dense matrix could hold.
 DENSE_DIM_CAP = 4096
 DIAG_DIM_CAP = 1 << 20
-
-
-def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -98,36 +95,38 @@ class SpectralDecomposition:
 class TraceClassElement:
     """Positive trace-class element (a cone member); states carry unit trace.
 
-    The PSD check tolerates eigenvalues down to -PSD_TOL.  Elements flagged
-    ``diagonal`` store only the diagonal vector and never touch the
-    eigensolver.
+    A 1-D ``entries`` is stored as a diagonal and never touches the
+    eigensolver; a 2-D one is a dense matrix.  The PSD check tolerates
+    entries or eigenvalues down to -PSD_TOL.
     """
 
     __slots__ = ("_matrix", "_diag", "_eigenvalues", "_entropy", "factor_dims", "dim")
 
-    def __init__(self, entries, factor_dims=None, diagonal=False, validate=True):
-        if diagonal:
-            d = np.asarray(entries, dtype=float).reshape(-1).copy()
+    def __init__(self, entries, factor_dims=None):
+        a = np.asarray(entries)
+        self._eigenvalues = None
+        if a.ndim == 1:
+            d = np.array(a, dtype=float)
             _require_diag_dim(d.size)
-            if validate and d.size and float(d.min()) < -PSD_TOL:
+            if d.size and float(d.min()) < -PSD_TOL:
                 raise NotPositiveError(f"diagonal entry {d.min():.3e} below -{PSD_TOL}")
             self._diag = d
             self._matrix = None
-            self._eigenvalues = None
-            self.dim = d.size
-        else:
-            m = _as_complex_matrix(entries)
-            _require_dense_dim(m.shape[0])
-            m = _check_hermitian(m)
-            self._eigenvalues = None
-            if validate and m.size:
+        elif a.ndim == 2:
+            if a.shape[0] != a.shape[1]:
+                raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+            _require_dense_dim(a.shape[0])
+            m = _check_hermitian(np.asarray(a, dtype=complex))
+            if m.size:
                 self._eigenvalues = _read_only(np.linalg.eigvalsh(m))
                 lo = float(self._eigenvalues[0])
                 if lo < -PSD_TOL:
                     raise NotPositiveError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
             self._matrix = m
             self._diag = None
-            self.dim = m.shape[0]
+        else:
+            raise DimensionMismatchError(f"entries must be 1-D (a diagonal) or 2-D (a matrix), got shape {a.shape}")
+        self.dim = a.shape[0]
         self._entropy = None
         if factor_dims is not None:
             factor_dims = tuple(int(d) for d in factor_dims)
@@ -161,7 +160,7 @@ class TraceClassElement:
         """Rank-one element |psi><psi| from an amplitude vector (unnormalized)."""
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         _require_dense_dim(v.size)
-        return cls(np.outer(v, v.conj()), factor_dims=factor_dims, validate=False)
+        return cls(np.outer(v, v.conj()), factor_dims=factor_dims)
 
     # -- basic views ----------------------------------------------------------
 
@@ -257,7 +256,7 @@ class TraceClassElement:
         elif self._diag is not None:
             d = np.zeros(dim)
             d[: self.dim] = self._diag
-            out = TraceClassElement(d, diagonal=True, validate=False)
+            out = TraceClassElement(d)
         else:
             m = np.zeros((dim, dim), dtype=complex)
             m[: self.dim, : self.dim] = self._matrix

@@ -26,7 +26,7 @@ def random_density(
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m /= np.real(np.trace(m))
-    return TraceClassElement(m, factor_dims=factor_dims, validate=False)
+    return TraceClassElement(m, factor_dims=factor_dims)
 
 
 def random_channel(dim_in: int, dim_out: int, choi_rank: int, rng: np.random.Generator) -> QuantumOperation:
@@ -36,4 +36,4 @@ def random_channel(dim_in: int, dim_out: int, choi_rank: int, rng: np.random.Gen
         raise ValueError("dim_out * choi_rank must be at least dim_in")
     v = random_isometry(rng, total, dim_in)
     kraus = [v[k::choi_rank, :] for k in range(choi_rank)]
-    return QuantumOperation(kraus, meta={"kind": "random"})
+    return QuantumOperation(kraus)

@@ -50,7 +50,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .extended import ExtendedReal
-from .energy import Hamiltonian, sharp_sequence_state, sharp_sequence_weight
+from .energy import Q_SLACK, Hamiltonian, sharp_sequence_state, sharp_sequence_weight
 from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
 from .operators import TraceClassElement, _require_diag_dim, partial_trace, tensor, trace_distance
 
@@ -64,29 +64,28 @@ CONVERGENCE_SLACK = 1e-10  # allowed rise of the trace distance between grid poi
 class PureBipartiteState:
     """Pure bipartite state held as an amplitude matrix M, psi = sum M[a,b] |a>|b>.
 
-    Schmidt-diagonal amplitudes are stored as a vector of nonnegative
-    weights; marginals of those never touch dense algebra.
+    A 1-D ``amplitude`` holds the nonnegative Schmidt weights of a
+    Schmidt-diagonal M, whose marginals never touch dense algebra; a 2-D one
+    is M itself.
     """
 
     __slots__ = ("dims", "_dense", "_schmidt", "_entropy")
 
-    def __init__(self, dims, dense=None, schmidt=None):
+    def __init__(self, dims, amplitude):
         self.dims = (int(dims[0]), int(dims[1]))
         self._entropy = None
-        if (dense is None) == (schmidt is None):
-            raise ValueError("provide exactly one of dense amplitude or schmidt weights")
-        if schmidt is not None:
-            s = np.asarray(schmidt, dtype=float).reshape(-1)
-            if s.size != min(self.dims):
+        a = np.asarray(amplitude)
+        self._dense = self._schmidt = None
+        if a.ndim == 1:
+            if a.size != min(self.dims):
                 raise DimensionMismatchError("schmidt vector length must match min(dims)")
-            self._schmidt = s
-            self._dense = None
+            self._schmidt = np.asarray(a, dtype=float)
+        elif a.ndim == 2:
+            if a.shape != self.dims:
+                raise DimensionMismatchError(f"amplitude shape {a.shape} does not match dims {self.dims}")
+            self._dense = np.asarray(a, dtype=complex)
         else:
-            m = np.asarray(dense, dtype=complex)
-            if m.shape != self.dims:
-                raise DimensionMismatchError(f"amplitude shape {m.shape} does not match dims {self.dims}")
-            self._dense = m
-            self._schmidt = None
+            raise DimensionMismatchError(f"amplitude must be 1-D (Schmidt weights) or 2-D, got shape {a.shape}")
 
     @property
     def dim(self) -> int:
@@ -94,11 +93,11 @@ class PureBipartiteState:
 
     def marginal(self, side: int = 0) -> TraceClassElement:
         if self._schmidt is not None:
-            return TraceClassElement(self._schmidt**2, diagonal=True, validate=False)
+            return TraceClassElement(self._schmidt**2)
         m = self._dense
         if side == 0:
-            return TraceClassElement(m @ m.conj().T, validate=False)
-        return TraceClassElement(m.T @ m.conj(), validate=False)
+            return TraceClassElement(m @ m.conj().T)
+        return TraceClassElement(m.T @ m.conj())
 
     def marginal_entropy(self, side: int = 0) -> float:
         """Entropy of one side; in Schmidt form both sides share one stored value."""
@@ -227,10 +226,10 @@ class StateSequence:
             if lim._schmidt is not None:
                 s = np.zeros(min(like.dims))
                 s[: lim._schmidt.size] = lim._schmidt
-                return PureBipartiteState(like.dims, schmidt=s)
+                return PureBipartiteState(like.dims, s)
             m = np.zeros(like.dims, dtype=complex)
             m[: lim.dims[0], : lim.dims[1]] = lim._dense
-            return PureBipartiteState(like.dims, dense=m)
+            return PureBipartiteState(like.dims, m)
         if lim.dim == like.dim:
             return lim
         if lim.factor_dims is not None and like.factor_dims is not None:
@@ -240,11 +239,11 @@ class StateSequence:
                 src = lim.diag.reshape(lim.factor_dims)
                 dst = np.zeros(like.factor_dims)
                 dst[tuple(slice(0, d) for d in lim.factor_dims)] = src
-                return TraceClassElement(dst.reshape(-1), like.factor_dims, diagonal=True, validate=False)
+                return TraceClassElement(dst.reshape(-1), like.factor_dims)
             src = lim.to_matrix().reshape(lim.factor_dims + lim.factor_dims)
             dst = np.zeros(like.factor_dims + like.factor_dims, dtype=complex)
             dst[tuple(slice(0, d) for d in lim.factor_dims + lim.factor_dims)] = src
-            return TraceClassElement(dst.reshape(like.dim, like.dim), like.factor_dims, validate=False)
+            return TraceClassElement(dst.reshape(like.dim, like.dim), like.factor_dims)
         return lim.embed(like.dim, like.factor_dims)
 
     def limit_distance(self, x) -> float:
@@ -431,10 +430,10 @@ def _purification(rho: TraceClassElement) -> PureBipartiteState:
     """The canonical purification, amplitude sqrt(rho); Schmidt form for a diagonal rho."""
     d = rho.dim
     if rho.diagonal:
-        return PureBipartiteState((d, d), schmidt=np.sqrt(np.clip(rho.diag, 0.0, None)))
+        return PureBipartiteState((d, d), np.sqrt(np.clip(rho.diag, 0.0, None)))
     dec = rho.spectrum()
     w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return PureBipartiteState((d, d), dense=(dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
+    return PureBipartiteState((d, d), (dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -476,7 +475,7 @@ def lift_by_purification(seq: StateSequence, target: PureBipartiteState | None =
         root = _purification(seq.element(n))
         v = np.eye(root.dims[1], dtype=complex)
         v[:d0, :d0] = v_small
-        return PureBipartiteState(root.dims, dense=root.amplitude() @ v)
+        return PureBipartiteState(root.dims, root.amplitude() @ v)
 
     return StateSequence(gen, target, seq.n_grid, tags, closed)
 
@@ -496,11 +495,14 @@ def make_sharp_sequence(
     h = hamiltonian or Hamiltonian.logarithmic(1.0, 0.0, max(grid) + 1)
     if not energy > h.ground_energy:
         raise InvalidParameterError(f"energy {energy!r} must exceed the ground energy {h.ground_energy!r}")
+    q = sharp_sequence_weight(h, energy, min(grid))  # q_n falls with n: the smallest point binds
+    if q > 1.0 + Q_SLACK:
+        raise InvalidParameterError(f"energy {energy!r} needs q={float(q)!r} > 1 at n={min(grid)}")
 
     def gen(n: int) -> TraceClassElement:
         return sharp_sequence_state(h, energy, n)
 
-    limit = TraceClassElement(np.array([1.0]), diagonal=True, validate=False)
+    limit = TraceClassElement(np.array([1.0]))
 
     def closed_entropy(n: int) -> float:
         # concavity bound H(rho_n) >= q_n log n, whose limsup is the true jump
@@ -525,11 +527,11 @@ def make_mixing_sequence(sigma: TraceClassElement, n_grid=GRID_MEDIUM) -> StateS
     def gen(n: int) -> TraceClassElement:
         t = 1.0 / n
         if sigma.diagonal:
-            return TraceClassElement(t * sigma.diag + (1 - t) * ground, diagonal=True, validate=False)
+            return TraceClassElement(t * sigma.diag + (1 - t) * ground)
         m = t * sigma.to_matrix() + (1 - t) * np.diag(ground.astype(complex))
-        return TraceClassElement(m, sigma.factor_dims, validate=False)
+        return TraceClassElement(m, sigma.factor_dims)
 
-    limit = TraceClassElement(ground, diagonal=True, validate=False)
+    limit = TraceClassElement(ground)
     return StateSequence(gen, limit, grid, tags={"family": "mix_to_pure"})
 
 
@@ -625,7 +627,7 @@ def make_rotated_sharp_sequence(
         w = w / w.sum() * diag[1:].sum()
         full = np.concatenate([[diag[0]], w])
         u = rotation(d)
-        return TraceClassElement((u * full) @ u.conj().T, validate=False)
+        return TraceClassElement((u * full) @ u.conj().T)
 
     return StateSequence(gen, base.limit, base.n_grid, tags={"family": "rotated_sharp", "energy": energy})
 

@@ -188,7 +188,7 @@ def _decohered_mi(x) -> float:
         if x._schmidt is not None:
             return x.marginal_entropy(0)
         x = x.to_element()
-    return mutual_information_of(TraceClassElement(np.clip(x.diag, 0, None), x.factor_dims, diagonal=True, validate=False))
+    return mutual_information_of(TraceClassElement(np.clip(x.diag, 0, None), x.factor_dims))
 
 
 def _orthogonal_holevo(rho) -> float:
@@ -203,7 +203,7 @@ def _orthogonal_holevo(rho) -> float:
 
 def _average_entropy(rho) -> float:
     """Entropy of the equal-weight average of the members (sharp_n, ground)."""
-    ground = TraceClassElement(np.eye(1, rho.dim).reshape(-1), diagonal=True, validate=False)
+    ground = TraceClassElement(np.eye(1, rho.dim).reshape(-1))
     return von_neumann_entropy(Ensemble([0.5, 0.5], [rho, ground]).average)
 
 
@@ -288,10 +288,10 @@ def _coherent_range(p, rng) -> dict:
 def _dephasing_ramp(p, rng) -> dict:
     """A strongly converging channel ramp, on a spanning probe set and on the first probe as input."""
     probes = [
-        TraceClassElement(np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex), validate=False),
-        TraceClassElement(np.array([1.0, 0.0]), diagonal=True, validate=False),
-        TraceClassElement(np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex), validate=False),
-        TraceClassElement(np.array([0.25, 0.75]), diagonal=True, validate=False),
+        TraceClassElement(np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)),
+        TraceClassElement(np.array([1.0, 0.0])),
+        TraceClassElement(np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)),
+        TraceClassElement(np.array([0.25, 0.75])),
     ]
     ramp = ChannelSequence(
         generator=lambda n: dephasing_channel(0.5 + 0.4 / n),

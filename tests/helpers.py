@@ -3,9 +3,10 @@
 import numpy as np
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random positive semidefinite matrix g g^dag, Hermitian up to round-off."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2.0
+    return g @ g.conj().T
 
 
 def random_probability(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -78,7 +78,7 @@ def test_criterion_1_identity_suite():
             for trial in range(INSTANCES):
                 if trial % 2:
                     p = rng.random(d)
-                    rho = TraceClassElement(p / p.sum(), diagonal=True)
+                    rho = TraceClassElement(p / p.sum())
                 else:
                     rho = random_density(d, rng)  # the identity holds for any state
                 lam = 1.2 + rng.random()
@@ -110,8 +110,8 @@ def test_criterion_2_inequality_suite():
             p = np.sort(random_probability(5, rng))[::-1]
             q = 0.5 * p + 0.5 * np.mean([rng.permutation(p) for _ in range(4)], axis=0)
             q = np.sort(q / q.sum())[::-1]
-            rho = TraceClassElement(p, diagonal=True)
-            sigma = TraceClassElement(q, diagonal=True)
+            rho = TraceClassElement(p)
+            sigma = TraceClassElement(q)
             assert majorizes(rho, sigma)
             gap = von_neumann_entropy(sigma) - von_neumann_entropy(rho)
             violations += gap < 0.5 * np.abs(p - q).sum() ** 2 - 1e-8
@@ -187,7 +187,7 @@ def test_criterion_5_optimizer_anchors():
             b = random_pure(4, rng, (2, 2))
             t = 0.25 + 0.5 * rng.random()
             omega = TraceClassElement(
-                t * a.to_matrix() + (1 - t) * b.to_matrix(), (2, 2), validate=False
+                t * a.to_matrix() + (1 - t) * b.to_matrix(), (2, 2)
             )
             est = entanglement_of_formation(omega, members=2, budget=budget)
             oracle = formation_two_member_grid(omega, grid_points=10_000)

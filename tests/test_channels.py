@@ -72,7 +72,7 @@ def test_apply_diagonal_fast_path(rng):
     op = random_channel(4, 3, 2, rng)
     p = rng.random(4)
     p /= p.sum()
-    diag = TraceClassElement(p, diagonal=True)
+    diag = TraceClassElement(p)
     dense = TraceClassElement(np.diag(p.astype(complex)))
     assert trace_distance(apply(op, diag), apply(op, dense)) <= 1e-12
 
@@ -89,7 +89,7 @@ def test_stinespring_isometry(rng):
     assert np.max(np.abs(v.isometry.conj().T @ v.isometry - np.eye(3))) <= 1e-10
     rho = random_density(3, rng)
     dilated = TraceClassElement(
-        v.isometry @ rho.to_matrix() @ v.isometry.conj().T, (v.out_dim, v.env_dim), validate=False
+        v.isometry @ rho.to_matrix() @ v.isometry.conj().T, (v.out_dim, v.env_dim)
     )
     assert trace_distance(partial_trace(dilated, [0]), apply(op, rho)) <= 1e-9
 
@@ -100,7 +100,7 @@ def test_complementary_matches_dilation_oracle(rng):
     v = stinespring(op)
     rho = random_density(2, rng)
     dilated = TraceClassElement(
-        v.isometry @ rho.to_matrix() @ v.isometry.conj().T, (v.out_dim, v.env_dim), validate=False
+        v.isometry @ rho.to_matrix() @ v.isometry.conj().T, (v.out_dim, v.env_dim)
     )
     oracle = partial_trace(dilated, [1])
     assert trace_distance(apply(complementary(op), rho), oracle) <= 1e-10
@@ -167,7 +167,7 @@ def test_ext2_requires_channel():
 
 
 def test_constrained_holevo_identity_on_mixed():
-    rho = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    rho = TraceClassElement(np.array([0.5, 0.5]))
     est = constrained_holevo_estimate(identity_channel(2), rho, 2, SMALL_BUDGET)
     assert est.value == pytest.approx(LOG2, abs=1e-6)
     assert est.direction.value == "lower_bound"
@@ -253,7 +253,7 @@ def test_coherent_information_examples(rng):
     assert coherent_information(depolarizing_channel(1.0, 2), rho) == pytest.approx(
         -von_neumann_entropy(rho), abs=1e-8
     )
-    mixed = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    mixed = TraceClassElement(np.array([0.5, 0.5]))
     assert coherent_information(dephasing_channel(1.0), mixed) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -358,7 +358,7 @@ ENTRIES_CASES = [
 def test_entries_form_matches_its_dense_kraus(dim_out, dim_in, n_kraus, tp):
     rng = np.random.default_rng((dim_out, dim_in, n_kraus, tp))
     op = QuantumOperation.from_entries(dim_out, dim_in, *_scaled_partial_permutations(rng, dim_out, dim_in, n_kraus, tp))
-    diag = TraceClassElement(rng.dirichlet(np.ones(dim_in)), diagonal=True)
+    diag = TraceClassElement(rng.dirichlet(np.ones(dim_in)))
     dense = random_density(dim_in, rng)
     assert apply(op, diag).diagonal
     ref = QuantumOperation(op.kraus)
@@ -389,7 +389,7 @@ def test_entries_form_refuses_bad_entries(entries, error):
 
 def test_compression_beyond_the_dense_cap_builds_no_kraus_matrix():
     rho = make_sharp_sequence(energy=1.2).element(2**16)
-    output_entropy(compression_operation(4, 2), TraceClassElement(np.full(4, 0.25), diagonal=True))  # imports done
+    output_entropy(compression_operation(4, 2), TraceClassElement(np.full(4, 0.25)))  # imports done
     tracemalloc.start()
     try:
         op = compression_operation(rho.dim, 8)
@@ -398,17 +398,17 @@ def test_compression_beyond_the_dense_cap_builds_no_kraus_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20  # one dense 8 x (2**16 + 1) Kraus matrix is 8.4 MB
-    assert value == von_neumann_entropy(TraceClassElement(rho.diag[:8], diagonal=True))
+    assert value == von_neumann_entropy(TraceClassElement(rho.diag[:8]))
     with pytest.raises(DimensionOverflowError):
         op.kraus
 
 
 def test_channel_sequence_validation():
     probes = [
-        TraceClassElement(np.array([1.0, 0.0]), diagonal=True),
+        TraceClassElement(np.array([1.0, 0.0])),
         TraceClassElement.pure(np.array([1.0, 1.0]) / math.sqrt(2)),
         TraceClassElement.pure(np.array([1.0, 1.0j]) / math.sqrt(2)),
-        TraceClassElement(np.array([0.25, 0.75]), diagonal=True),
+        TraceClassElement(np.array([0.25, 0.75])),
     ]
     ramp = ChannelSequence(
         generator=lambda n: dephasing_channel(0.5 + 0.3 / n),

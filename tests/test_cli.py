@@ -35,6 +35,19 @@ def test_quantity_entropy(tmp_path, capsys):
     assert record["provenance"] == "exact"
 
 
+def test_quantity_entropy_flattens_nested_diag_values(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "command": "quantity",
+            "quantity": {"name": "entropy", "state": {"kind": "diag", "values": [[0.5], [0.5]]}},
+            "output": {"dir": str(tmp_path), "format": "json"},
+        },
+    )
+    assert run(["--config", cfg]) == 0
+    assert read_json(tmp_path / "quantity.json")["value"] == pytest.approx(math.log(2), abs=1e-12)
+
+
 def test_quantity_mutual_information_bell(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -356,6 +369,10 @@ MISSING_KEY_CASES = {
     "sharp-energy-at-ground": (_sequence({"energy": 0}), "sequence.params.energy"),
     "triple-energy-below-ground": (_sequence({"energy": -1}, "classical_triple"), "sequence.params.energy"),
     "suite-energy-below-ground": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"energy": -1}}}, "suite.params.energy"),
+    # at n = 16 the default Hamiltonian carries mean energies up to about 2.09
+    "sharp-energy-past-smallest-point": (_sequence({"energy": 100}), "sequence.params.energy"),
+    "product-energy-past-smallest-point": (_sequence({"energies": [1.0, 100]}, "product"), "sequence.params.energies"),
+    "suite-energy-past-smallest-point": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"energy": 100}}}, "suite.params.energy"),
     # an explicit window of 3 needs 6 grid points; a product element at n has dim (n + 1)**2
     "sequence-grid-below-window": (_product_grid([16, 32, 64, 128], window=3), "sequence.grid"),
     "sequence-grid-past-diag-cap": (_product_grid([16, 32, 64, 128, 256, 1024]), "sequence.grid"),
@@ -415,7 +432,9 @@ MISSING_KEY_CASES = {
 def test_missing_or_invalid_key_is_a_config_error(tmp_path, capsys, payload, path):
     cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path)}})
     assert run(["--config", cfg]) == 2
-    assert f"'{path}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err
+    assert "np.float64" not in err  # numbers print as plain floats
 
 
 def test_dense_cap_exits_before_allocating(tmp_path, capsys, monkeypatch):

@@ -100,7 +100,7 @@ def test_gibbs_identity_on_gibbs_state():
 
 def test_gibbs_identity_on_ground_projector():
     h = Hamiltonian.logarithmic(1.0, 0.0, 100)
-    ground = TraceClassElement(np.array([1.0]), diagonal=True)
+    ground = TraceClassElement(np.array([1.0]))
     assert gibbs_identity_residual(ground, h, 2.0, 16) <= 1e-10
 
 
@@ -108,13 +108,13 @@ def test_gibbs_identity_random_diagonal(rng):
     h = Hamiltonian.logarithmic(1.0, 0.0, 100)
     for _ in range(20):
         p = rng.random(8)
-        rho = TraceClassElement(p / p.sum(), diagonal=True)
+        rho = TraceClassElement(p / p.sum())
         assert gibbs_identity_residual(rho, h, 1.5, 32) <= 1e-8
 
 
 def test_gibbs_identity_truncation_guard():
     h = Hamiltonian.logarithmic(1.0, 0.0, 100)
-    rho = TraceClassElement(np.full(16, 1 / 16), diagonal=True)
+    rho = TraceClassElement(np.full(16, 1 / 16))
     with pytest.raises(SupportEscapesTruncationError):
         gibbs_identity_residual(rho, h, 2.0, 8)
 
@@ -129,7 +129,7 @@ def test_sharp_sequence_energy_exact():
 
 def test_sharp_sequence_trace_distance_to_ground():
     h = Hamiltonian.logarithmic(1.0, 0.0, 1 << 11)
-    ground = TraceClassElement(np.array([1.0]), diagonal=True)
+    ground = TraceClassElement(np.array([1.0]))
     for n in (64, 1024):
         rho = sharp_sequence_state(h, 1.0, n)
         q = sharp_sequence_weight(h, 1.0, n)
@@ -147,13 +147,15 @@ def test_sharp_sequence_entropy_closed_form():
 
 def test_sharp_sequence_rejects_small_n():
     h = Hamiltonian.logarithmic(1.0, 0.0, 100)
-    with pytest.raises(QExceedsOneError):
+    with pytest.raises(QExceedsOneError) as refused:
         sharp_sequence_state(h, 3.0, 4)
+    q = sharp_sequence_weight(h, 3.0, 4)
+    assert str(refused.value) == f"q={float(q)!r} exceeds 1 at n=4; increase n"
 
 
 def test_mean_energy_examples():
     h = Hamiltonian.from_table([0.0, 1.0])
-    ground = TraceClassElement(np.array([1.0, 0.0]), diagonal=True)
+    ground = TraceClassElement(np.array([1.0, 0.0]))
     assert mean_energy(ground, h) == 0.0
     sigma = gibbs_state(h, 1.0, 2).state
     expected = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -162,7 +164,7 @@ def test_mean_energy_examples():
 
 def test_energy_rearrangement_gap_sorted_state():
     h = Hamiltonian.from_table([0.0, 1.0, 2.0])
-    rho = TraceClassElement(np.array([0.6, 0.3, 0.1]), diagonal=True)
+    rho = TraceClassElement(np.array([0.6, 0.3, 0.1]))
     assert energy_rearrangement_gap(rho, h) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,10 +192,10 @@ def test_divergent_threshold_entropy_grows_with_truncation():
     for d in (16, 256, 4096):
         h = Hamiltonian.linear(1.0, 0.0, d)
         assert gibbs_threshold(h).is_infinite
-        mixed = TraceClassElement(np.full(d, 1.0 / d), diagonal=True)
+        mixed = TraceClassElement(np.full(d, 1.0 / d))
         ground = np.zeros(d)
         ground[0] = 1.0
-        rho = TraceClassElement(0.25 * mixed.diag + 0.75 * ground, diagonal=True)
+        rho = TraceClassElement(0.25 * mixed.diag + 0.75 * ground)
         assert within_energy_bound(rho, h, 1.0)
         values.append(von_neumann_entropy(rho))
     assert values[0] < values[1] < values[2]

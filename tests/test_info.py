@@ -47,7 +47,7 @@ def entropy_oracle(p):
 
 
 def test_entropy_maximally_mixed_qubit():
-    rho = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    rho = TraceClassElement(np.array([0.5, 0.5]))
     assert von_neumann_entropy(rho) == pytest.approx(LOG2, abs=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_entropy_two_level_mixture_oracle():
     expected = entropy_oracle(values)
     # closed form quoted against the same eigenvalue-sum oracle
     assert expected == pytest.approx(-0.6 * math.log(0.6) + 0.4 * math.log(4 / 0.4), abs=1e-12)
-    rho = TraceClassElement(np.array(values), diagonal=True)
+    rho = TraceClassElement(np.array(values))
     assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
 
 
@@ -87,8 +87,8 @@ def test_relative_entropy_support_violation():
 
 
 def test_relative_entropy_classical_oracle():
-    rho = TraceClassElement(np.array([0.7, 0.3]), diagonal=True)
-    sigma = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    rho = TraceClassElement(np.array([0.7, 0.3]))
+    sigma = TraceClassElement(np.array([0.5, 0.5]))
     expected = 0.7 * math.log(1.4) + 0.3 * math.log(0.6)
     assert expected == pytest.approx(kl([0.7, 0.3], [0.5, 0.5]), abs=1e-15)
     assert float(relative_entropy(rho, sigma)) == pytest.approx(expected, abs=1e-12)
@@ -98,9 +98,9 @@ def test_relative_entropy_classical_oracle():
 
 def test_relative_entropy_support_leak_threshold():
     # weight outside the support is tolerated up to 1e-10 and rejected above
-    sigma = TraceClassElement(np.array([1.0, 0.0]), diagonal=True)
-    inside = TraceClassElement(np.array([1.0 - 1e-11, 1e-11]), diagonal=True)
-    outside = TraceClassElement(np.array([1.0 - 1e-6, 1e-6]), diagonal=True)
+    sigma = TraceClassElement(np.array([1.0, 0.0]))
+    inside = TraceClassElement(np.array([1.0 - 1e-11, 1e-11]))
+    outside = TraceClassElement(np.array([1.0 - 1e-6, 1e-6]))
     assert relative_entropy(inside, sigma).is_finite
     assert relative_entropy(outside, sigma).is_infinite
 
@@ -155,13 +155,13 @@ def test_product_relative_entropy_homogeneity(rng, lam):
 
 def test_product_relative_entropy_diagonal_factors(rng):
     rho = random_density(6, rng)
-    a = TraceClassElement(random_probability(2, rng), diagonal=True)
-    b = TraceClassElement(random_probability(3, rng), diagonal=True)
+    a = TraceClassElement(random_probability(2, rng))
+    b = TraceClassElement(random_probability(3, rng))
     dense_a, dense_b = random_density(2, rng), random_density(3, rng)
     assert_matches_kronecker(rho, a, dense_b)
     assert_matches_kronecker(rho, dense_a, b)
     assert_matches_kronecker(rho, a, b)
-    classical = TraceClassElement(random_probability(6, rng), diagonal=True)
+    classical = TraceClassElement(random_probability(6, rng))
     assert_matches_kronecker(classical, a, b)
     assert_matches_kronecker(classical, dense_a, b)
 
@@ -173,9 +173,9 @@ def test_product_relative_entropy_support_violation(rng):
     rho = random_density(6, rng)
     assert relative_entropy_to_product(rho, a, b) == ExtendedReal.infinity()
     assert relative_entropy(rho, tensor(a, b)).is_infinite
-    classical = TraceClassElement(np.full(6, 1.0 / 6), diagonal=True)
-    a_diag = TraceClassElement(np.array([1.0, 0.0]), diagonal=True)
-    b_diag = TraceClassElement(np.full(3, 1.0 / 3), diagonal=True)
+    classical = TraceClassElement(np.full(6, 1.0 / 6))
+    a_diag = TraceClassElement(np.array([1.0, 0.0]))
+    b_diag = TraceClassElement(np.full(3, 1.0 / 3))
     assert relative_entropy_to_product(classical, a_diag, b_diag) == ExtendedReal.infinity()
 
 
@@ -186,7 +186,7 @@ def explicit_tau(w):
     """tau = sum_k |w_k>><<w_k| built as a dense matrix, factors (dim_a, dim_b)."""
     cols = w.reshape(w.shape[0], -1)
     tau = sum(np.outer(c, c.conj()) for c in cols)
-    return TraceClassElement(tau, w.shape[1:], validate=False)
+    return TraceClassElement(tau, w.shape[1:])
 
 
 @pytest.mark.parametrize("kraus_rank", [1, 2, 3, 4])
@@ -195,14 +195,14 @@ def test_factor_relative_entropy_matches_explicit_tau(rng, d, kraus_rank):
     states = (
         random_density(d, rng),
         random_density(d, rng, rank=max(1, d // 2)),
-        TraceClassElement(random_probability(d, rng), diagonal=True),
+        TraceClassElement(random_probability(d, rng)),
     )
     for dim_out in sorted({d, d + 1, -(-d // kraus_rank)}):
         op = random_channel(d, dim_out, kraus_rank, rng)
         for rho in states:
             m = purification_amplitude(rho)
             w = np.stack(op.kraus) @ m
-            a, b = apply(op, rho), TraceClassElement(m.T @ m.conj(), validate=False)
+            a, b = apply(op, rho), TraceClassElement(m.T @ m.conj())
             value = float(info.relative_entropy_of_factor(w, a, b))
             assert value == pytest.approx(float(relative_entropy(explicit_tau(w), tensor(a, b))), abs=1e-12)
 
@@ -313,7 +313,7 @@ def test_conditional_entropy_classical_oracle(rng):
     joint = rng.random((3, 4))
     joint /= joint.sum()
     oracle = entropy_oracle(joint.reshape(-1)) - entropy_oracle(joint.sum(axis=0))
-    w = TraceClassElement(joint.reshape(-1), factor_dims=(3, 4), diagonal=True)
+    w = TraceClassElement(joint.reshape(-1), factor_dims=(3, 4))
     assert conditional_entropy(w) == pytest.approx(oracle, abs=1e-9)
 
 
@@ -353,7 +353,7 @@ def test_cmi_nonnegative_and_forms_agree(rng):
 
 def test_checked_cmi_eigendecomposes_the_joint_state_once(rng, monkeypatch):
     m = random_pure(64, rng).to_matrix()
-    unvalidated = conditional_mutual_information(TraceClassElement(m, (4, 4, 4), validate=False))
+    unvalidated = conditional_mutual_information(TraceClassElement._unchecked(m, factor_dims=(4, 4, 4)))
     calls = []
     for name in ("eigvalsh", "eigh"):
         real = getattr(np.linalg, name)
@@ -528,7 +528,7 @@ def _counting_spectral_entropy(monkeypatch):
 @pytest.mark.parametrize("diagonal", [True, False], ids=["diag", "dense"])
 def test_entropy_is_stored_on_the_element_and_shared_by_copies(rng, diagonal, monkeypatch):
     if diagonal:
-        w = TraceClassElement(random_probability(6, rng), (2, 3), diagonal=True)
+        w = TraceClassElement(random_probability(6, rng), (2, 3))
         array = w.diag
     else:
         w = random_density(6, rng, factor_dims=(2, 3))
@@ -554,14 +554,14 @@ def test_entropy_is_stored_on_the_element_and_shared_by_copies(rng, diagonal, mo
 
 def test_stored_entropy_equals_spectral_entropy_bit_for_bit(rng):
     dense = random_density(5, rng)
-    diag = TraceClassElement(random_probability(7, rng), diagonal=True)
+    diag = TraceClassElement(random_probability(7, rng))
     assert _bits(von_neumann_entropy(dense)) == _bits(float(info.spectral_entropy(dense.eigenvalues())))
     assert _bits(von_neumann_entropy(diag)) == _bits(float(info.spectral_entropy(diag.diag)))
 
 
 def test_checked_cmi_eigendecomposes_each_two_factor_marginal_once(rng, monkeypatch):
     m = random_pure(64, rng).to_matrix()
-    unvalidated = conditional_mutual_information(TraceClassElement(m, (4, 4, 4), validate=False))
+    unvalidated = conditional_mutual_information(TraceClassElement._unchecked(m, factor_dims=(4, 4, 4)))
     w = TraceClassElement(m, (4, 4, 4))
     solves = []
     real = np.linalg.eigvalsh

@@ -35,13 +35,13 @@ def test_pure_majorizes_everything(rng):
 
 
 def test_everything_majorizes_maximally_mixed(rng):
-    mixed = TraceClassElement(np.full(4, 0.25), diagonal=True)
+    mixed = TraceClassElement(np.full(4, 0.25))
     assert majorizes(random_density(4, rng), mixed)
 
 
 def test_majorization_counterexample():
-    a = TraceClassElement(np.array([0.5, 0.3, 0.2]), diagonal=True)
-    b = TraceClassElement(np.array([0.6, 0.2, 0.2]), diagonal=True)
+    a = TraceClassElement(np.array([0.5, 0.3, 0.2]))
+    b = TraceClassElement(np.array([0.6, 0.2, 0.2]))
     assert not majorizes(a, b)  # 0.5 < 0.6 at the first partial sum
     assert majorizes(b, a)
 
@@ -64,8 +64,8 @@ def test_gap_decomposition_equal_states(rng):
 
 
 def test_gap_decomposition_pure_vs_mixed():
-    pure = TraceClassElement(np.array([1.0, 0.0]), diagonal=True)
-    mixed = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    pure = TraceClassElement(np.array([1.0, 0.0]))
+    mixed = TraceClassElement(np.array([0.5, 0.5]))
     d, f = entropy_gap_decomposition(pure, mixed)
     # classical oracle: D((1,0) || (1/2,1/2)) = log 2, f = H(mixed) - D = 0
     assert d == pytest.approx(LOG2, abs=1e-12)
@@ -76,8 +76,8 @@ def test_gap_decomposition_identity(rng):
     for _ in range(30):
         p = np.sort(random_probability(4, rng))[::-1]
         q = mixed_toward_uniform(p, rng)
-        rho = TraceClassElement(p, diagonal=True)
-        sigma = TraceClassElement(q, diagonal=True)
+        rho = TraceClassElement(p)
+        sigma = TraceClassElement(q)
         assert majorizes(rho, sigma)
         d, f = entropy_gap_decomposition(rho, sigma)
         lhs = von_neumann_entropy(sigma)
@@ -87,8 +87,8 @@ def test_gap_decomposition_identity(rng):
 
 
 def test_gap_decomposition_requires_majorization():
-    a = TraceClassElement(np.array([0.5, 0.3, 0.2]), diagonal=True)
-    b = TraceClassElement(np.array([0.6, 0.2, 0.2]), diagonal=True)
+    a = TraceClassElement(np.array([0.5, 0.3, 0.2]))
+    b = TraceClassElement(np.array([0.6, 0.2, 0.2]))
     with pytest.raises(NotMajorizedError):
         entropy_gap_decomposition(a, b)
 
@@ -96,7 +96,7 @@ def test_gap_decomposition_requires_majorization():
 def test_gap_approximant_limits(rng):
     p = np.sort(random_probability(4, rng))[::-1]
     q = mixed_toward_uniform(p, rng)
-    rho, sigma = TraceClassElement(p, diagonal=True), TraceClassElement(q, diagonal=True)
+    rho, sigma = TraceClassElement(p), TraceClassElement(q)
     assert gap_term_approximant(rho, sigma, 0) == pytest.approx(0.0, abs=1e-12)
     _, f = entropy_gap_decomposition(rho, sigma)
     assert gap_term_approximant(rho, sigma, 1e6) == pytest.approx(f, abs=1e-10)
@@ -106,13 +106,13 @@ def test_gap_approximant_monotone(rng):
     for _ in range(10):
         p = np.sort(random_probability(5, rng))[::-1]
         q = mixed_toward_uniform(p, rng)
-        rho, sigma = TraceClassElement(p, diagonal=True), TraceClassElement(q, diagonal=True)
+        rho, sigma = TraceClassElement(p), TraceClassElement(q)
         vals = [gap_term_approximant(rho, sigma, n) for n in range(1, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_rearrangement_fixed_point():
-    rho = TraceClassElement(np.array([0.5, 0.3, 0.2]), diagonal=True)
+    rho = TraceClassElement(np.array([0.5, 0.3, 0.2]))
     h = Hamiltonian.from_table([0.0, 1.0, 2.0])
     out = rearrangement(rho, h)
     assert np.allclose(out.diag, rho.diag)
@@ -146,7 +146,7 @@ def test_separable_check_product(rng):
 def test_separable_check_classical_correlated():
     joint = np.zeros((2, 2))
     joint[0, 0] = joint[1, 1] = 0.5
-    w = TraceClassElement(joint.reshape(-1), factor_dims=(2, 2), diagonal=True)
+    w = TraceClassElement(joint.reshape(-1), factor_dims=(2, 2))
     basis = [TraceClassElement.pure([1.0, 0.0]), TraceClassElement.pure([0.0, 1.0])]
     assert separable_majorization_check(w, construction=[(0.5, basis[0], basis[0]), (0.5, basis[1], basis[1])])
 
@@ -171,7 +171,7 @@ def test_entropy_monotone_under_majorization(seed):
     q = mixed_toward_uniform(p, rng)
     u = haar_unitary(5, rng)
     rho = TraceClassElement((u * p) @ u.conj().T)
-    sigma = TraceClassElement(q, diagonal=True)
+    sigma = TraceClassElement(q)
     assert majorizes(rho, sigma)
     assert von_neumann_entropy(rho) <= von_neumann_entropy(sigma) + 1e-9
 

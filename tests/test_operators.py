@@ -40,7 +40,7 @@ from entroloss.errors import (
     NotPositiveError,
 )
 from entroloss.rand import random_channel, random_density, random_pure
-from helpers import random_hermitian, reconstruct
+from helpers import random_psd, reconstruct
 
 
 def test_eig_diagonal_sorted_descending():
@@ -54,8 +54,8 @@ def test_eig_maximally_mixed_qubit():
 
 
 def test_eig_reconstruction_random_4x4(rng):
-    a = random_hermitian(4, rng)
-    dec = TraceClassElement(a, validate=False).spectrum()
+    a = random_psd(4, rng)
+    dec = TraceClassElement(a).spectrum()
     err = np.abs(np.linalg.eigvalsh(a - reconstruct(dec))).sum()
     assert err <= 1e-10 * max(1.0, np.abs(np.linalg.eigvalsh(a)).sum())
 
@@ -64,8 +64,8 @@ def test_eig_bulk_reconstruction_and_unitarity(rng):
     # spec-level volume: 1e4 random Hermitian matrices, dims up to 64
     dims = rng.integers(2, 65, size=10_000)
     for d in dims:
-        a = random_hermitian(int(d), rng)
-        dec = TraceClassElement(a, validate=False).spectrum()
+        a = random_psd(int(d), rng)
+        dec = TraceClassElement(a).spectrum()
         v = dec.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(int(d)))) <= 1e-10
         err = np.abs(np.linalg.eigvalsh(a - reconstruct(dec))).sum()
@@ -73,7 +73,7 @@ def test_eig_bulk_reconstruction_and_unitarity(rng):
 
 
 def test_eig_deterministic(rng):
-    a = TraceClassElement(random_hermitian(6, rng), validate=False)
+    a = TraceClassElement(random_psd(6, rng))
     d1, d2 = a.spectrum(), a.spectrum()
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
@@ -81,7 +81,7 @@ def test_eig_deterministic(rng):
 
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
-        TraceClassElement([[0.0, 1.0], [0.0, 0.0]], validate=False)
+        TraceClassElement([[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_every_construction_path_stores_an_exactly_hermitian_matrix(rng, monkeypatch):
@@ -90,7 +90,7 @@ def test_every_construction_path_stores_an_exactly_hermitian_matrix(rng, monkeyp
     rho = TraceClassElement(gram / np.real(np.trace(gram)), factor_dims=(2, 3))
     elements = {
         "validating constructor": rho,
-        "unvalidated channel output": apply(random_channel(6, 6, 2, rng), rho),
+        "channel output": apply(random_channel(6, 6, 2, rng), rho),
         "pure": random_pure(6, rng, factor_dims=(2, 3)),
         "scaled": rho.scaled(0.3),
         "tensor": tensor(rho, random_density(2, rng)),
@@ -116,11 +116,27 @@ def test_every_construction_path_stores_an_exactly_hermitian_matrix(rng, monkeyp
 def test_psd_validation():
     with pytest.raises(NotPositiveError):
         TraceClassElement(np.diag([1.0, -0.5]))
+    with pytest.raises(NotPositiveError):
+        TraceClassElement(np.array([[0.5, 1.0], [1.0, 0.5]]))  # eigenvalues 1.5 and -0.5
+    with pytest.raises(NotPositiveError):
+        TraceClassElement(np.array([1.0, -0.5]))
+
+
+def test_storage_form_follows_the_rank_of_the_entries():
+    p = np.array([0.25, 0.75])
+    diag, dense = TraceClassElement(p), TraceClassElement(np.diag(p))
+    assert diag.diagonal and not dense.diagonal
+    assert diag.dim == dense.dim == 2
+    assert np.array_equal(diag.diag, dense.diag)
+    assert TraceClassElement([[0.5, 0.0], [0.0, 0.5]]).diagonal is False
+    for entries in (np.float64(1.0), np.ones((2, 2, 2)) / 8):
+        with pytest.raises(DimensionMismatchError):
+            TraceClassElement(entries)
 
 
 def test_tensor_with_trivial_factor(rng):
     rho = random_density(3, rng)
-    one = TraceClassElement(np.array([1.0]), diagonal=True)
+    one = TraceClassElement(np.array([1.0]))
     out = tensor(rho, one)
     assert out.factor_dims == (3, 1)
     assert np.allclose(out.to_matrix(), rho.to_matrix())
@@ -156,9 +172,9 @@ def _guarded_sites():
         "__init__": lambda: TraceClassElement(np.eye(5) / 5),
         "pure": lambda: TraceClassElement.pure(np.ones(5)),
         "tensor": lambda: tensor(small, small),
-        "spectrum": lambda: TraceClassElement(np.full(5, 0.2), diagonal=True).spectrum(),
+        "spectrum": lambda: TraceClassElement(np.full(5, 0.2)).spectrum(),
         "relative_entropy_to_product": lambda: relative_entropy_to_product(joint, small, small),
-        "apply": lambda: apply(wide, TraceClassElement(np.full(5, 0.2), diagonal=True)),
+        "apply": lambda: apply(wide, TraceClassElement(np.full(5, 0.2))),
         "choi_matrix": lambda: choi_matrix(identity_channel(3)),
         "stinespring_entropy_residual": lambda: stinespring_entropy_residual(depolarizing_channel(0.5), qubit),
         "identity_channel": lambda: identity_channel(5),
@@ -182,9 +198,9 @@ def test_dense_guard_runs_before_each_allocation(site, monkeypatch):
 def _diag_guarded_sites():
     """Each derived-diagonal site, built from inputs within a cap of 4 (the
     sharp states at n = 2 have 3 entries) and producing more than 4 entries."""
-    flat = TraceClassElement(np.full(5, 0.2), diagonal=True)
-    pair = TraceClassElement(np.full(10, 0.1), (5, 2), diagonal=True)
-    third = TraceClassElement(np.full(3, 1 / 3), diagonal=True)
+    flat = TraceClassElement(np.full(5, 0.2))
+    pair = TraceClassElement(np.full(10, 0.1), (5, 2))
+    third = TraceClassElement(np.full(3, 1 / 3))
     h = Hamiltonian.logarithmic(1.0, 0.0, 8)
     # a derived family's element is its element map of the sharp element(s)
     families = {
@@ -265,7 +281,7 @@ def test_partial_trace_requires_factors(rng):
 
 @pytest.mark.parametrize("diagonal", [True, False])
 def test_embed_checks_factor_dims_for_both_storage_kinds(diagonal):
-    w = TraceClassElement(np.full(4, 0.25), diagonal=True)
+    w = TraceClassElement(np.full(4, 0.25))
     w = w if diagonal else TraceClassElement(w.to_matrix())
     assert w.embed(8, factor_dims=(2, 4)).factor_dims == (2, 4)
     for dim in (4, 8):
@@ -360,7 +376,7 @@ def test_vec_sqrt_norm_is_trace(rng):
 def test_diagonal_fast_path_consistency(rng):
     p = rng.random(6)
     p /= p.sum()
-    diag = TraceClassElement(p, diagonal=True, factor_dims=(2, 3))
+    diag = TraceClassElement(p, factor_dims=(2, 3))
     dense = TraceClassElement(np.diag(p.astype(complex)), factor_dims=(2, 3))
     assert trace_distance(diag, dense) <= 1e-12
     assert trace_distance(partial_trace(diag, [0]), partial_trace(dense, [0])) <= 1e-12

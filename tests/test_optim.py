@@ -69,7 +69,7 @@ def reference_search(objective, rows, cols, budget, identity_start=True):
 
 def rank2_two_qubit(rng):
     a, b = random_pure(4, rng, (2, 2)), random_pure(4, rng, (2, 2))
-    return TraceClassElement(0.6 * a.to_matrix() + 0.4 * b.to_matrix(), (2, 2), validate=False)
+    return TraceClassElement(0.6 * a.to_matrix() + 0.4 * b.to_matrix(), (2, 2))
 
 
 ROOFS = {

@@ -46,7 +46,7 @@ def rank2_two_qubit(rng, weight=0.5):
     a = random_pure(4, rng, (2, 2))
     b = random_pure(4, rng, (2, 2))
     m = weight * a.to_matrix() + (1 - weight) * b.to_matrix()
-    return TraceClassElement(m, (2, 2), validate=False)
+    return TraceClassElement(m, (2, 2))
 
 
 # -- entropy approximators ----------------------------------------------------
@@ -67,7 +67,7 @@ def test_full_rank_approximation_is_entropy(rng):
 
 
 def test_gap_of_maximally_mixed_qubit():
-    rho = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    rho = TraceClassElement(np.array([0.5, 0.5]))
     assert entropy_k_approximation(rho, 1).value == 0.0
     gap = entropy_k_gap(rho, 1)
     assert gap.value == pytest.approx(LOG2, abs=1e-12)
@@ -105,7 +105,7 @@ def test_gap_subadditive_at_certified_points(rng):
     # rank-one summands: the summed state has rank <= 2, every term is exact
     a = random_pure(3, rng).scaled(0.5)
     b = random_pure(3, rng).scaled(0.5)
-    summed = TraceClassElement(a.to_matrix() + b.to_matrix(), validate=False)
+    summed = TraceClassElement(a.to_matrix() + b.to_matrix())
     lhs = entropy_k_gap(summed, 2).value
     rhs = entropy_k_gap(a, 1).value + entropy_k_gap(b, 1).value
     assert lhs <= rhs + 1e-9
@@ -219,7 +219,7 @@ def test_csq_separable_mixture(rng):
     p0 = TraceClassElement.pure([1.0, 0.0])
     p1 = TraceClassElement.pure([0.0, 1.0])
     w = TraceClassElement(
-        0.5 * tensor(p0, p0).to_matrix() + 0.5 * tensor(p1, p1).to_matrix(), (2, 2), validate=False
+        0.5 * tensor(p0, p0).to_matrix() + 0.5 * tensor(p1, p1).to_matrix(), (2, 2)
     )
     out = c_squashed_entanglement_k(w, 2, BUDGET)
     assert out.value <= 1e-3
@@ -244,14 +244,14 @@ def test_squashed_separable_flag_extension_oracle(rng):
     a0, b0 = random_density(2, rng), random_density(2, rng)
     a1, b1 = random_density(2, rng), random_density(2, rng)
     w = TraceClassElement(
-        0.5 * tensor(a0, b0).to_matrix() + 0.5 * tensor(a1, b1).to_matrix(), (2, 2), validate=False
+        0.5 * tensor(a0, b0).to_matrix() + 0.5 * tensor(a1, b1).to_matrix(), (2, 2)
     )
     # explicit flag-extension value: arrange factors (A, E, B) and condition on E
     flag = np.zeros((4 * 2 * 4,))
     ext = 0.5 * np.kron(np.kron(a0.to_matrix(), np.diag([1.0, 0.0])), b0.to_matrix()) + 0.5 * np.kron(
         np.kron(a1.to_matrix(), np.diag([0.0, 1.0])), b1.to_matrix()
     )
-    ext_el = TraceClassElement(ext, (2, 2, 2), validate=False)
+    ext_el = TraceClassElement(ext, (2, 2, 2))
     flag_value = 0.5 * conditional_mutual_information(ext_el)
     assert flag_value <= 1e-10  # product members make the flag extension exact
     e1 = squashed_entanglement_k(w, 1)
@@ -283,7 +283,7 @@ def test_squashed_objective_is_half_the_extension_cmi(dims, k, rng, monkeypatch)
     for w, value in zip(stack, values):
         n4 = np.einsum("xr,efr->xef", amp, w.reshape(k, f, 2)).reshape(da, db, k, f)
         aeb = np.einsum("abef,cdgf->aebcgd", n4, n4.conj()).reshape(da * k * db, da * k * db)
-        extension = TraceClassElement(aeb, (da, k, db), validate=False)
+        extension = TraceClassElement(aeb, (da, k, db))
         assert value == pytest.approx(0.5 * conditional_mutual_information(extension), abs=1e-13)
 
 
@@ -371,7 +371,6 @@ def test_classical_correlations_classical_quantum(rng):
         0.6 * np.kron(r0.to_matrix(), np.diag([1.0, 0.0]))
         + 0.4 * np.kron(r1.to_matrix(), np.diag([0.0, 1.0])),
         (2, 2),
-        validate=False,
     )
     i_ab = float(mutual_information(w))
     out = classical_correlations(w, budget=BUDGET)
@@ -395,7 +394,6 @@ def test_discord_examples(rng):
         0.5 * np.kron(r0.to_matrix(), np.diag([1.0, 0.0]))
         + 0.5 * np.kron(r1.to_matrix(), np.diag([0.0, 1.0])),
         (2, 2),
-        validate=False,
     )
     assert quantum_discord(cq, budget=BUDGET).value <= 1e-4
 

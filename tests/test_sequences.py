@@ -19,7 +19,7 @@ from entroloss import (
     von_neumann_entropy,
 )
 from entroloss import info
-from entroloss.errors import FunctionalUndefinedError, IncompatiblePurificationError, InvalidParameterError
+from entroloss.errors import DimensionMismatchError, FunctionalUndefinedError, IncompatiblePurificationError, InvalidParameterError
 from entroloss.extended import ExtendedReal
 from entroloss.rand import random_density
 from entroloss.sequences import (
@@ -54,7 +54,17 @@ def test_sharp_sequence_closed_form_band():
     assert est.monotone_tail and est.converging
 
 
-@pytest.mark.parametrize("build", [lambda: make_sharp_sequence(energy=0.0), lambda: make_product_sequence((1.0,)), lambda: make_product_sequence((1.0, 0.5, 0.2))])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_sharp_sequence(energy=0.0),
+        lambda: make_product_sequence((1.0,)),
+        lambda: make_product_sequence((1.0, 0.5, 0.2)),
+        # q exceeds 1 at the smallest grid point n = 16
+        lambda: make_sharp_sequence(energy=100.0),
+        lambda: make_product_sequence((1.0, 100.0)),
+    ],
+)
 def test_sharp_energies_are_checked_when_the_family_is_built(build):
     with pytest.raises(InvalidParameterError):
         build()
@@ -79,7 +89,7 @@ def test_estimate_requires_long_grid(rng):
 
 
 def test_infinite_limit_marks_loss():
-    rho = TraceClassElement(np.array([0.5, 0.5]), diagonal=True)
+    rho = TraceClassElement(np.array([0.5, 0.5]))
     seq = StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9)))
     est = estimate_jump(seq, lambda x: ExtendedReal.infinity() if x is rho else 0.0)
     assert est.loss.is_infinite
@@ -189,7 +199,7 @@ def test_lift_with_explicit_target(rng):
     pad[:, : amp.shape[1]] = amp
     # rotate the purifying side: still a purification of the same limit
     phase = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
-    target = PureBipartiteState((3, 3), dense=pad @ phase)
+    target = PureBipartiteState((3, 3), pad @ phase)
     lifted = lift_by_purification(seq, target=target)
     omega = lifted.element(4)
     assert trace_distance(omega.marginal(0), rho0) <= 1e-9
@@ -206,7 +216,18 @@ def test_lift_rejects_bad_target(rng):
     pad = np.zeros((2, 2), dtype=complex)
     pad[:, : amp.shape[1]] = amp
     with pytest.raises(IncompatiblePurificationError):
-        lift_by_purification(seq, target=PureBipartiteState((2, 2), dense=pad))
+        lift_by_purification(seq, target=PureBipartiteState((2, 2), pad))
+
+
+def test_pure_state_storage_follows_the_rank_of_the_amplitude():
+    schmidt = PureBipartiteState((2, 3), np.array([0.6, 0.8]))
+    dense = PureBipartiteState((2, 3), np.diag([0.6, 0.8]) @ np.eye(2, 3))
+    assert repr(schmidt).endswith("schmidt)") and repr(dense).endswith("dense)")
+    assert np.array_equal(schmidt.amplitude(), dense.amplitude())
+    assert schmidt.marginal_entropy(0) == pytest.approx(dense.marginal_entropy(1), abs=1e-14)
+    for amplitude in (np.array([0.6, 0.8, 0.0]), np.ones((3, 2)), np.ones((2, 3, 1))):
+        with pytest.raises(DimensionMismatchError):
+            PureBipartiteState((2, 3), amplitude)
 
 
 def test_classical_correlated_family_structure():
