@@ -5,13 +5,18 @@ as [re, im] pairs) naming one of four commands: ``quantity`` evaluates a
 named functional on given states/channels, ``sequence`` runs a built-in
 family and reports jump estimates, ``suite`` executes registered bound
 suites, and ``report`` consolidates previously written suite outputs.
-Reruns with the same config and seed produce byte-identical files.
+Reruns with the same config and seed produce byte-identical files, on any
+core count for one numpy build: a command runs on one BLAS thread
+(``_one_blas_thread``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import json
 import math
 import os
@@ -590,6 +595,59 @@ def build_parser() -> argparse.ArgumentParser:
 
 TOP_LEVEL_KEYS = {"command", "seed", "output", "budget", "quantity", "sequence", "suite", "report"}
 
+# "{}" is "set" or "get"; numpy wheels ship the scipy_openblas builds
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@functools.cache
+def _openblas():
+    """(set, get) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            set_threads = getattr(handle, symbol.format("set"), None)
+            get_threads = getattr(handle, symbol.format("get"), None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the caller's count after it.
+
+    A command's BLAS calls are small (dots at n = 2**16, matrices of at most
+    129 dims): threaded, they save little wall time, leave an idle worker
+    busy-waiting through the numpy work that follows, and round dot products
+    by the host's core count, so report bytes would depend on it.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -619,13 +677,14 @@ def run(argv=None) -> int:
         seed = args.seed if args.seed is not None else _as(int, config.get("seed", 0), "seed")
         budget = parse_budget(_object(config, "budget"), seed)
         section = _object(config, command)
-        if command == "quantity":
-            return cmd_quantity(section, budget, out_dir, fmt)
-        if command == "sequence":
-            return cmd_sequence(section, out_dir, fmt)
-        if command == "suite":
-            return cmd_suite(section, out_dir, fmt)
-        return cmd_report(section, out_dir, fmt)
+        with _one_blas_thread():
+            if command == "quantity":
+                return cmd_quantity(section, budget, out_dir, fmt)
+            if command == "sequence":
+                return cmd_sequence(section, out_dir, fmt)
+            if command == "suite":
+                return cmd_suite(section, out_dir, fmt)
+            return cmd_report(section, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ Conventions
   what makes sequence runs at dimension 2**16 feasible; a 2-D array is a
   dense complex matrix.  Every public construction validates: a diagonal
   is checked for negative entries, a matrix for Hermiticity and, through
-  its stored ``eigvalsh`` spectrum, for positivity.
+  its stored ``eigvalsh`` spectrum, for positivity; a non-finite entry
+  raises ``InvalidParameterError``.
 * Multipartite structure is carried as an ordered list of subsystem
   dimensions (``factor_dims``) whose product equals the total dimension.
 * Spectra are reported sorted in decreasing order, except the read-only
@@ -45,6 +46,7 @@ from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
     DimensionOverflowError,
+    InvalidParameterError,
     NonHermitianError,
     NotPositiveError,
 )
@@ -77,9 +79,12 @@ def _require_diag_dim(n: int) -> None:
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+    peak = float(np.max(np.abs(m))) if m.size else 0.0
+    if not math.isfinite(peak):
+        raise InvalidParameterError("matrix entries must be finite")
+    scale = max(1.0, peak)
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > HERMITICITY_RTOL * scale:
+    if not dev <= HERMITICITY_RTOL * scale:
         raise NonHermitianError(f"max |A - A^dag| = {dev:.3e} exceeds {HERMITICITY_RTOL * scale:.3e}")
     return (m + m.conj().T) / 2.0
 
@@ -108,8 +113,12 @@ class TraceClassElement:
         if a.ndim == 1:
             d = np.array(a, dtype=float)
             _require_diag_dim(d.size)
-            if d.size and float(d.min()) < -PSD_TOL:
-                raise NotPositiveError(f"diagonal entry {d.min():.3e} below -{PSD_TOL}")
+            if d.size:
+                lo, hi = float(d.min()), float(d.max())
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise InvalidParameterError("diagonal entries must be finite")
+                if lo < -PSD_TOL:
+                    raise NotPositiveError(f"diagonal entry {lo:.3e} below -{PSD_TOL}")
             self._diag = d
             self._matrix = None
         elif a.ndim == 2:
@@ -120,7 +129,7 @@ class TraceClassElement:
             if m.size:
                 self._eigenvalues = _read_only(np.linalg.eigvalsh(m))
                 lo = float(self._eigenvalues[0])
-                if lo < -PSD_TOL:
+                if not lo >= -PSD_TOL:
                     raise NotPositiveError(f"smallest eigenvalue {lo:.3e} below -{PSD_TOL}")
             self._matrix = m
             self._diag = None
@@ -160,6 +169,8 @@ class TraceClassElement:
         """Rank-one element |psi><psi| from an amplitude vector (unnormalized)."""
         v = np.asarray(amplitudes, dtype=complex).reshape(-1)
         _require_dense_dim(v.size)
+        if not np.isfinite(v).all():
+            raise InvalidParameterError("amplitudes must be finite")
         return cls(np.outer(v, v.conj()), factor_dims=factor_dims)
 
     # -- basic views ----------------------------------------------------------

@@ -36,6 +36,7 @@ from entroloss.errors import (
     DimensionMismatchError,
     DimensionOverflowError,
     BadFactorizationError,
+    InvalidParameterError,
     NonHermitianError,
     NotPositiveError,
 )
@@ -120,6 +121,22 @@ def test_psd_validation():
         TraceClassElement(np.array([[0.5, 1.0], [1.0, 0.5]]))  # eigenvalues 1.5 and -0.5
     with pytest.raises(NotPositiveError):
         TraceClassElement(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(InvalidParameterError):
+        TraceClassElement(np.array([bad, 1.0]))
+    with pytest.raises(InvalidParameterError):
+        TraceClassElement(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidParameterError):
+        TraceClassElement(np.array([[0.5, bad], [bad, 0.5]]))
+    with pytest.raises(InvalidParameterError):
+        TraceClassElement(np.array([[complex(0.5, bad), 0.0], [0.0, 0.5]]))
+    with pytest.raises(InvalidParameterError):
+        TraceClassElement.pure([bad, 1.0])
+    with pytest.raises(InvalidParameterError):
+        TraceClassElement.pure([complex(1.0, bad), 1.0])
 
 
 def test_storage_form_follows_the_rank_of_the_entries():
