@@ -21,13 +21,14 @@ All restarts advance together as one ``(restarts, rows, cols)`` stack: each
 iteration retracts the still-active restarts with one stacked QR and scores
 them with one objective call.  Restart 0 starts at the identity embedding,
 every other restart at a random isometry drawn from its own stream spawned
-from the budget seed.  An objective with a critical point at the identity
-(a singleton ensemble, a trivial extension) would stop restart 0 there at
-once, so its search passes ``identity_start=False`` and restart 0 draws
-from its own stream too.  The descent itself draws nothing, so the result
-is deterministic and every restart follows the trajectory it would follow
-alone.  ``random_isometry`` is the one sign-fixed QR draw the package uses
-for Haar-random unitaries, isometries and Stinespring dilations.
+from the budget seed, the draws retracted together by one stacked QR.  An
+objective with a critical point at the identity (a singleton ensemble, a
+trivial extension) would stop restart 0 there at once, so its search passes
+``identity_start=False`` and restart 0 starts at its own draw too.  The
+descent itself draws nothing, so the result is deterministic and every
+restart follows the trajectory it would follow alone.  ``random_isometry``
+is the one sign-fixed QR draw the package uses for Haar-random unitaries,
+isometries and Stinespring dilations.
 """
 
 from __future__ import annotations
@@ -66,10 +67,14 @@ def qr_isometry(m: np.ndarray) -> np.ndarray:
     return q * phase.conj()[..., None, :]
 
 
+def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A (rows x cols) matrix of standard complex Gaussian entries."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Haar-random (rows x cols) isometry; a unitary when rows == cols."""
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return qr_isometry(g)
+    return qr_isometry(_ginibre(rng, rows, cols))
 
 
 @dataclass(frozen=True)
@@ -138,12 +143,11 @@ def minimize_isometry(
     budget = budget or DEFAULT_BUDGET
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
+    # each start is the draw random_isometry makes from its restart's stream
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    w = np.stack([
-        np.eye(rows, cols, dtype=complex) if i == 0 and identity_start
-        else random_isometry(np.random.default_rng(seed), rows, cols)
-        for i, seed in enumerate(seeds)
-    ])
+    w = qr_isometry(np.stack([_ginibre(np.random.default_rng(seed), rows, cols) for seed in seeds]))
+    if identity_start:
+        w[0] = np.eye(rows, cols)
     values, evaluations = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(

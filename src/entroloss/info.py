@@ -84,9 +84,10 @@ def spectral_entropy(eigs: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: TraceClassElement) -> float:
     """Entropy with the homogeneous cone extension; H(0) = 0.
 
-    Computed once per element and kept on it (see ``operators``)."""
+    Computed once per element and kept on it (see ``operators``); a
+    diagonal scores its held values, so a support-held one costs O(support)."""
     if rho._entropy is None:
-        rho._entropy = float(spectral_entropy(rho.diag if rho.diagonal else rho.eigenvalues()))
+        rho._entropy = float(spectral_entropy(rho.held_eigenvalues()))
     return rho._entropy
 
 
@@ -230,11 +231,7 @@ def mutual_information(omega: TraceClassElement) -> ExtendedReal:
     if state.diagonal:
         # Classical joint distribution: the relative entropy reduces to
         # the Shannon combination of the marginals.
-        val = (
-            float(shannon_entropy(a.diag))
-            + float(shannon_entropy(b.diag))
-            - float(shannon_entropy(state.diag))
-        )
+        val = von_neumann_entropy(a) + von_neumann_entropy(b) - von_neumann_entropy(state)
         return ExtendedReal(max(val, 0.0)) * t
     return relative_entropy_to_product(state, a, b) * t
 

@@ -110,11 +110,10 @@ def separable_majorization_check(omega: TraceClassElement, construction=None) ->
             rebuilt = term if rebuilt is None else TraceClassElement(rebuilt.to_matrix() + term.to_matrix(), omega.factor_dims)
         if rebuilt is None or trace_distance(rebuilt, omega) > 1e-10:
             raise NotMajorizedError("construction does not reassemble the given state")
-    # the joint spectrum is the longest: its partial sums are taken once
-    joint = omega.eigenvalues()
-    bound = _partial_sums(joint, joint.size) - MAJORIZATION_SLACK
-    for side in (0, 1):
-        marg = partial_trace(omega, [side]).eigenvalues()
-        if not np.all(_partial_sums(marg, joint.size) >= bound):
-            return False
-    return True
+    # partial sums past the longest held spectrum only repeat the totals, so
+    # the joint's are taken once, over that length
+    held = (omega, partial_trace(omega, [0]), partial_trace(omega, [1]))
+    joint, *margs = (np.sort(w.held_eigenvalues()) for w in held)
+    n = max(joint.size, *(m.size for m in margs))
+    bound = _partial_sums(joint, n) - MAJORIZATION_SLACK
+    return all(np.all(_partial_sums(m, n) >= bound) for m in margs)

@@ -31,6 +31,13 @@ Conventions
   state, channel outputs on diagonals): no copy and no check, so its
   callers keep a diagonal behind ``_require_diag_dim`` and a matrix exactly
   Hermitian.
+* A diagonal built through ``_unchecked`` with ``support=`` is *support-held*:
+  it keeps its values at sorted flat indices and its other entries are
+  implicit zeros, so a joint distribution on d of its d**2 points costs O(d).
+  ``held_eigenvalues``, ``trace``, ``scaled``, ``copy``, ``with_factors``,
+  ``partial_trace`` and ``permute_factors`` run on the held values, and the
+  last two return support-held elements; every other read goes through
+  ``diag``, which scatters the values into a full-length array.
 """
 
 from __future__ import annotations
@@ -105,11 +112,12 @@ class TraceClassElement:
     entries or eigenvalues down to -PSD_TOL.
     """
 
-    __slots__ = ("_matrix", "_diag", "_eigenvalues", "_entropy", "factor_dims", "dim")
+    __slots__ = ("_matrix", "_diag", "_support", "_eigenvalues", "_entropy", "factor_dims", "dim")
 
     def __init__(self, entries, factor_dims=None):
         a = np.asarray(entries)
         self._eigenvalues = None
+        self._support = None
         if a.ndim == 1:
             d = np.array(a, dtype=float)
             _require_diag_dim(d.size)
@@ -147,21 +155,25 @@ class TraceClassElement:
 
     @classmethod
     def _unchecked(
-        cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None, entropy=None
+        cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None, entropy=None, support=None, dim=None
     ) -> "TraceClassElement":
         """Element from a matrix or diagonal the caller knows is valid; runs no check,
         so derived elements (partial traces, products, copies) cost no eigensolve.
         Callers pass an exactly Hermitian matrix (``m == m.conj().T`` bit for bit),
         since ``spectrum()`` trusts it, or a 1-D float diagonal within the
-        ``_require_diag_dim`` cap that no one writes to.  ``eigenvalues`` and
-        ``entropy`` are the stored values of an element with the same spectrum."""
+        ``_require_diag_dim`` cap that no one writes to.  With ``support``, a
+        sorted array of distinct flat indices below ``dim``, ``diag`` holds the
+        values at those indices of a dim-``dim`` diagonal that is zero elsewhere.
+        ``eigenvalues`` and ``entropy`` are the stored values of an element
+        with the same spectrum."""
         out = cls.__new__(cls)
         out._matrix = matrix
         out._diag = diag
+        out._support = support
         out._eigenvalues = eigenvalues
         out._entropy = entropy
         out.factor_dims = factor_dims
-        out.dim = (matrix if diag is None else diag).shape[0]
+        out.dim = (matrix if diag is None else diag).shape[0] if dim is None else dim
         return out
 
     @classmethod
@@ -181,6 +193,10 @@ class TraceClassElement:
 
     @property
     def diag(self) -> np.ndarray:
+        if self._support is not None:
+            out = np.zeros(self.dim)
+            out[self._support] = self._diag
+            return out
         if self._diag is not None:
             return self._diag
         return np.real(np.diagonal(self._matrix)).copy()
@@ -188,7 +204,7 @@ class TraceClassElement:
     def to_matrix(self) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix
-        return np.diag(self._diag.astype(complex))
+        return np.diag(self.diag.astype(complex))
 
     @property
     def trace(self) -> float:
@@ -208,10 +224,15 @@ class TraceClassElement:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, read-only; a dense element runs eigvalsh on first use only."""
         if self._diag is not None:
-            return _read_only(np.sort(self._diag))
+            return _read_only(np.sort(self.diag))
         if self._eigenvalues is None:
             self._eigenvalues = _read_only(np.linalg.eigvalsh(self._matrix))
         return self._eigenvalues
+
+    def held_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues as stored, unsorted: a diagonal's values (without the
+        implicit zeros of a support-held one) or a matrix's ``eigenvalues()``."""
+        return self._diag if self._diag is not None else self.eigenvalues()
 
     def eigenvalues_descending(self) -> np.ndarray:
         return self.eigenvalues()[::-1].copy()
@@ -220,10 +241,11 @@ class TraceClassElement:
         """Eigenvalues sorted descending with their eigenvector columns (``eigh``)."""
         if self._diag is not None:
             _require_dense_dim(self.dim)
-            order = np.argsort(self._diag)[::-1]
+            d = self.diag
+            order = np.argsort(d)[::-1]
             vecs = np.zeros((self.dim, self.dim), dtype=complex)
             vecs[order, np.arange(self.dim)] = 1.0
-            return SpectralDecomposition(self._diag[order].copy(), vecs)
+            return SpectralDecomposition(d[order].copy(), vecs)
         try:
             w, v = np.linalg.eigh(self._matrix)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -246,7 +268,7 @@ class TraceClassElement:
 
     def copy(self) -> "TraceClassElement":
         return TraceClassElement._unchecked(
-            self._matrix, self._diag, self.factor_dims, self._eigenvalues, self._entropy
+            self._matrix, self._diag, self.factor_dims, self._eigenvalues, self._entropy, self._support, self.dim
         )
 
     def scaled(self, factor: float) -> "TraceClassElement":
@@ -255,7 +277,9 @@ class TraceClassElement:
             raise NotPositiveError("cone elements cannot be scaled by a negative factor")
         if self._diag is not None:
             _require_diag_dim(self.dim)
-            return TraceClassElement._unchecked(diag=self._diag * factor, factor_dims=self.factor_dims)
+            return TraceClassElement._unchecked(
+                diag=self._diag * factor, factor_dims=self.factor_dims, support=self._support, dim=self.dim
+            )
         return TraceClassElement._unchecked(self._matrix * factor, factor_dims=self.factor_dims)
 
     def embed(self, dim: int, factor_dims=None) -> "TraceClassElement":
@@ -266,7 +290,7 @@ class TraceClassElement:
             out = self.copy()
         elif self._diag is not None:
             d = np.zeros(dim)
-            d[: self.dim] = self._diag
+            d[: self.dim] = self.diag
             out = TraceClassElement(d)
         else:
             m = np.zeros((dim, dim), dtype=complex)
@@ -297,6 +321,17 @@ def _require_factors(w: TraceClassElement) -> tuple[int, ...]:
     return w.factor_dims
 
 
+def _support_regrouped(w: TraceClassElement, axes, new_dims) -> TraceClassElement:
+    """The support-held element whose entry at (i[a] for a in ``axes``) sums the
+    held values of ``w`` at multi-indices i: a partial trace keeping ``axes``,
+    or a factor permutation when ``axes`` lists every factor."""
+    index = np.unravel_index(w._support, w.factor_dims)
+    flat = np.ravel_multi_index(tuple(index[a] for a in axes), new_dims)
+    support, slot = np.unique(flat, return_inverse=True)
+    values = np.bincount(slot, weights=w._diag, minlength=support.size)
+    return TraceClassElement._unchecked(diag=values, factor_dims=new_dims, support=support, dim=math.prod(new_dims))
+
+
 def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
     """Trace out all factors not listed in ``keep`` (indices into factor_dims)."""
     dims = _require_factors(w)
@@ -308,6 +343,8 @@ def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
         return w.with_factors(kept_dims)
     if w.diagonal:
         _require_diag_dim(math.prod(kept_dims))
+        if w._support is not None:
+            return _support_regrouped(w, keep, kept_dims)
         drop = tuple(i for i in range(len(dims)) if i not in keep)
         marg = w.diag.reshape(dims).sum(axis=drop)
         return TraceClassElement._unchecked(diag=marg.reshape(-1), factor_dims=kept_dims)
@@ -334,6 +371,8 @@ def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
     new_dims = tuple(dims[i] for i in order)
     if w.diagonal:
         _require_diag_dim(w.dim)
+        if w._support is not None:
+            return _support_regrouped(w, order, new_dims)
         joint = w.diag.reshape(dims).transpose(order)
         return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=new_dims)
     k = len(dims)

@@ -32,7 +32,9 @@ A derived family is ``mapped`` from its base family (or bases): its n-th
 element is an element map of the base's n-th element and its limit is the
 same map of the base's limit, so no derived limit is written by hand.  The
 correlated, product and triple families and the target-free lift are built
-this way on the sharp family.
+this way on the sharp family.  The correlated and triple joints are
+support-held diagonals (see ``operators``): their n + 1 weights at their
+points, so their entropies and marginals cost O(n), not O(n**2).
 """
 
 from __future__ import annotations
@@ -536,13 +538,11 @@ def make_mixing_sequence(sigma: TraceClassElement, n_grid=GRID_MEDIUM) -> StateS
 
 
 def _correlated(rho: TraceClassElement) -> TraceClassElement:
-    """The joint distribution with weight p(k) on (k, k)."""
+    """The joint distribution with weight p(k) on (k, k), held on its support."""
     p = rho.diag
     d = p.size
     _require_diag_dim(d * d)
-    joint = np.zeros((d, d))
-    np.fill_diagonal(joint, p)
-    return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, d))
+    return TraceClassElement._unchecked(diag=p, factor_dims=(d, d), support=np.arange(d) * (d + 1), dim=d * d)
 
 
 def make_classical_correlated_sequence(energy: float = 1.0, n_grid=GRID_MEDIUM) -> StateSequence:
@@ -583,14 +583,13 @@ def make_product_sequence(energies=(1.0, 0.5), n_grid=GRID_MEDIUM) -> StateSeque
 
 
 def _triple(rho: TraceClassElement) -> TraceClassElement:
-    """The tripartite distribution with weight p(k) on (k, k mod 2, k)."""
+    """The tripartite distribution with weight p(k) on (k, k mod 2, k), held on its support."""
     p = rho.diag
     d = p.size
     _require_diag_dim(d * 2 * d)
-    joint = np.zeros((d, 2, d))
     ks = np.arange(d)
-    joint[ks, ks % 2, ks] = p
-    return TraceClassElement._unchecked(diag=joint.reshape(-1), factor_dims=(d, 2, d))
+    support = np.ravel_multi_index((ks, ks % 2, ks), (d, 2, d))
+    return TraceClassElement._unchecked(diag=p, factor_dims=(d, 2, d), support=support, dim=d * 2 * d)
 
 
 def make_classical_triple_sequence(energy: float = 1.0, n_grid=GRID_MEDIUM) -> StateSequence:

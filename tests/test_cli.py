@@ -126,6 +126,20 @@ def _run_sequence(tmp_path, section):
     return read_json(tmp_path / f"sequence_{section['family']}.json")["estimates"]
 
 
+@pytest.mark.parametrize(
+    "family, functionals",
+    [
+        ("classical_correlated", ["entropy", "marginal_entropy", "mutual_information", "conditional_entropy"]),
+        ("classical_triple", ["entropy", "marginal_entropy", "marginal_entropy_b"]),
+    ],
+)
+def test_sequence_on_support_held_families_converges(tmp_path, family, functionals):
+    # the distance to the limit reads the joint as a full diagonal
+    estimates = _run_sequence(tmp_path, {"family": family, "params": {"energy": 1.2}, "functionals": functionals})
+    assert set(estimates) == set(functionals)
+    assert all(estimate["converging"] for estimate in estimates.values())
+
+
 def test_sequence_default_window_fits_a_short_grid(tmp_path):
     estimates = _run_sequence(tmp_path, {"family": "rotated_sharp", "functionals": ["entropy", "pinched_entropy"]})
     # the 4-point dense grid takes a window of 2 unless one is given

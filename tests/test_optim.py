@@ -117,6 +117,25 @@ def test_stacked_qr_isometry_equals_per_matrix(shape):
         assert np.allclose(r_diag.imag, 0.0, atol=1e-12) and (r_diag.real > 0).all()
 
 
+@pytest.mark.parametrize("identity_start", [True, False])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2), (8, 2), (16, 4), (6, 3)])
+def test_stacked_starts_equal_per_restart_draws(shape, identity_start):
+    rows, cols = shape
+    budget = OptimizerBudget(restarts=16, iterations=0, seed=23)
+    seen = []
+
+    def objective(w):
+        seen.append(w.copy())
+        return np.zeros(len(w)), np.zeros_like(w)
+
+    minimize_isometry(objective, rows, cols, budget, identity_start=identity_start)
+    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+    starts = [random_isometry(np.random.default_rng(seed), rows, cols) for seed in seeds]
+    if identity_start:
+        starts[0] = np.eye(rows, cols, dtype=complex)
+    assert seen[0].tobytes() == np.stack(starts).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(ROOFS))
 def test_stacked_search_matches_sequential_restarts(name, monkeypatch, rng):
     objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroloss import SUITES, QuantumOperation, info, output_entropy, suite_ids, suite_run, suites
+from entroloss import SUITES, QuantumOperation, TraceClassElement, info, operators, output_entropy, sequences, suite_ids, suite_run, suites
 from entroloss.errors import UnknownSuiteError
 from entroloss.info import conditional_mutual_information, von_neumann_entropy
 from entroloss.operators import partial_trace
@@ -176,14 +176,58 @@ def test_p6_strong_subadditivity_row_reads_the_library_cmi(monkeypatch):
 
 
 def test_p6_scores_each_joint_diagonal_once(monkeypatch):
-    calls = []
-    real = info.spectral_entropy
+    scored, built = [], []
+    real_entropy, real_triple = info.spectral_entropy, sequences._triple
 
     def counted(eigs):
-        calls.append(np.size(eigs))
-        return real(eigs)
+        scored.append(eigs)
+        return real_entropy(eigs)
+
+    def recorded(rho):
+        built.append(real_triple(rho))
+        return built[-1]
 
     monkeypatch.setattr(info, "spectral_entropy", counted)
+    monkeypatch.setattr(sequences, "_triple", recorded)
     suites.walk(["P6"])
-    # the joint at n = 512 has 513 * 2 * 513 entries; the CMI and the entropy column share its score
-    assert calls.count(513 * 2 * 513) == 1
+    # the joint at n = 512 is held on its 513 support points; the CMI and the
+    # entropy column share its one score, and no call sees its 513 * 2 * 513 entries
+    [joint] = [x for x in built if x.dim == 513 * 2 * 513]
+    assert joint.held_eigenvalues().size == 513
+    assert sum(eigs is joint.held_eigenvalues() for eigs in scored) == 1
+    assert 513 * 2 * 513 not in {np.size(eigs) for eigs in scored}
+
+
+def test_suite_pass_never_densifies_a_support_held_diagonal(monkeypatch):
+    full_diagonal = TraceClassElement.diag.fget
+
+    def refuse_support_held(self):
+        if self._support is not None:
+            raise AssertionError(f"a suite pass densified a support-held diagonal of dim {self.dim}")
+        return full_diagonal(self)
+
+    monkeypatch.setattr(TraceClassElement, "diag", property(refuse_support_held))
+    walked = suites.walk(suite_ids(), {"energy": 1.2})
+    held = [seq for seq in walked.families.values() if getattr(seq.element(16), "_support", None) is not None]
+    assert len(held) == 3  # correlated, correlated_at_energy and triple
+    assert all(suite_run(suite_id, {"energy": 1.2}, walked).passed for suite_id in suite_ids())
+
+
+# factor on the values of every support-held marginal -> suites with a failed row;
+# C2's correlated row has a factor-two margin (H <= H_A + H_B with H_A = H_B = H),
+# and P6's strong subadditivity needs the marginal entropies cut by over a third
+MARGINAL_MUTATIONS = {1.01: ("C-sep", "C7", "P-CB"), 0.4: ("C2", "P6")}
+
+
+@pytest.mark.parametrize("factor", MARGINAL_MUTATIONS)
+def test_support_held_marginal_mutation_fails_rows(factor, monkeypatch):
+    real = operators._support_regrouped
+
+    def mutated(w, axes, new_dims):
+        out = real(w, axes, new_dims)
+        return out.scaled(factor) if len(axes) < len(w.factor_dims) else out
+
+    affected = MARGINAL_MUTATIONS[factor]
+    assert all(suite_run(suite_id).passed for suite_id in affected)
+    monkeypatch.setattr(operators, "_support_regrouped", mutated)
+    assert not any(suite_run(suite_id).passed for suite_id in affected)
