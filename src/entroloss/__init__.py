@@ -12,8 +12,6 @@ from .operators import (
     purification_amplitude,
     tensor,
     trace_distance,
-    unvec,
-    vec,
 )
 from .info import (
     Ensemble,
@@ -38,15 +36,12 @@ from .majorization import (
 from .energy import (
     GibbsState,
     Hamiltonian,
-    energy_gap_approximant,
-    energy_rearrangement_gap,
     gibbs_identity_residual,
     gibbs_state,
     gibbs_threshold,
     mean_energy,
     sharp_sequence_state,
     sharp_sequence_weight,
-    within_energy_bound,
 )
 from .channels import (
     ChannelSequence,
@@ -66,7 +61,6 @@ from .channels import (
     measure_prepare_channel,
     output_entropy,
     partial_trace_channel,
-    pinching_channel,
     pseudo_diagonal_channel,
     stinespring,
     stinespring_entropy_residual,
@@ -88,7 +82,6 @@ from .roofs import (
     koashi_winter_residual,
     quantum_discord,
     squashed_entanglement_k,
-    tensor_square_regularization,
 )
 from .sequences import (
     GRID_DENSE,

@@ -337,17 +337,6 @@ def dephasing_channel(p: float) -> QuantumOperation:
     return QuantumOperation(kraus)
 
 
-def pinching_channel(dim: int) -> QuantumOperation:
-    """Full decoherence in the computational basis: rho -> diag(rho)."""
-    _require_dense_dim(dim * dim)  # dim Kraus operators of dim**2 entries each
-    kraus = []
-    for k in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[k, k] = 1.0
-        kraus.append(e)
-    return QuantumOperation(kraus)
-
-
 def partial_trace_channel(dims, keep: int) -> QuantumOperation:
     """Channel (A x B) -> kept factor, tracing the other."""
     da, db = int(dims[0]), int(dims[1])

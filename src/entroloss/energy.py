@@ -24,14 +24,11 @@ from .errors import (
     LambdaBelowGError,
     QExceedsOneError,
     SupportEscapesTruncationError,
-    TruncationTailError,
 )
 from .extended import ExtendedReal
 from .info import von_neumann_entropy, relative_entropy
-from .majorization import rearrangement
 from .operators import DIAG_DIM_CAP, TraceClassElement, _read_only, _require_diag_dim
 
-ENERGY_SLACK = 1e-10
 Q_SLACK = 1e-15  # allowed excess of the sharp weight q over 1
 
 
@@ -136,17 +133,11 @@ class GibbsState:
     tail_bound: float
 
 
-def gibbs_state(
-    h: Hamiltonian,
-    lam: float,
-    dim: int,
-    tail_fraction_limit: float | None = None,
-) -> GibbsState:
+def gibbs_state(h: Hamiltonian, lam: float, dim: int) -> GibbsState:
     """Truncated Gibbs state exp(-lam H) / Z on the first ``dim`` levels.
 
     The reported tail bound estimates the mass of the dropped levels of the
-    untruncated partition sum.  Pass ``tail_fraction_limit`` to refuse
-    truncations whose tail exceeds that fraction of the computed sum.
+    untruncated partition sum.
     """
     lam = float(lam)
     if h.kind != "table":
@@ -159,10 +150,6 @@ def gibbs_state(
     weights = np.exp(-lam * e)
     z = float(weights.sum())
     tail = _partition_tail_bound(h, lam, dim)
-    if tail_fraction_limit is not None and tail > tail_fraction_limit * z:
-        raise TruncationTailError(
-            f"tail bound {tail:.3e} exceeds {tail_fraction_limit} of the partition sum {z:.6e}"
-        )
     state = TraceClassElement(weights / z)
     return GibbsState(lam=lam, state=state, log_partition=float(np.log(z)), tail_bound=tail)
 
@@ -174,11 +161,6 @@ def mean_energy(rho: TraceClassElement, h: Hamiltonian) -> float:
             f"state dim {rho.dim} exceeds truncation {h.truncation_dim}"
         )
     return float(np.dot(h.energies(rho.dim), rho.diag))
-
-
-def within_energy_bound(rho: TraceClassElement, h: Hamiltonian, e: float) -> bool:
-    """Membership in the mean-energy shell Tr H rho <= E, with 1e-10 slack."""
-    return mean_energy(rho, h) <= float(e) + ENERGY_SLACK
 
 
 def gibbs_identity_residual(rho: TraceClassElement, h: Hamiltonian, lam: float, dim: int) -> float:
@@ -217,25 +199,3 @@ def sharp_sequence_weight(h: Hamiltonian, e: float, n: int) -> float:
     levels = h.energies(n + 1)
     e0 = levels[0]
     return (float(e) - e0) / (float(levels[1:].mean()) - e0)
-
-
-def energy_rearrangement_gap(rho: TraceClassElement, h: Hamiltonian) -> float:
-    """Tr H rho - Tr H rho_desc >= 0: the energy released by rearranging."""
-    return mean_energy(rho, h) - mean_energy(rearrangement(rho, h), h)
-
-
-def energy_gap_approximant(rho: TraceClassElement, h: Hamiltonian, m: int) -> float:
-    """Gap computed with levels clipped at E_m; nondecreasing in m toward the gap."""
-    if rho.dim > h.truncation_dim:
-        raise SupportEscapesTruncationError(
-            f"state dim {rho.dim} exceeds truncation {h.truncation_dim}"
-        )
-    m = int(m)
-    if m >= h.truncation_dim:
-        m = h.truncation_dim - 1
-    e = h.energies(rho.dim)
-    cap = float(h.energies(m + 1)[m])
-    clipped = np.minimum(e, cap)
-    diag = rho.diag
-    sorted_diag = np.sort(np.clip(rho.eigenvalues_descending(), 0.0, None))[::-1]
-    return float(np.dot(clipped, diag) - np.dot(clipped, sorted_diag))

@@ -53,10 +53,6 @@ class SupportEscapesTruncationError(EntrolossError):
     """State support is not contained in the Hamiltonian truncation."""
 
 
-class TruncationTailError(EntrolossError):
-    """Gibbs truncation tail exceeds the requested fraction of the sum."""
-
-
 class QExceedsOneError(EntrolossError):
     """Sharp-sequence index too small: the mixing weight would exceed one."""
 

@@ -8,8 +8,8 @@ extension to subnormalized positive operators,
 which reduces to -Tr rho log rho on states and vanishes on every rank-one
 element regardless of its trace.  Relative entropy is evaluated in the
 eigenbasis of the second argument's support and returns the tagged
-+infinity marker on support violation.  Every dense relative entropy ends
-in one scalar kernel, ``_relative_entropy_kernel``: from the spectrum of
++infinity marker on support violation.  Every relative entropy ends in
+one scalar kernel, ``_relative_entropy_kernel``: from the spectrum of
 rho, rho's weights on sigma's support eigenvectors, those eigenvalues and
 the two traces it runs the leak test and forms Tr rho log rho and the cross
 term.  Against a product a (x) b the eigenbasis comes from the factor
@@ -113,7 +113,7 @@ def _relative_entropy_kernel(
     support eigenvectors v, whose eigenvalues are ``w_on``.
 
     The leak test, Tr rho log rho and the cross term Tr rho log sigma; every
-    dense relative entropy ends here.  Zero eigenvalues of rho add nothing, so
+    relative entropy ends here.  Zero eigenvalues of rho add nothing, so
     ``w_rho`` may omit them.
     """
     leak = tr_rho - float(weights.sum())
@@ -151,12 +151,7 @@ def relative_entropy(rho: TraceClassElement, sigma: TraceClassElement) -> Extend
     if rho.diagonal and sigma.diagonal:
         p, q = rho.diag, sigma.diag
         on = _support(q)
-        if float(np.clip(p, 0.0, None)[~on].sum()) > SUPPORT_LEAK_TOL:
-            return ExtendedReal.infinity()
-        ps = np.clip(p[on], 0.0, None)
-        plog = float(np.sum(ps[ps > 0] * np.log(ps[ps > 0])))
-        cross = float(np.sum(ps * np.log(q[on])))
-        return ExtendedReal(plog - cross + sigma.trace - rho.trace)
+        return _relative_entropy_kernel(p, rho.trace, p[on], q[on], sigma.trace)
     dec = sigma.spectrum()
     return _dense_relative_entropy(rho, dec.eigenvalues, dec.eigenvectors, sigma.trace)
 

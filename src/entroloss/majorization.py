@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotMajorizedError
-from .operators import TraceClassElement, partial_trace, tensor, trace_distance
+from .operators import TraceClassElement, partial_trace
 
 MAJORIZATION_SLACK = 1e-10
 DECOMPOSITION_TOL = 1e-8
@@ -93,23 +93,14 @@ def rearrangement(rho: TraceClassElement, hamiltonian=None) -> TraceClassElement
     return TraceClassElement(spec)
 
 
-def separable_majorization_check(omega: TraceClassElement, construction=None) -> bool:
+def separable_majorization_check(omega: TraceClassElement) -> bool:
     """Whether both marginals of a bipartite state majorize the joint state.
 
-    True for every separable state.  ``construction``, when given, is a list
-    of (weight, a_factor, b_factor) product terms that must reassemble omega;
-    it certifies separability of the input but does not affect the predicate.
-    A nonseparable control (e.g. a maximally entangled state) returns False.
+    True for every separable state.  A nonseparable control (e.g. a
+    maximally entangled state) returns False.
     """
     if omega.factor_dims is None or len(omega.factor_dims) != 2:
         raise DimensionMismatchError("separable check requires a bipartite factorization")
-    if construction is not None:
-        rebuilt = None
-        for weight, a, b in construction:
-            term = tensor(a, b).scaled(float(weight))
-            rebuilt = term if rebuilt is None else TraceClassElement(rebuilt.to_matrix() + term.to_matrix(), omega.factor_dims)
-        if rebuilt is None or trace_distance(rebuilt, omega) > 1e-10:
-            raise NotMajorizedError("construction does not reassemble the given state")
     # partial sums past the longest held spectrum only repeat the totals, so
     # the joint's are taken once, over that length
     held = (omega, partial_trace(omega, [0]), partial_trace(omega, [1]))

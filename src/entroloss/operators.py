@@ -418,19 +418,3 @@ def purification_amplitude(rho: TraceClassElement) -> np.ndarray:
         raise NotPositiveError("cannot purify the zero operator")
     on = w > SUPPORT_CUTOFF_RTOL * w[0]
     return dec.eigenvectors[:, on] * np.sqrt(w[on])
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking isomorphism: vec(M)[i + j*rows] = M[i, j]."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"vec expects a matrix, got ndim={m.ndim}")
-    return m.reshape(-1, order="F").copy()
-
-
-def unvec(v: np.ndarray, shape) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    rows, cols = int(shape[0]), int(shape[1])
-    if rows * cols != v.size:
-        raise DimensionMismatchError(f"cannot reshape {v.size} entries to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F").copy()

@@ -42,14 +42,7 @@ from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, minim
 from .channels import output_entropy
 from .errors import BadFactorizationError, InvalidParameterError, NotPureError
 from .info import eta, mutual_information, spectral_entropy, von_neumann_entropy
-from .operators import (
-    TraceClassElement,
-    group_factors,
-    partial_trace,
-    permute_factors,
-    purification_amplitude,
-    tensor,
-)
+from .operators import TraceClassElement, partial_trace, purification_amplitude
 
 
 class Direction(enum.Enum):
@@ -492,51 +485,4 @@ def koashi_winter_residual(
         classical_correlations=cb,
         formation=ef,
         marginal_entropy=h_a,
-    )
-
-
-# ---------------------------------------------------------------------------
-# tensor-square regularization at k = 2
-# ---------------------------------------------------------------------------
-
-
-def _tensor_square_bipartite(omega: TraceClassElement) -> TraceClassElement:
-    square = tensor(omega, omega)  # factors (A, B, A', B')
-    square = permute_factors(square, (0, 2, 1, 3))  # (A, A', B, B')
-    return group_factors(square, (2, 2))
-
-
-def tensor_square_regularization(
-    measure: str, omega: TraceClassElement, budget: OptimizerBudget | None = None, size: int | None = None
-) -> BoundedValue:
-    """Half the measure of omega (x) omega across the grouped (AA' : BB') cut.
-
-    Product ensembles certify measure(omega (x) omega) <= 2 measure(omega),
-    so the reported upper bound is the better of the direct optimizer on the
-    square and the product construction.
-    """
-    _bipartite(omega)
-    if measure == "formation":
-        single = entanglement_of_formation(omega, members=size, budget=budget)
-        square_state = _tensor_square_bipartite(omega)
-        rank = max(square_state.rank(), 1)
-        direct = entanglement_of_formation(
-            omega=square_state,
-            members=max(rank, (size or 0)),
-            budget=budget,
-        )
-    elif measure == "c_squashed":
-        k = int(size) if size is not None else max(2, omega.rank())
-        single = c_squashed_entanglement_k(omega, k, budget)
-        direct = c_squashed_entanglement_k(_tensor_square_bipartite(omega), k * k, budget)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    product_bound = 2.0 * single.value
-    value = 0.5 * min(direct.value, product_bound)
-    return BoundedValue(
-        value,
-        Direction.UPPER_BOUND,
-        converged=direct.converged and single.converged,
-        gap_estimate=max(direct.gap_estimate, single.gap_estimate),
-        meta={"single_copy": single.value, "square_direct": direct.value, "product_bound": product_bound},
     )

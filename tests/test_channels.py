@@ -25,7 +25,6 @@ from entroloss import (
     output_entropy,
     partial_trace,
     partial_trace_channel,
-    pinching_channel,
     pseudo_diagonal_channel,
     stinespring,
     stinespring_entropy_residual,
@@ -293,12 +292,6 @@ def test_pseudo_diagonal_channel_properties(rng):
         # coherent information and entropy gain stay nonnegative on this family
         assert coherent_information(op, rho) >= -1e-9
         assert output_entropy(op, rho) - von_neumann_entropy(rho) >= -1e-9
-
-
-def test_pinching_channel(rng):
-    rho = random_density(3, rng)
-    out = apply(pinching_channel(3), rho)
-    assert np.allclose(out.to_matrix(), np.diag(np.diagonal(rho.to_matrix())), atol=1e-12)
 
 
 def test_operation_tensor(rng):

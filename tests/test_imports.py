@@ -56,3 +56,29 @@ def test_module_uses_every_imported_name(module):
             imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused imports: {sorted(imported - used)}"
+
+
+def _names_read(path: Path) -> set:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    """Every name the package exports is read by the library itself, a demo,
+    the bench or the acceptance gate; a name only its unit tests read goes."""
+    package = Path(SPEC.submodule_search_locations[0])
+    root = Path(__file__).resolve().parents[1]
+    readers = [package / f"{m}.py" for m in MODULES]
+    readers += sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    readers.append(root / "tests" / "test_acceptance.py")
+    read = set().union(*map(_names_read, readers))
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unread = sorted(exported - read)
+    assert not unread, f"exports no reader outside the unit tests reads: {unread}"

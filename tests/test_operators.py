@@ -22,14 +22,11 @@ from entroloss import (
     partial_trace,
     partial_trace_channel,
     permute_factors,
-    pinching_channel,
     relative_entropy_to_product,
     sharp_sequence_state,
     stinespring_entropy_residual,
     tensor,
     trace_distance,
-    unvec,
-    vec,
     von_neumann_entropy,
 )
 from entroloss.errors import (
@@ -197,7 +194,6 @@ def _guarded_sites():
         "identity_channel": lambda: identity_channel(5),
         "depolarizing_channel": lambda: depolarizing_channel(0.5, dim=3),
         "partial_trace_channel": lambda: partial_trace_channel((2, 3), keep=0),
-        "pinching_channel": lambda: pinching_channel(3),
     }
 
 
@@ -370,24 +366,6 @@ def test_mirsky_inequality(seed):
     a, b = random_density(5, rng), random_density(5, rng)
     lhs = np.abs(a.eigenvalues_descending() - b.eigenvalues_descending()).sum()
     assert lhs <= trace_distance(a, b) + 1e-9
-
-
-def test_vec_identity_is_bell_amplitude():
-    v = vec(np.eye(2))
-    assert np.allclose(v, [1, 0, 0, 1])
-    assert np.linalg.norm(v / math.sqrt(2)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_vec_unvec_roundtrip(rng):
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(unvec(vec(m), (3, 3)), m)
-
-
-def test_vec_sqrt_norm_is_trace(rng):
-    rho = random_density(4, rng).scaled(0.7)
-    dec = rho.spectrum()
-    root = (dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0, None))) @ dec.eigenvectors.conj().T
-    assert np.linalg.norm(vec(root)) ** 2 == pytest.approx(rho.trace, abs=1e-10)
 
 
 def test_diagonal_fast_path_consistency(rng):

@@ -27,7 +27,6 @@ from entroloss import (
     roofs,
     squashed_entanglement_k,
     tensor,
-    tensor_square_regularization,
     von_neumann_entropy,
 )
 from entroloss._optim import DEFAULT_BUDGET, OptimizerBudget, minimize_isometry, random_isometry
@@ -436,33 +435,6 @@ def test_koashi_winter_random(rng):
 def test_koashi_winter_requires_pure(rng):
     with pytest.raises(NotPureError):
         koashi_winter_residual(random_density(8, rng, factor_dims=(2, 2, 2)), BUDGET)
-
-
-# -- tensor-square regularization ------------------------------------------------------
-
-
-def test_regularization_product_state(rng):
-    w = tensor(random_density(2, rng), random_density(2, rng))
-    out = tensor_square_regularization("formation", w, BUDGET)
-    assert out.value <= 5e-3
-
-
-def test_regularization_bell_additive():
-    out = tensor_square_regularization("formation", bell(), BUDGET)
-    assert out.value == pytest.approx(LOG2, abs=1e-6)
-
-
-def test_regularization_subadditive(rng):
-    omega = rank2_two_qubit(rng)
-    single = entanglement_of_formation(omega, members=2, budget=BUDGET)
-    out = tensor_square_regularization("formation", omega, BUDGET, size=2)
-    assert out.value <= single.value + 1e-9
-
-
-def test_regularization_csq(rng):
-    w = tensor(random_density(2, rng), random_density(2, rng))
-    out = tensor_square_regularization("c_squashed", w, OptimizerBudget(restarts=4, iterations=300, seed=3))
-    assert out.value <= 2e-2
 
 
 # -- ordering at certified points --------------------------------------------------------
