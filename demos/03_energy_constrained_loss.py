@@ -23,11 +23,11 @@ from entroloss import (
 from entroloss.sequences import entropy_of
 
 h = Hamiltonian.logarithmic(1.0, 0.0, (1 << 16) + 1)
-print("threshold g(H) for E_k = log(k+1):", float(gibbs_threshold(h)))
+print("threshold g(H) for E_k = log(k+1):", gibbs_threshold(h))
 print("threshold for E_k = 2 log(k+1):   ",
-      float(gibbs_threshold(Hamiltonian.logarithmic(2.0, 0.0, 16))))
+      gibbs_threshold(Hamiltonian.logarithmic(2.0, 0.0, 16)))
 print("threshold for the linear law:     ",
-      float(gibbs_threshold(Hamiltonian.linear(0.0, 1.0, 16))))
+      gibbs_threshold(Hamiltonian.linear(0.0, 1.0, 16)))
 
 gs = gibbs_state(h, 2.0, 1000)
 print("\nGibbs partition at lam=2, 1000 levels:", np.exp(gs.log_partition),
@@ -45,9 +45,9 @@ for n in seq.n_grid[::3]:
     print(f"{n:7d}  {q:.6f}  {von_neumann_entropy(rho):9.6f}  {mean_energy(rho, h):9.6f}  {q * np.log(n):9.6f}")
 
 est = estimate_jump(seq, entropy_of, closed_form_key="entropy")
-print("\nwindowed entropy-loss estimate (finite n):", float(est.loss))
+print("\nwindowed entropy-loss estimate (finite n):", est.loss)
 print("closed-form estimate at the largest n:     ", est.loss_closed_form)
-print("asymptotic value g(H) (E - E0):            ", float(gibbs_threshold(h)) * energy)
+print("asymptotic value g(H) (E - E0):            ", gibbs_threshold(h) * energy)
 
 # the rearranged family keeps its energy below the original at every n
 worst = max(

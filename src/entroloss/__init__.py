@@ -2,7 +2,6 @@
 entropic quantities of quantum states and channels."""
 
 from ._optim import OptimizerBudget
-from .extended import ExtendedReal
 from .operators import (
     SpectralDecomposition,
     TraceClassElement,

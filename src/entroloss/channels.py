@@ -133,10 +133,6 @@ class QuantumOperation:
     def __call__(self, rho: TraceClassElement) -> TraceClassElement:
         return apply(self, rho)
 
-    def tensor(self, other: "QuantumOperation") -> "QuantumOperation":
-        kraus = [np.kron(a, b) for a in self.kraus for b in other.kraus]
-        return QuantumOperation(kraus)
-
     def __repr__(self):
         count = len(self._kraus) if self._entries is None else int(self._entries[0].max()) + 1
         return (
@@ -232,7 +228,7 @@ def stinespring_entropy_residual(op: QuantumOperation, rho: TraceClassElement) -
     _require_dense_dim(v.isometry.shape[0])
     dilated = v.isometry @ rho.to_matrix() @ v.isometry.conj().T
     joint = TraceClassElement(dilated, (v.out_dim, v.env_dim))
-    i_be = float(mutual_information(joint))
+    i_be = mutual_information(joint)
     lhs = output_entropy(op, rho) + entropy_exchange(op, rho)
     rhs = von_neumann_entropy(rho) + i_be
     return abs(lhs - rhs)
@@ -260,7 +256,7 @@ def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> 
     def value_for(amp: np.ndarray) -> float:
         # marginal of the purification on R: (M^T conj(M))
         varrho = TraceClassElement(amp.T @ amp.conj())
-        return float(relative_entropy_of_factor(kraus @ amp, out, varrho))
+        return relative_entropy_of_factor(kraus @ amp, out, varrho)
 
     first = value_for(m)
     r = m.shape[1]

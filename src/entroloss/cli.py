@@ -45,7 +45,6 @@ from .errors import (
     MissingArtifactsError,
     SuiteFailureError,
 )
-from .extended import ExtendedReal
 from .info import (
     Ensemble,
     conditional_entropy,
@@ -267,8 +266,6 @@ def parse_budget(spec: dict, seed: int) -> OptimizerBudget:
 
 
 def _jsonable(x):
-    if isinstance(x, ExtendedReal):
-        return "inf" if x.is_infinite else x.value
     if isinstance(x, BoundedValue):
         return {
             "value": x.value,
@@ -316,6 +313,16 @@ def write_csv(path: str, header: list, rows) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+# optimizer-backed quantities: name -> (size key, estimator, default size)
+_ESTIMATORS = {
+    "entanglement_of_formation": ("members", entanglement_of_formation, None),
+    "classical_correlations": ("povm_size", classical_correlations, None),
+    "quantum_discord": ("povm_size", quantum_discord, None),
+    "c_squashed_entanglement": ("members", c_squashed_entanglement_k, 2),
+    "squashed_entanglement": ("extension_dim", squashed_entanglement_k, 1),
+}
+
+
 def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str) -> int:
     allowed = {
         "name",
@@ -332,6 +339,8 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
     name = section.get("name")
     if not name:
         raise ConfigError("'quantity.name' is required")
+    if not isinstance(name, str):  # a list or object name is no table key
+        raise ConfigError(f"unknown quantity {name!r}")
 
     def state(key="state"):
         return parse_state(_required(section, key, "quantity"), f"quantity.{key}")
@@ -346,57 +355,35 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         value = section.get(key)
         return default if value is None else _as(int, value, f"quantity.{key}")
 
-    record: dict = {"name": name}
-    if name == "entropy":
-        record["value"] = von_neumann_entropy(state())
-        record["provenance"] = "exact"
-    elif name == "relative_entropy":
-        record["value"] = relative_entropy(state(), state("sigma"))
-        record["provenance"] = "exact"
-    elif name == "mutual_information":
-        record["value"] = float(mutual_information(state()))
-        record["provenance"] = "exact"
-    elif name == "conditional_entropy":
-        record["value"] = conditional_entropy(state())
-        record["provenance"] = "exact"
-    elif name == "conditional_mutual_information":
-        record["value"] = conditional_mutual_information(state())
-        record["provenance"] = "exact"
-    elif name == "holevo":
+    def holevo():
         spec = section.get("ensemble")
         if not spec:
             raise ConfigError("'quantity.ensemble' is required for holevo")
         _reject_unknown(spec, {"weights", "states"}, "quantity.ensemble")
         members = [parse_state(s, "quantity.ensemble.states") for s in _required(spec, "states", "quantity.ensemble")]
         weights = _as(_floats, _required(spec, "weights", "quantity.ensemble"), "quantity.ensemble.weights")
-        record["value"] = holevo_quantity(Ensemble(weights, members))
+        return holevo_quantity(Ensemble(weights, members))
+
+    exact = {
+        "entropy": lambda: von_neumann_entropy(state()),
+        "relative_entropy": lambda: relative_entropy(state(), state("sigma")),
+        "mutual_information": lambda: mutual_information(state()),
+        "conditional_entropy": lambda: conditional_entropy(state()),
+        "conditional_mutual_information": lambda: conditional_mutual_information(state()),
+        "holevo": holevo,
+        "gibbs_threshold": lambda: gibbs_threshold(hamiltonian()),
+        "mean_energy": lambda: mean_energy(state(), hamiltonian()),
+        "output_entropy": lambda: output_entropy(channel(), state()),
+        "coherent_information": lambda: coherent_information(channel(), state()),
+        "channel_mutual_information": lambda: channel_mutual_information(channel(), state()),
+    }
+    record: dict = {"name": name}
+    if name in exact:
+        record["value"] = exact[name]()
         record["provenance"] = "exact"
-    elif name == "gibbs_threshold":
-        record["value"] = gibbs_threshold(hamiltonian())
-        record["provenance"] = "exact"
-    elif name == "mean_energy":
-        record["value"] = mean_energy(state(), hamiltonian())
-        record["provenance"] = "exact"
-    elif name == "entanglement_of_formation":
-        record["value"] = _at("quantity.members", entanglement_of_formation, state(), size("members"), budget)
-    elif name == "classical_correlations":
-        record["value"] = _at("quantity.povm_size", classical_correlations, state(), size("povm_size"), budget)
-    elif name == "quantum_discord":
-        record["value"] = _at("quantity.povm_size", quantum_discord, state(), size("povm_size"), budget)
-    elif name == "c_squashed_entanglement":
-        record["value"] = _at("quantity.members", c_squashed_entanglement_k, state(), size("members", 2), budget)
-    elif name == "squashed_entanglement":
-        k = size("extension_dim", 1)
-        record["value"] = _at("quantity.extension_dim", squashed_entanglement_k, state(), k, budget)
-    elif name == "output_entropy":
-        record["value"] = output_entropy(channel(), state())
-        record["provenance"] = "exact"
-    elif name == "coherent_information":
-        record["value"] = coherent_information(channel(), state())
-        record["provenance"] = "exact"
-    elif name == "channel_mutual_information":
-        record["value"] = channel_mutual_information(channel(), state())
-        record["provenance"] = "exact"
+    elif name in _ESTIMATORS:
+        key, estimator, default = _ESTIMATORS[name]
+        record["value"] = _at(f"quantity.{key}", estimator, state(), size(key, default), budget)
     elif name == "constrained_holevo":
         members = size("members", 2)
         record["value"] = _at("quantity.members", constrained_holevo_estimate, channel(), state(), members, budget)

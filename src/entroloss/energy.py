@@ -14,6 +14,7 @@ slices of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import (
     QExceedsOneError,
     SupportEscapesTruncationError,
 )
-from .extended import ExtendedReal
 from .info import von_neumann_entropy, relative_entropy
 from .operators import DIAG_DIM_CAP, TraceClassElement, _read_only, _require_diag_dim
 
@@ -91,7 +91,7 @@ class Hamiltonian:
         return float(self.energies(1)[0])
 
 
-def gibbs_threshold(h: Hamiltonian) -> ExtendedReal:
+def gibbs_threshold(h: Hamiltonian) -> float:
     """g(H): the infimum of lam with a finite Gibbs partition sum.
 
     Closed form per law family: logarithmic law with scale a has threshold
@@ -102,9 +102,9 @@ def gibbs_threshold(h: Hamiltonian) -> ExtendedReal:
         raise FiniteTableLawError("growth threshold is undefined for a finite table law")
     if h.kind == "linear":
         _, slope = h.params
-        return ExtendedReal(0.0) if slope > 0 else ExtendedReal.infinity()
+        return 0.0 if slope > 0 else math.inf
     scale, _ = h.params
-    return ExtendedReal(1.0 / scale) if scale > 0 else ExtendedReal.infinity()
+    return 1.0 / scale if scale > 0 else math.inf
 
 
 def _partition_tail_bound(h: Hamiltonian, lam: float, dim: int) -> float:
@@ -142,8 +142,8 @@ def gibbs_state(h: Hamiltonian, lam: float, dim: int) -> GibbsState:
     lam = float(lam)
     if h.kind != "table":
         g = gibbs_threshold(h)
-        if g.is_infinite or lam <= float(g):
-            raise LambdaBelowGError(f"lam={lam} is not above the threshold {float(g)!r}")
+        if lam <= g:
+            raise LambdaBelowGError(f"lam={lam} is not above the threshold {g!r}")
     elif lam <= 0:
         raise LambdaBelowGError("lam must be positive")
     e = h.energies(dim)
@@ -169,8 +169,7 @@ def gibbs_identity_residual(rho: TraceClassElement, h: Hamiltonian, lam: float, 
         raise SupportEscapesTruncationError(f"state dim {rho.dim} exceeds truncation {dim}")
     gs = gibbs_state(h, lam, dim)
     rho_d = rho.embed(dim)
-    rel = relative_entropy(rho_d, gs.state)
-    lhs = von_neumann_entropy(rho) + float(rel)
+    lhs = von_neumann_entropy(rho) + relative_entropy(rho_d, gs.state)
     rhs = lam * mean_energy(rho, h) + gs.log_partition
     return abs(lhs - rhs)
 

@@ -7,18 +7,18 @@ extension to subnormalized positive operators,
 
 which reduces to -Tr rho log rho on states and vanishes on every rank-one
 element regardless of its trace.  Relative entropy is evaluated in the
-eigenbasis of the second argument's support and returns the tagged
-+infinity marker on support violation.  Every relative entropy ends in
-one scalar kernel, ``_relative_entropy_kernel``: from the spectrum of
-rho, rho's weights on sigma's support eigenvectors, those eigenvalues and
-the two traces it runs the leak test and forms Tr rho log rho and the cross
-term.  Against a product a (x) b the eigenbasis comes from the factor
-eigendecompositions (eigenvalues w_a w_b, eigenvectors v_a (x) v_b), so the
-Kronecker product is never eigendecomposed; mutual information is evaluated
-that way.  ``relative_entropy_of_factor`` takes the first argument as
-tau = W W^dag from its factor W alone (spectrum from the Gram matrix
-W^dag W, weights from V_a^dag w_k conj(V_b)); the channel mutual information
-is evaluated that way and never builds tau.
+eigenbasis of the second argument's support and returns ``math.inf`` on
+support violation.  Every relative entropy ends in one scalar kernel,
+``_relative_entropy_kernel``: from the spectrum of rho, rho's weights on
+sigma's support eigenvectors, those eigenvalues and the two traces it runs
+the leak test and forms Tr rho log rho and the cross term.  Against a
+product a (x) b the eigenbasis comes from the factor eigendecompositions
+(eigenvalues w_a w_b, eigenvectors v_a (x) v_b), so the Kronecker product
+is never eigendecomposed; mutual information is evaluated that way.
+``relative_entropy_of_factor`` takes the first argument as tau = W W^dag
+from its factor W alone (spectrum from the Gram matrix W^dag W, weights
+from V_a^dag w_k conj(V_b)); the channel mutual information is evaluated
+that way and never builds tau.
 
 Spectra of dense states come from ``TraceClassElement.eigenvalues()``, so
 the entropy and the Tr rho log rho term of a relative entropy reuse the
@@ -33,6 +33,8 @@ I(A:C) on that one element.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -41,7 +43,6 @@ from .errors import (
     InconsistentEnsembleError,
     NotUnitaryError,
 )
-from .extended import ExtendedReal
 from .operators import (
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
@@ -91,9 +92,9 @@ def von_neumann_entropy(rho: TraceClassElement) -> float:
     return rho._entropy
 
 
-def shannon_entropy(p) -> ExtendedReal:
+def shannon_entropy(p) -> float:
     """Shannon entropy with the same homogeneous extension to the L1 cone."""
-    return ExtendedReal(float(spectral_entropy(np.asarray(p, dtype=float).reshape(-1))))
+    return float(spectral_entropy(np.asarray(p, dtype=float).reshape(-1)))
 
 
 def _support(values: np.ndarray) -> np.ndarray:
@@ -108,7 +109,7 @@ def _support(values: np.ndarray) -> np.ndarray:
 
 def _relative_entropy_kernel(
     w_rho: np.ndarray, tr_rho: float, weights: np.ndarray, w_on: np.ndarray, tr_sigma: float
-) -> ExtendedReal:
+) -> float:
     """H(rho || sigma) from rho's spectrum and rho's weights <v|rho|v> on sigma's
     support eigenvectors v, whose eigenvalues are ``w_on``.
 
@@ -118,16 +119,16 @@ def _relative_entropy_kernel(
     """
     leak = tr_rho - float(weights.sum())
     if leak > SUPPORT_LEAK_TOL:
-        return ExtendedReal.infinity()
+        return math.inf
     w_rho = np.clip(w_rho, 0.0, None)
     plog = float(np.sum(w_rho[w_rho > 0] * np.log(w_rho[w_rho > 0])))
     cross = float(np.sum(np.clip(weights, 0.0, None) * np.log(w_on)))
-    return ExtendedReal(plog - cross + tr_sigma - tr_rho)
+    return plog - cross + tr_sigma - tr_rho
 
 
 def _dense_relative_entropy(
     rho: TraceClassElement, w_sigma: np.ndarray, v_sigma: np.ndarray, tr_sigma: float
-) -> ExtendedReal:
+) -> float:
     """H(rho || sigma) from sigma's eigenvalues and eigenvector columns.
 
     The weights <v|rho|v> of rho on sigma's support vectors are the column
@@ -139,7 +140,7 @@ def _dense_relative_entropy(
     return _relative_entropy_kernel(rho.eigenvalues(), rho.trace, weights, w_sigma[on], tr_sigma)
 
 
-def relative_entropy(rho: TraceClassElement, sigma: TraceClassElement) -> ExtendedReal:
+def relative_entropy(rho: TraceClassElement, sigma: TraceClassElement) -> float:
     """H(rho || sigma) = Tr[rho log rho - rho log sigma] + Tr sigma - Tr rho.
 
     Returns +infinity when supp rho is not contained in supp sigma, detected
@@ -158,7 +159,7 @@ def relative_entropy(rho: TraceClassElement, sigma: TraceClassElement) -> Extend
 
 def relative_entropy_to_product(
     rho: TraceClassElement, a: TraceClassElement, b: TraceClassElement
-) -> ExtendedReal:
+) -> float:
     """H(rho || a (x) b) from the spectra of a and b, as relative_entropy(rho, tensor(a, b))."""
     if rho.dim != a.dim * b.dim:
         raise DimensionMismatchError(f"dims {rho.dim} and {a.dim} x {b.dim} differ")
@@ -176,7 +177,7 @@ def relative_entropy_to_product(
 
 def relative_entropy_of_factor(
     w: np.ndarray, a: TraceClassElement, b: TraceClassElement
-) -> ExtendedReal:
+) -> float:
     """H(tau || a (x) b) for tau = sum_k |w_k>><<w_k|, given the stack w of shape
     (K, a.dim, b.dim) of the columns w_k reshaped to a.dim x b.dim.
 
@@ -216,18 +217,18 @@ def _marginals_ab(omega: TraceClassElement) -> tuple[TraceClassElement, TraceCla
     return partial_trace(omega, [0]), partial_trace(omega, [1])
 
 
-def mutual_information(omega: TraceClassElement) -> ExtendedReal:
+def mutual_information(omega: TraceClassElement) -> float:
     """I(A:B) = H(omega_AB || omega_A x omega_B), cone-extended homogeneously."""
     t = omega.trace
     if t <= 0:
-        return ExtendedReal(0.0)
+        return 0.0
     state = omega.scaled(1.0 / t)
     a, b = _marginals_ab(state)
     if state.diagonal:
         # Classical joint distribution: the relative entropy reduces to
         # the Shannon combination of the marginals.
         val = von_neumann_entropy(a) + von_neumann_entropy(b) - von_neumann_entropy(state)
-        return ExtendedReal(max(val, 0.0)) * t
+        return max(val, 0.0) * t
     return relative_entropy_to_product(state, a, b) * t
 
 
@@ -236,7 +237,7 @@ def conditional_entropy(omega: TraceClassElement) -> float:
     omega.require_state()
     a, b = _marginals_ab(omega)
     primary = von_neumann_entropy(omega) - von_neumann_entropy(b)
-    alt = von_neumann_entropy(a) - float(mutual_information(omega))
+    alt = von_neumann_entropy(a) - mutual_information(omega)
     if abs(primary - alt) > CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"conditional entropy forms disagree: {primary!r} vs {alt!r}"
@@ -250,7 +251,7 @@ def _mi_of_cut(omega: TraceClassElement, split: int) -> float:
     The state is taken as normalized, so the cut is evaluated without the
     rescaling in mutual_information and keeps the spectrum it inherits."""
     sub = group_factors(omega, (split, len(omega.factor_dims) - split))
-    return float(relative_entropy_to_product(sub, *_marginals_ab(sub)))
+    return relative_entropy_to_product(sub, *_marginals_ab(sub))
 
 
 def conditional_mutual_information(omega: TraceClassElement, check: bool = True) -> float:
@@ -323,20 +324,20 @@ class Ensemble:
         return abs(self.weights.sum() - 1.0) <= 1e-12 and all(m.is_state for m in self.members)
 
 
-def holevo_quantity(ensemble: Ensemble) -> ExtendedReal:
+def holevo_quantity(ensemble: Ensemble) -> float:
     """chi = sum_i pi_i H(rho_i || rho_bar), cross-checked against H(rho_bar) - sum pi_i H(rho_i)."""
     if not ensemble.is_state_ensemble:
         raise InconsistentEnsembleError("Holevo quantity requires a normalized state ensemble")
     avg = ensemble.average
-    total = ExtendedReal(0.0)
+    total = 0.0
     mean_member_entropy = 0.0
     for wi, m in zip(ensemble.weights, ensemble.members):
         if wi == 0.0:
             continue
-        total = total + relative_entropy(m, avg) * wi
+        total += relative_entropy(m, avg) * float(wi)
         mean_member_entropy += wi * von_neumann_entropy(m)
-    if total.is_finite:
+    if math.isfinite(total):
         alt = von_neumann_entropy(avg) - mean_member_entropy
-        if abs(total.value - alt) > CROSS_CHECK_TOL:
-            raise ArithmeticError(f"Holevo forms disagree: {total.value!r} vs {alt!r}")
+        if abs(total - alt) > CROSS_CHECK_TOL:
+            raise ArithmeticError(f"Holevo forms disagree: {total!r} vs {alt!r}")
     return total

@@ -326,7 +326,7 @@ def c_squashed_entanglement_k(
     if k < 1:
         raise InvalidParameterError("ensemble size must be >= 1")
     if k == 1 or omega.rank() <= 1:
-        return _exact(float(mutual_information(omega)), Direction.UPPER_BOUND, anchor="singleton ensemble")
+        return _exact(mutual_information(omega), Direction.UPPER_BOUND, anchor="singleton ensemble")
     amp = purification_amplitude(omega)
     r = amp.shape[1]
     budget = budget or DEFAULT_BUDGET
@@ -361,11 +361,11 @@ def squashed_entanglement_k(
     if k < 1:
         raise InvalidParameterError("extension dimension must be >= 1")
     if k == 1:
-        return _exact(0.5 * float(mutual_information(omega)), Direction.UPPER_BOUND, anchor="trivial extension")
+        return _exact(0.5 * mutual_information(omega), Direction.UPPER_BOUND, anchor="trivial extension")
     amp = purification_amplitude(omega)
     r = amp.shape[1]
     if r == 1:
-        return _exact(0.5 * float(mutual_information(omega)), Direction.UPPER_BOUND, anchor="pure state")
+        return _exact(0.5 * mutual_information(omega), Direction.UPPER_BOUND, anchor="pure state")
     f = r * k  # environment of the squashing channel covers every channel R -> E
     budget = budget or DEFAULT_BUDGET
     # n4 below is pure on ABEF, so S(ABE) = S(F).  Each marginal is M M^dag with
@@ -436,7 +436,7 @@ def quantum_discord(
 ) -> BoundedValue:
     """I(A:B) minus the classical-correlations estimate; an upper bound on the discord."""
     cb = classical_correlations(omega, povm_size, budget)
-    i_ab = float(mutual_information(omega))
+    i_ab = mutual_information(omega)
     return BoundedValue(
         max(i_ab - cb.value, 0.0),
         Direction.UPPER_BOUND,

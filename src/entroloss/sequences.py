@@ -51,7 +51,6 @@ from .errors import (
     IncompatiblePurificationError,
     InvalidParameterError,
 )
-from .extended import ExtendedReal
 from .energy import Q_SLACK, Hamiltonian, sharp_sequence_state, sharp_sequence_weight
 from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
 from .operators import TraceClassElement, _require_diag_dim, partial_trace, tensor, trace_distance
@@ -161,7 +160,7 @@ def marginal_entropy_of(x, side: int = 0) -> float:
 def mutual_information_of(x) -> float:
     if isinstance(x, PureBipartiteState):
         return 2.0 * x.marginal_entropy(0)
-    return float(mutual_information(x))
+    return mutual_information(x)
 
 
 def conditional_entropy_of(x) -> float:
@@ -182,7 +181,7 @@ def pinched_entropy_of(x) -> float:
         x = x.to_element()
     if x.diagonal:
         return von_neumann_entropy(x)
-    return float(shannon_entropy(np.clip(x.diag, 0.0, None)))
+    return shannon_entropy(np.clip(x.diag, 0.0, None))
 
 
 FUNCTIONALS = {
@@ -287,8 +286,8 @@ class JumpEstimate:
     limit_value: float
     tail_sup: float
     tail_inf: float
-    loss: ExtendedReal
-    gain: ExtendedReal
+    loss: float
+    gain: float
     window: int
     monotone_tail: bool
     converging: bool
@@ -296,8 +295,6 @@ class JumpEstimate:
 
 
 def _as_float(value) -> float:
-    if isinstance(value, ExtendedReal):
-        return float(value)
     value = float(value)
     if math.isnan(value):
         raise FunctionalUndefinedError("functional returned NaN")
@@ -390,10 +387,10 @@ def read_jump(
     tail_sup, tail_inf = max(tail), min(tail)
     infinite = math.isinf(limit_value)
     if infinite or math.isinf(tail_sup):
-        loss = ExtendedReal.infinity()
+        loss = math.inf
     else:
-        loss = ExtendedReal(jump_loss(values, limit_value, window))
-    gain = ExtendedReal(0.0 if infinite else jump_gain(values, limit_value, window))
+        loss = jump_loss(values, limit_value, window)
+    gain = 0.0 if infinite else jump_gain(values, limit_value, window)
     if all(math.isfinite(v) for v in tail):
         diffs = np.diff(tail)
         monotone = bool(np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12))

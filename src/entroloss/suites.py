@@ -198,7 +198,7 @@ def _orthogonal_holevo(rho) -> float:
     member2 = np.zeros(rho.diag.size + 1)
     member2[-1] = 1.0
     avg = 0.5 * member1 + 0.5 * member2
-    return float(shannon_entropy(avg)) - 0.5 * float(shannon_entropy(member1)) - 0.5 * float(shannon_entropy(member2))
+    return shannon_entropy(avg) - 0.5 * shannon_entropy(member1) - 0.5 * shannon_entropy(member2)
 
 
 def _average_entropy(rho) -> float:
@@ -409,7 +409,7 @@ def _max_gap(a: str, b: str, size=lambda d: d):
 
 
 def _g(r) -> float:
-    return float(gibbs_threshold(r.family.tags["hamiltonian"]))
+    return gibbs_threshold(r.family.tags["hamiltonian"])
 
 
 def _e0(r) -> float:
@@ -475,7 +475,7 @@ SUITES = {
             Row("reference sequence equal to the sequence gives equality", _close, _max_gap("self_cross_entropy", H, abs), 0.0, 1e-10, "pointwise"),
             # fixed full-rank Gibbs reference at lam = 2: the bound becomes lam * energy loss
             Row("closed-form entropy loss <= lam * energy loss (Gibbs reference)", _le, lambda r: r.closed(H), _p1_bound, basis="closed_form"),
-            Row("measured entropy loss <= lam * energy loss (Gibbs reference)", _le, lambda r: float(r.jump(H).loss), _p1_bound),
+            Row("measured entropy loss <= lam * energy loss (Gibbs reference)", _le, lambda r: r.jump(H).loss, _p1_bound),
             Row("cross-entropy dominates the entropy (every grid point)", _le, _p1_cross_excess, 0.0, 1e-8, "pointwise"),
         ),
     ),

@@ -28,7 +28,6 @@ from entroloss import (
     pseudo_diagonal_channel,
     stinespring,
     stinespring_entropy_residual,
-    tensor,
     trace_distance,
     unitary_channel,
     von_neumann_entropy,
@@ -292,14 +291,6 @@ def test_pseudo_diagonal_channel_properties(rng):
         # coherent information and entropy gain stay nonnegative on this family
         assert coherent_information(op, rho) >= -1e-9
         assert output_entropy(op, rho) - von_neumann_entropy(rho) >= -1e-9
-
-
-def test_operation_tensor(rng):
-    a, b = random_density(2, rng), random_density(2, rng)
-    op = dephasing_channel(0.7).tensor(identity_channel(2))
-    joint = tensor(a, b)
-    expected = tensor(apply(dephasing_channel(0.7), a), b)
-    assert trace_distance(apply(op, joint), expected) <= 1e-10
 
 
 def test_compression_operation(rng):

@@ -451,6 +451,13 @@ def test_missing_or_invalid_key_is_a_config_error(tmp_path, capsys, payload, pat
     assert "np.float64" not in err  # numbers print as plain floats
 
 
+@pytest.mark.parametrize("name", ["nope", ["entropy"]], ids=["unknown", "list"])
+def test_unknown_quantity_is_a_config_error(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, {**_quantity(name, state=PURE), "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 2
+    assert f"unknown quantity {name!r}" in capsys.readouterr().err
+
+
 def test_dense_cap_exits_before_allocating(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(operators, "DENSE_DIM_CAP", 4)
     payload = _quantity("output_entropy", state={"kind": "max_mixed", "dim": 5}, channel={"kind": "identity", "dim": 5})
@@ -507,6 +514,27 @@ def test_a_suite_pass_walks_each_family_once(tmp_path, monkeypatch):
 
 def test_jsonable_keeps_the_sign_of_an_infinity():
     assert _jsonable([math.inf, -math.inf, 1.5]) == ["inf", "-inf", 1.5]
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        _quantity(
+            "relative_entropy",
+            state={"kind": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+            sigma={"kind": "pure", "amplitudes": [[0.0, 0.0], [1.0, 0.0]]},
+        ),
+        _gibbs({"kind": "linear", "slope": 0.0, "truncation_dim": 10}),
+    ],
+    ids=["relative_entropy", "gibbs_threshold"],
+)
+def test_an_infinite_quantity_is_written_as_inf(tmp_path, capsys, section):
+    cfg = write_config(tmp_path, {**section, "output": {"dir": str(tmp_path), "format": "both"}})
+    assert run(["--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "inf"
+    assert read_json(tmp_path / "quantity.json")["value"] == "inf"
+    name = section["quantity"]["name"]
+    assert (tmp_path / "quantity.csv").read_text() == f"name,value\n{name},inf\n"
 
 
 @pytest.mark.parametrize("family", sorted(builtin_families()))

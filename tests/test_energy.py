@@ -48,7 +48,7 @@ def test_threshold_scaled_log_law():
 
 
 def test_threshold_degenerate_law_diverges():
-    assert gibbs_threshold(Hamiltonian.linear(1.0, 0.0, 10)).is_infinite
+    assert gibbs_threshold(Hamiltonian.linear(1.0, 0.0, 10)) == math.inf
 
 
 def test_threshold_undefined_for_tables():
@@ -79,6 +79,8 @@ def test_gibbs_partition_zeta_oracle():
 def test_gibbs_requires_lambda_above_threshold():
     with pytest.raises(LambdaBelowGError):
         gibbs_state(Hamiltonian.logarithmic(1.0, 0.0, 100), 0.9, 50)
+    with pytest.raises(LambdaBelowGError):  # g = +inf refuses every lam
+        gibbs_state(Hamiltonian.linear(1.0, 0.0, 10), 50.0, 8)
 
 
 def test_gibbs_identity_on_gibbs_state():
@@ -169,7 +171,7 @@ def test_divergent_threshold_entropy_grows_with_truncation():
     values = []
     for d in (16, 256, 4096):
         h = Hamiltonian.linear(1.0, 0.0, d)
-        assert gibbs_threshold(h).is_infinite
+        assert gibbs_threshold(h) == math.inf
         mixed = TraceClassElement(np.full(d, 1.0 / d))
         ground = np.zeros(d)
         ground[0] = 1.0
