@@ -30,7 +30,6 @@ from .majorization import (
     majorizes,
     rearrangement,
     separable_majorization_check,
-    spectrum_majorizes,
 )
 from .energy import (
     GibbsState,

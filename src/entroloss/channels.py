@@ -234,19 +234,9 @@ def stinespring_entropy_residual(op: QuantumOperation, rho: TraceClassElement) -
     return abs(lhs - rhs)
 
 
-def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> float:
-    """I(Phi, rho) = H(Phi (x) Id(psi) || Phi(rho) (x) rho_R) over a purification psi.
-
-    With M the purification amplitude, the joint output is tau = W W^dag for
-    the columns w_k = vec(K_k M), so tau is never built: its spectrum comes
-    from the K x K Gram matrix W^dag W (equal to Phi^c(rho)^T) and its
-    weights on the product eigenbasis from V^dag (K_k M) conj(U)
-    (``info.relative_entropy_of_factor``).
-
-    The value is recomputed with a second, rotated purification and must
-    agree within 1e-8, and it must equal H(rho) + H(Phi(rho)) - H(Phi^c(rho))
-    within 1e-8; disagreement signals a numerical defect.
-    """
+def _channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> tuple[float, float, float]:
+    """(I(Phi, rho), H(Phi(rho)), H(Phi^c(rho))), the value checked as in
+    ``channel_mutual_information``, which documents it."""
     op.require_channel()
     rho.require_state()
     m = purification_amplitude(rho)
@@ -267,17 +257,39 @@ def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> 
             raise ArithmeticError(
                 f"mutual information depends on the purification: {first!r} vs {second!r}"
             )
-    cross = von_neumann_entropy(rho) + von_neumann_entropy(out) - entropy_exchange(op, rho)
+    h_out, h_env = von_neumann_entropy(out), entropy_exchange(op, rho)
+    cross = von_neumann_entropy(rho) + h_out - h_env
     if abs(first - cross) > IDENTITY_TOL:
         raise ArithmeticError(f"mutual information cross-check failed: {first!r} vs {cross!r}")
-    return first
+    return first, h_out, h_env
+
+
+def channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) -> float:
+    """I(Phi, rho) = H(Phi (x) Id(psi) || Phi(rho) (x) rho_R) over a purification psi.
+
+    With M the purification amplitude, the joint output is tau = W W^dag for
+    the columns w_k = vec(K_k M), so tau is never built: its spectrum comes
+    from the K x K Gram matrix W^dag W (equal to Phi^c(rho)^T) and its
+    weights on the product eigenbasis from V^dag (K_k M) conj(U)
+    (``info.relative_entropy_of_factor``).
+
+    The value is recomputed with a second, rotated purification and must
+    agree within 1e-8, and it must equal H(rho) + H(Phi(rho)) - H(Phi^c(rho))
+    within 1e-8; disagreement signals a numerical defect.
+    """
+    return _channel_mutual_information(op, rho)[0]
 
 
 def coherent_information(op: QuantumOperation, rho: TraceClassElement) -> float:
-    """I_c(Phi, rho) = I(Phi, rho) - H(rho), constrained to [-H(rho), H(rho)]."""
+    """I_c(Phi, rho) = I(Phi, rho) - H(rho), constrained to [-H(rho), H(rho)].
+
+    Checked against H(Phi(rho)) - H(Phi^c(rho)), the two output entropies the
+    mutual information's own cross-check computed, so the operation and its
+    complementary are applied once each."""
     h = von_neumann_entropy(rho)
-    value = channel_mutual_information(op, rho) - h
-    direct = output_entropy(op, rho) - entropy_exchange(op, rho)
+    mutual, h_out, h_env = _channel_mutual_information(op, rho)
+    value = mutual - h
+    direct = h_out - h_env
     if abs(value - direct) > IDENTITY_TOL:
         raise ArithmeticError(f"coherent information forms disagree: {value!r} vs {direct!r}")
     if abs(value) > h + CI_RANGE_TOL:
@@ -429,15 +441,13 @@ class ChannelSequence:
         self.n_min = int(n_min)
 
     def convergence_profile(self, grid) -> np.ndarray:
+        """Max over the probes of ||Phi_n(rho) - Phi(rho)||_1 at each n of ``grid``;
+        the limit's outputs are formed once per call."""
+        limits = [apply(self.limit, rho) for rho in self.probe_states]
         out = []
         for n in grid:
             op = self.generator(n)
-            out.append(
-                max(
-                    trace_distance(apply(op, rho), apply(self.limit, rho))
-                    for rho in self.probe_states
-                )
-            )
+            out.append(max(trace_distance(apply(op, rho), lim) for rho, lim in zip(self.probe_states, limits)))
         return np.asarray(out)
 
     def validate(self, grid) -> bool:

@@ -66,20 +66,39 @@ def eta(x):
     gather or scatter.  On x >= 0 every entry, the sign of each zero
     included, equals -x[pos] * log(x[pos]) with eta(0) = +0.0.
     """
-    x = np.asarray(x, dtype=float)
+    out = _eta(np.asarray(x, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def _eta(x: np.ndarray) -> np.ndarray:
+    """eta of a float array, as an array even when 0-d."""
     out = np.empty_like(x)
     out.fill(-0.0)
     np.log(x, out=out, where=x > 0.0)
     out *= x
     np.negative(out, out=out)
-    return out if out.ndim else float(out)
+    return out
 
 
 def spectral_entropy(eigs: np.ndarray) -> np.ndarray:
     """Cone entropy sum eta(w) - eta(sum w) of the spectra along the last axis;
-    negative round-off eigenvalues count as zero."""
-    w = np.clip(eigs, 0.0, None)
-    return eta(w).sum(axis=-1) - eta(w.sum(axis=-1))
+    negative round-off eigenvalues count as zero.
+
+    When every entry is positive this is t log t - sum w log w with t = sum w:
+    one log, one in-place product and one sum over the entries, with no clip
+    copy.  It equals bit for bit the clipped form sum eta(w) - eta(t), which
+    an array holding an entry <= 0 or a NaN takes: negating the sum of
+    w log w instead of summing -w log w can flip only the sign of a zero sum,
+    and subtracting eta(t), nonzero or eta(1) = -0.0, erases that sign.
+    """
+    w = np.asarray(eigs, dtype=float)
+    if w.size and w.min() > 0.0:
+        wlogw = np.log(w)
+        wlogw *= w
+        total = w.sum(axis=-1)
+        return total * np.log(total) - wlogw.sum(axis=-1)
+    w = np.clip(w, 0.0, None)
+    return _eta(w).sum(axis=-1) - _eta(w.sum(axis=-1))
 
 
 def von_neumann_entropy(rho: TraceClassElement) -> float:

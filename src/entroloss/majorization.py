@@ -24,34 +24,51 @@ _LOG_FLOOR = 1e-300
 def _partial_sums(ascending: np.ndarray, n: int) -> np.ndarray:
     """Leading partial sums of an ascending spectrum taken in descending order,
     zero-padded to length n."""
+    if ascending.size == n:
+        return np.cumsum(ascending[::-1])
     padded = np.zeros(n)
     padded[: ascending.size] = ascending[::-1]
     return np.cumsum(padded)
 
 
-def spectrum_majorizes(lam, mu) -> bool:
-    """Partial-sum dominance of two nonnegative spectra, zero-padded to a common length."""
-    lam = np.sort(np.asarray(lam, dtype=float).reshape(-1))
-    mu = np.sort(np.asarray(mu, dtype=float).reshape(-1))
+def _majorizes_sorted(lam: np.ndarray, mu: np.ndarray) -> bool:
+    """Partial-sum dominance of two ascending nonnegative spectra, zero-padded
+    to a common length."""
     n = max(lam.size, mu.size)
     return bool(np.all(_partial_sums(lam, n) >= _partial_sums(mu, n) - MAJORIZATION_SLACK))
 
 
+def _spectra(rho: TraceClassElement, sigma: TraceClassElement) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending spectra of rho and sigma, one sort of a diagonal each."""
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
+    return rho.eigenvalues(), sigma.eigenvalues()
+
+
 def majorizes(rho: TraceClassElement, sigma: TraceClassElement) -> bool:
     """True iff every leading partial sum of rho's spectrum dominates sigma's."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    return spectrum_majorizes(rho.eigenvalues_descending(), sigma.eigenvalues_descending())
+    return _majorizes_sorted(*_spectra(rho, sigma))
 
 
-def _sorted_pair(rho: TraceClassElement, sigma: TraceClassElement) -> tuple[np.ndarray, np.ndarray]:
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} and {sigma.dim} differ")
-    lam = rho.eigenvalues_descending()
-    mu = sigma.eigenvalues_descending()
-    if not spectrum_majorizes(lam, mu):
+def _ordered_spectra(rho: TraceClassElement, sigma: TraceClassElement) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending spectra of rho and sigma; NotMajorizedError unless rho majorizes sigma."""
+    lam, mu = _spectra(rho, sigma)
+    if not _majorizes_sorted(lam, mu):
         raise NotMajorizedError("first argument does not majorize the second")
-    return np.clip(lam, 0.0, None), np.clip(mu, 0.0, None)
+    return lam, mu
+
+
+def _gap_terms(lam: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
+    """(D, f) from the ascending spectra lam of rho and mu of sigma, checking
+    no order: each term is clamped at 0, so out of order the two need not sum
+    to H(sigma) - H(rho)."""
+    lam, mu = (np.clip(w[::-1], 0.0, None) for w in (lam, mu))
+    on = mu > _LOG_FLOOR
+    lam_on, mu_on = lam[on], mu[on]
+    lam_pos, log_mu = lam_on[lam_on > 0], np.log(mu_on)
+    d_term = float(np.sum(lam_pos * np.log(lam_pos))) - float(np.sum(lam_on * log_mu))
+    f_term = float(np.sum((mu_on - lam_on) * -log_mu))
+    return max(d_term, 0.0), max(f_term, 0.0)
 
 
 def entropy_gap_decomposition(rho: TraceClassElement, sigma: TraceClassElement) -> tuple[float, float]:
@@ -60,19 +77,12 @@ def entropy_gap_decomposition(rho: TraceClassElement, sigma: TraceClassElement) 
     Spectrum entries of sigma at numerical zero carry at most slack-sized
     lambda mass under majorization and are dropped from both terms.
     """
-    lam, mu = _sorted_pair(rho, sigma)
-    on = mu > _LOG_FLOOR
-    lam_on, mu_on = lam[on], mu[on]
-    d_term = float(np.sum(lam_on[lam_on > 0] * np.log(lam_on[lam_on > 0]))) - float(
-        np.sum(lam_on * np.log(mu_on))
-    )
-    f_term = float(np.sum((mu_on - lam_on) * (-np.log(mu_on))))
-    return max(d_term, 0.0), max(f_term, 0.0)
+    return _gap_terms(*_ordered_spectra(rho, sigma))
 
 
 def gap_term_approximant(rho: TraceClassElement, sigma: TraceClassElement, n: float) -> float:
     """f_n with capped weights min(n, -log mu_k); nondecreasing in n toward the f term."""
-    lam, mu = _sorted_pair(rho, sigma)
+    lam, mu = (np.clip(w[::-1], 0.0, None) for w in _ordered_spectra(rho, sigma))
     on = mu > _LOG_FLOOR
     weights = np.minimum(float(n), -np.log(mu[on]))
     return float(np.sum((mu[on] - lam[on]) * weights))

@@ -90,10 +90,16 @@ def _check_hermitian(m: np.ndarray) -> np.ndarray:
     if not math.isfinite(peak):
         raise InvalidParameterError("matrix entries must be finite")
     scale = max(1.0, peak)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    # one conjugate copy, and one buffer for |A - A^dag| and then the result,
+    # so no more dim x dim arrays are alive at once than A, A^dag and A - A^dag
+    adjoint = m.conj().T
+    out = m - adjoint
+    dev = float(np.abs(out, out=out).real.max()) if m.size else 0.0
     if not dev <= HERMITICITY_RTOL * scale:
         raise NonHermitianError(f"max |A - A^dag| = {dev:.3e} exceeds {HERMITICITY_RTOL * scale:.3e}")
-    return (m + m.conj().T) / 2.0
+    np.add(m, adjoint, out=out)
+    out /= 2.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,11 +330,15 @@ def _require_factors(w: TraceClassElement) -> tuple[int, ...]:
 def _support_regrouped(w: TraceClassElement, axes, new_dims) -> TraceClassElement:
     """The support-held element whose entry at (i[a] for a in ``axes``) sums the
     held values of ``w`` at multi-indices i: a partial trace keeping ``axes``,
-    or a factor permutation when ``axes`` lists every factor."""
+    or a factor permutation when ``axes`` lists every factor.  Flat indices
+    that stay strictly increasing need no sum: each held value is its own entry."""
     index = np.unravel_index(w._support, w.factor_dims)
     flat = np.ravel_multi_index(tuple(index[a] for a in axes), new_dims)
-    support, slot = np.unique(flat, return_inverse=True)
-    values = np.bincount(slot, weights=w._diag, minlength=support.size)
+    if np.all(flat[1:] > flat[:-1]):
+        support, values = flat, w._diag + 0.0  # as bincount's 0.0 + v, which turns -0.0 into +0.0
+    else:
+        support, slot = np.unique(flat, return_inverse=True)
+        values = np.bincount(slot, weights=w._diag, minlength=support.size)
     return TraceClassElement._unchecked(diag=values, factor_dims=new_dims, support=support, dim=math.prod(new_dims))
 
 

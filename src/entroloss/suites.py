@@ -61,12 +61,7 @@ from .channels import (
 from .energy import gibbs_state, gibbs_threshold, mean_energy
 from .errors import UnknownSuiteError
 from .info import Ensemble, conditional_mutual_information, shannon_entropy, von_neumann_entropy
-from .majorization import (
-    entropy_gap_decomposition,
-    rearrangement,
-    separable_majorization_check,
-    spectrum_majorizes,
-)
+from .majorization import _gap_terms, _majorizes_sorted, rearrangement, separable_majorization_check
 from .operators import TraceClassElement, partial_trace
 from .rand import haar_unitary, random_channel, random_density
 from .sequences import (
@@ -250,15 +245,17 @@ def _functional(name: str, seq, rng):
 
 def _majorized_pairs(p, rng) -> dict:
     """C-maj's pair loop over two sharp families on the default Hamiltonian;
-    the colder one majorizes the hotter one termwise."""
+    the colder one majorizes the hotter one termwise.  Each spectrum is sorted
+    once; a pair out of order clears ``ordered`` and still yields its terms."""
     grid = p["grid"]
     low = make_sharp_sequence(energy=0.6 * p["energy"], n_grid=grid)
     high = make_sharp_sequence(energy=p["energy"], n_grid=grid)
     out = {"n": list(grid), "ordered": True, "h_low": [], "h_high": [], "kl_term": [], "gap_term": [], "residual": []}
     for n in grid:
         rho, sigma = low.element(n), high.element(n)
-        out["ordered"] = out["ordered"] and spectrum_majorizes(rho.diag, sigma.diag)
-        d, f = entropy_gap_decomposition(rho, sigma)
+        lam, mu = rho.eigenvalues(), sigma.eigenvalues()
+        out["ordered"] = out["ordered"] and _majorizes_sorted(lam, mu)
+        d, f = _gap_terms(lam, mu)
         hn_low, hn_high = von_neumann_entropy(rho), von_neumann_entropy(sigma)
         out["kl_term"].append(d)
         out["gap_term"].append(f)

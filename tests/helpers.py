@@ -18,3 +18,18 @@ def reconstruct(dec) -> np.ndarray:
     """The matrix V diag(w) V^dag of a ``SpectralDecomposition``."""
     v = dec.eigenvectors
     return (v * dec.eigenvalues) @ v.conj().T
+
+
+def eta_by_gather(x):
+    """eta as a gather of the positive entries and a scatter into zeros."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = -x[pos] * np.log(x[pos])
+    return out
+
+
+def spectral_entropy_by_gather(eigs):
+    """The cone entropy as a clip of round-off and the gather-and-scatter eta."""
+    w = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
+    return eta_by_gather(w).sum(axis=-1) - eta_by_gather(w.sum(axis=-1))

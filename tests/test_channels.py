@@ -32,6 +32,7 @@ from entroloss import (
     unitary_channel,
     von_neumann_entropy,
 )
+from entroloss import channels
 from entroloss._optim import OptimizerBudget, random_isometry
 from entroloss.errors import (
     DimensionMismatchError,
@@ -263,6 +264,32 @@ def test_coherent_information_range(rng):
         assert abs(ic) <= von_neumann_entropy(rho) + 1e-9
 
 
+def _counting(monkeypatch, name):
+    """Record the first argument of each call to ``channels.<name>``."""
+    calls = []
+    real = getattr(channels, name)
+
+    def counted(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(channels, name, counted)
+    return calls
+
+
+def test_coherent_information_applies_the_operation_and_its_complementary_once(rng, monkeypatch):
+    op = random_channel(3, 3, 2, rng)
+    rho = random_density(3, rng)
+    expected = channel_mutual_information(op, rho) - von_neumann_entropy(rho)
+    applied = _counting(monkeypatch, "apply")
+    built = _counting(monkeypatch, "complementary")
+    value = coherent_information(op, rho)
+    assert [o is op for o in applied].count(True) == 1
+    assert built == [op]
+    assert len(applied) == 2  # the operation and its complementary
+    assert value == expected
+
+
 def test_measure_prepare_channel(rng):
     povm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     preps = [TraceClassElement.pure([1.0, 0.0]), TraceClassElement.pure([0.0, 1.0])]
@@ -407,6 +434,25 @@ def test_channel_sequence_validation():
     )
     profile = wobble.convergence_profile([2, 3, 4, 5])
     assert profile.max() > 0
+
+
+def test_convergence_profile_applies_the_limit_once_per_probe(monkeypatch):
+    probes = [
+        TraceClassElement(np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)),
+        TraceClassElement(np.array([1.0, 0.0])),
+        TraceClassElement(np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)),
+        TraceClassElement(np.array([0.25, 0.75])),
+    ]
+    ramp = ChannelSequence(lambda n: dephasing_channel(0.5 + 0.4 / n), dephasing_channel(0.5), probes, n_min=2)
+    grid = [2**k for k in range(2, 9)]
+    expected = [
+        max(trace_distance(apply(ramp.generator(n), rho), apply(ramp.limit, rho)) for rho in probes) for n in grid
+    ]
+    applied = _counting(monkeypatch, "apply")
+    profile = ramp.convergence_profile(grid)
+    assert [op is ramp.limit for op in applied].count(True) == len(probes)
+    assert len(applied) == len(probes) * (1 + len(grid))
+    assert np.array_equal(profile, np.array(expected))
 
 
 def test_apply_dimension_mismatch(rng):

@@ -546,3 +546,45 @@ def test_every_family_and_functional_exits_cleanly_at_defaults(tmp_path, family,
     section = {"family": family, "params": params, "functionals": [functional]}
     cfg = write_config(tmp_path, {"command": "sequence", "sequence": section, "output": {"dir": str(tmp_path)}})
     assert run(["--config", cfg]) in (0, 2)
+
+
+def test_c_maj_pair_out_of_order_fails_its_rows_and_every_report_is_written(tmp_path, monkeypatch, capsys):
+    """A C-maj pair whose colder state does not majorize the hotter one fails
+    the termwise-majorization and residual rows instead of stopping the pass."""
+    suite_energy, swapped_at = 1.2, 1024
+    real = sequences.make_sharp_sequence
+    made = []
+
+    class HotAt:
+        """The low family of the pair loop, with a hotter state than the high family's at ``swapped_at``."""
+
+        def __init__(self, low, hot):
+            self.low, self.hot = low, hot
+
+        def element(self, n):
+            return (self.hot if n == swapped_at else self.low).element(n)
+
+    def make(energy, n_grid):
+        seq = real(energy=energy, n_grid=n_grid)
+        if energy != 0.6 * suite_energy:  # only the pair loop's low family has this energy
+            return seq
+        made.append(seq)
+        return HotAt(seq, real(energy=1.5 * suite_energy, n_grid=n_grid))
+
+    monkeypatch.setattr(suites, "make_sharp_sequence", make)
+    cfg = write_config(tmp_path, {"command": "suite", "suite": {"ids": "all", "params": {"energy": suite_energy}}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "--format", "both"]) == 1
+    assert len(made) == 1
+    assert len(os.listdir(out)) == 42
+    failed = {
+        report["suite_id"]: [c["claim"] for c in report["checks"] if not c["passed"]]
+        for report in map(read_json, out.glob("*_report.json"))
+    }
+    assert {k: v for k, v in failed.items() if v} == {
+        "C-maj": [
+            "termwise majorization holds along the pair of families",
+            "entropy-gap decomposition residual (every grid point)",
+        ]
+    }
+    assert "[FAIL] C-maj" in capsys.readouterr().out

@@ -31,7 +31,7 @@ from entroloss import (
 from entroloss import info
 from entroloss.errors import DimensionMismatchError, InconsistentEnsembleError, NotUnitaryError
 from entroloss.rand import haar_unitary, random_channel, random_density, random_pure
-from helpers import random_probability
+from helpers import eta_by_gather, random_probability, spectral_entropy_by_gather
 
 LOG2 = math.log(2.0)
 
@@ -487,15 +487,6 @@ def test_every_functional_returns_a_builtin_float(rng):
     assert values["gibbs_threshold infinite"] == math.inf
 
 
-def _eta_by_gather(x):
-    """eta as a gather of the positive entries and a scatter into zeros."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = -x[pos] * np.log(x[pos])
-    return out
-
-
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -510,7 +501,7 @@ nonnegative_arrays = st.lists(
 @given(nonnegative_arrays)
 @settings(max_examples=300, deadline=None)
 def test_eta_matches_the_gather_formula_bit_for_bit(x):
-    assert np.array_equal(_bits(info.eta(x)), _bits(_eta_by_gather(x)))
+    assert np.array_equal(_bits(info.eta(x)), _bits(eta_by_gather(x)))
 
 
 @pytest.mark.parametrize(
@@ -524,16 +515,106 @@ def test_eta_matches_the_gather_formula_bit_for_bit(x):
     ids=["lone-one", "all-zero", "zeros-and-one", "clipped-round-off"],
 )
 def test_eta_matches_the_gather_formula_on_edge_arrays(x):
-    assert np.array_equal(_bits(info.eta(x)), _bits(_eta_by_gather(x)))
+    assert np.array_equal(_bits(info.eta(x)), _bits(eta_by_gather(x)))
     # the scalar form follows the same rule, the sign of a zero included
     for v in x:
-        assert _bits(info.eta(float(v))) == _bits(_eta_by_gather(np.array(v)))
+        assert _bits(info.eta(float(v))) == _bits(eta_by_gather(np.array(v)))
+
+
+def _assert_same_bits(a, b):
+    assert np.shape(a) == np.shape(b)
+    assert np.array_equal(_bits(a), _bits(b))
+
+
+spectra = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.just(1.0),
+        st.just(-1e-17),
+        st.floats(min_value=0.0, max_value=4.0, allow_subnormal=True),
+        st.floats(min_value=-1e-15, max_value=0.0),
+    ),
+    min_size=0,
+    max_size=40,
+).map(lambda v: np.array(v, dtype=float))
+
+
+@given(spectra)
+@settings(max_examples=300, deadline=None)
+def test_spectral_entropy_matches_the_clip_and_gather_form_bit_for_bit(w):
+    _assert_same_bits(info.spectral_entropy(w), spectral_entropy_by_gather(w))
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=4.0, exclude_min=True, allow_subnormal=True), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_spectral_entropy_of_positive_spectra_matches_the_clip_and_gather_form(values):
+    w = np.array(values)
+    _assert_same_bits(info.spectral_entropy(w), spectral_entropy_by_gather(w))
+    normalized = w / w.sum()
+    _assert_same_bits(info.spectral_entropy(normalized), spectral_entropy_by_gather(normalized))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        np.array([0.25, 0.75]),
+        np.array([1.0]),
+        np.array([1.0, 1.0]),
+        np.array([0.5, 0.5, 1.0]),
+        np.array([5e-324, 1.0]),
+        np.array([5e-324]),
+        np.array([2.2e-308, 1e-310, 0.5]),
+        np.array([0.7, 0.0, 0.3]),
+        np.array([0.7, -1e-17, 0.3]),
+        np.array([-0.0, 1.0]),
+        np.zeros(4),
+        np.array([-1e-17, -0.0]),
+        np.zeros(0),
+        np.array([[0.7, -1e-17, 0.3], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]]),
+        np.array([[0.25, 0.75], [1.0, 1.0], [0.5, 0.5]]),
+        np.zeros((2, 0)),
+        np.array(0.5),
+        np.array(1.0),
+        np.array(0.0),
+        np.array(-1e-17),
+    ],
+    ids=[
+        "positive",
+        "lone-one",
+        "two-ones",
+        "halves-and-one",
+        "subnormal-and-one",
+        "lone-subnormal",
+        "subnormals",
+        "zero",
+        "negative-round-off",
+        "negative-zero",
+        "all-zero",
+        "nonpositive",
+        "empty",
+        "stack-with-zeros",
+        "positive-stack",
+        "empty-stack",
+        "0d-positive",
+        "0d-one",
+        "0d-zero",
+        "0d-negative",
+    ],
+)
+def test_spectral_entropy_matches_the_clip_and_gather_form_on_edge_arrays(w):
+    # the sign of every zero included, and the shape: a float per spectrum
+    _assert_same_bits(info.spectral_entropy(w), spectral_entropy_by_gather(w))
+
+
+def test_spectral_entropy_propagates_a_nan():
+    assert np.isnan(info.spectral_entropy(np.array([0.5, np.nan, 0.5])))
+    assert np.isnan(info.spectral_entropy(np.array([np.nan, 1.0])))
 
 
 def test_spectral_entropy_clips_round_off_before_eta():
     w = np.array([[0.7, -1e-17, 0.3], [1.0, 0.0, -1e-17]])
     clipped = np.clip(w, 0.0, None)
-    expected = _eta_by_gather(clipped).sum(axis=-1) - _eta_by_gather(clipped.sum(axis=-1))
+    expected = eta_by_gather(clipped).sum(axis=-1) - eta_by_gather(clipped.sum(axis=-1))
     assert np.array_equal(_bits(info.spectral_entropy(w)), _bits(expected))
 
 
