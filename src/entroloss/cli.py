@@ -113,6 +113,14 @@ def _count(value) -> int:
     return n
 
 
+def _nonnegative(value) -> int:
+    """A non-negative int: every seed, from a config or ``--seed``, and ``budget.iterations``."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
+
+
 def _names(value, path: str) -> list:
     """A list of names, as ``suite.ids`` and ``sequence.functionals`` take them."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -250,14 +258,11 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
 
 def parse_budget(spec: dict, seed: int) -> OptimizerBudget:
     _reject_unknown(spec, {"restarts", "iterations", "seed"}, "budget")
-    budget = OptimizerBudget(
+    return OptimizerBudget(
         restarts=_as(_count, spec.get("restarts", 16), "budget.restarts"),
-        iterations=_as(int, spec.get("iterations", 2000), "budget.iterations"),
-        seed=_as(int, spec.get("seed", seed), "budget.seed"),
+        iterations=_as(_nonnegative, spec.get("iterations", 2000), "budget.iterations"),
+        seed=_as(_nonnegative, spec.get("seed", seed), "budget.seed"),
     )
-    if budget.iterations < 0:
-        raise ConfigError(f"'budget.iterations' must be >= 0, got {budget.iterations}")
-    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +415,10 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
 _SEQUENCE_PARAMS = {
     "energy": _float,
     "energies": _float_list,
-    "seed": int,
+    "seed": _nonnegative,
     "sigma": lambda spec: parse_state(spec, "sequence.params.sigma"),
 }
-_SUITE_PARAMS = {"energy": _float, "seed": int, "range_trials": _count, "grid": _ints}
+_SUITE_PARAMS = {"energy": _float, "seed": _nonnegative, "range_trials": _count, "grid": _ints}
 
 
 def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
@@ -539,17 +544,21 @@ def cmd_report(section: dict, out_dir: str, fmt: str) -> int:
         raise MissingArtifactsError(f"no suite reports found under {src!r}")
     rows = []
     for name in names:
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            data = json.load(fh)
-        rows.append(
-            [
-                data["suite_id"],
-                data["title"],
-                "pass" if data["passed"] else "fail",
-                data["max_slack"],
-                len(data["checks"]),
-            ]
-        )
+        path = os.path.join(src, name)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            rows.append(
+                [
+                    data["suite_id"],
+                    data["title"],
+                    "pass" if data["passed"] else "fail",
+                    float(data["max_slack"]),  # as written, a number or "inf"
+                    len(data["checks"]),
+                ]
+            )
+        except (OSError, ValueError, LookupError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"{path!r} is not a suite report: {type(exc).__name__}: {exc}") from exc
     header = ["suite_id", "claim", "status", "max_slack", "checks"]
     for row in rows:
         print(f"{row[0]:8s} {row[2]:4s} max_slack={_fmt(row[3])} {row[1]}")
@@ -661,7 +670,7 @@ def run(argv=None) -> int:
         if fmt not in ("json", "csv", "both"):
             raise ConfigError(f"'output.format' must be json/csv/both, got {fmt!r}")
         os.makedirs(out_dir, exist_ok=True)
-        seed = args.seed if args.seed is not None else _as(int, config.get("seed", 0), "seed")
+        seed = _as(_nonnegative, config.get("seed", 0), "seed") if args.seed is None else _as(_nonnegative, args.seed, "--seed")
         budget = parse_budget(_object(config, "budget"), seed)
         section = _object(config, command)
         with _one_blas_thread():

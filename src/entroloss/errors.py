@@ -78,7 +78,7 @@ class NotPureError(EntrolossError):
 
 
 class IncompatiblePurificationError(EntrolossError):
-    """Target pure state is not a purification of the sequence limit."""
+    """The state cannot be lifted to a Schmidt-form purification: it is not diagonal or is already lifted."""
 
 
 class FunctionalUndefinedError(EntrolossError):

@@ -21,18 +21,18 @@ so a caller that walks the grid once with ``seq.limit_distance`` among the
 functionals reads every jump off that one walk.  ``estimate_jump`` is the
 walk and the read for one functional.
 
-Pure bipartite elements are kept in amplitude form so that sequence runs at
-dimension 2**16 never materialize a (dim^2)-sized matrix: the mutual
-information of a pure state is evaluated rank-aware as twice the marginal
-entropy.  A Schmidt-form state keeps its one marginal entropy (both sides
-have spectrum s^2), so its marginal entropies, mutual information,
-conditional entropy and pinched entropy score s^2 once.
+Pure bipartite elements are kept in Schmidt form, their Schmidt weights s
+and nothing else, so that sequence runs at dimension 2**16 never
+materialize a (dim^2)-sized matrix.  Both marginals have spectrum s^2, so a
+pure state keeps its one marginal entropy, and its marginal entropies,
+mutual information (twice the marginal entropy), conditional entropy and
+pinched entropy score s^2 once.
 
 A derived family is ``mapped`` from its base family (or bases): its n-th
 element is an element map of the base's n-th element and its limit is the
 same map of the base's limit, so no derived limit is written by hand.  The
-correlated, product and triple families and the target-free lift are built
-this way on the sharp family.  The correlated and triple joints are
+correlated, product and triple families and the purification lift are
+built this way on the sharp family.  The correlated and triple joints are
 support-held diagonals (see ``operators``): their n + 1 weights at their
 points, so their entropies and marginals cost O(n), not O(n**2).
 """
@@ -63,76 +63,46 @@ CONVERGENCE_SLACK = 1e-10  # allowed rise of the trace distance between grid poi
 
 
 class PureBipartiteState:
-    """Pure bipartite state held as an amplitude matrix M, psi = sum M[a,b] |a>|b>.
+    """Pure bipartite state in Schmidt form, psi = sum_k s_k |k>|k>, on a
+    (d, d) space with d = len(s).
 
-    A 1-D ``amplitude`` holds the nonnegative Schmidt weights of a
-    Schmidt-diagonal M, whose marginals never touch dense algebra; a 2-D one
-    is M itself.
+    Both marginals are diag(s^2), so marginals, entropies and overlaps never
+    touch dense algebra; ``to_element`` materializes |psi><psi| on request.
     """
 
-    __slots__ = ("dims", "_dense", "_schmidt", "_entropy")
+    __slots__ = ("dims", "_schmidt", "_entropy")
 
-    def __init__(self, dims, amplitude):
-        self.dims = (int(dims[0]), int(dims[1]))
+    def __init__(self, schmidt):
+        s = np.asarray(schmidt, dtype=float)
+        if s.ndim != 1:
+            raise DimensionMismatchError(f"Schmidt weights must be 1-D, got shape {s.shape}")
+        self._schmidt = s
+        self.dims = (s.size, s.size)
         self._entropy = None
-        a = np.asarray(amplitude)
-        self._dense = self._schmidt = None
-        if a.ndim == 1:
-            if a.size != min(self.dims):
-                raise DimensionMismatchError("schmidt vector length must match min(dims)")
-            self._schmidt = np.asarray(a, dtype=float)
-        elif a.ndim == 2:
-            if a.shape != self.dims:
-                raise DimensionMismatchError(f"amplitude shape {a.shape} does not match dims {self.dims}")
-            self._dense = np.asarray(a, dtype=complex)
-        else:
-            raise DimensionMismatchError(f"amplitude must be 1-D (Schmidt weights) or 2-D, got shape {a.shape}")
 
-    @property
-    def dim(self) -> int:
-        return self.dims[0] * self.dims[1]
+    def marginal(self) -> TraceClassElement:
+        """Either side's reduced state, diag(s^2)."""
+        return TraceClassElement(self._schmidt**2)
 
-    def marginal(self, side: int = 0) -> TraceClassElement:
-        if self._schmidt is not None:
-            return TraceClassElement(self._schmidt**2)
-        m = self._dense
-        if side == 0:
-            return TraceClassElement(m @ m.conj().T)
-        return TraceClassElement(m.T @ m.conj())
-
-    def marginal_entropy(self, side: int = 0) -> float:
-        """Entropy of one side; in Schmidt form both sides share one stored value."""
-        if self._schmidt is None:
-            return von_neumann_entropy(self.marginal(side))
+    def marginal_entropy(self) -> float:
+        """Entropy of either side, scored once and stored."""
         if self._entropy is None:
-            self._entropy = von_neumann_entropy(self.marginal(0))
+            self._entropy = von_neumann_entropy(self.marginal())
         return self._entropy
 
     def overlap(self, other: "PureBipartiteState") -> float:
         """|<psi|phi>| with the smaller state zero-padded."""
-        a, b = self, other
-        if a._schmidt is not None and b._schmidt is not None:
-            k = min(a._schmidt.size, b._schmidt.size)
-            return float(abs(np.dot(a._schmidt[:k], b._schmidt[:k])))
-        ma, mb = a.amplitude(), b.amplitude()
-        ra = min(ma.shape[0], mb.shape[0])
-        rb = min(ma.shape[1], mb.shape[1])
-        return float(abs(np.sum(ma[:ra, :rb].conj() * mb[:ra, :rb])))
-
-    def amplitude(self) -> np.ndarray:
-        """The amplitude matrix M, built from the Schmidt weights if need be."""
-        if self._schmidt is None:
-            return self._dense
-        m = np.zeros(self.dims, dtype=complex)
-        np.fill_diagonal(m, self._schmidt)
-        return m
+        k = min(self._schmidt.size, other._schmidt.size)
+        return float(abs(np.dot(self._schmidt[:k], other._schmidt[:k])))
 
     def to_element(self) -> TraceClassElement:
-        return TraceClassElement.pure(self.amplitude().reshape(-1), factor_dims=self.dims)
+        d = self._schmidt.size
+        psi = np.zeros(d * d, dtype=complex)
+        psi[:: d + 1] = self._schmidt
+        return TraceClassElement.pure(psi, factor_dims=self.dims)
 
     def __repr__(self):
-        kind = "schmidt" if self._schmidt is not None else "dense"
-        return f"PureBipartiteState(dims={self.dims}, {kind})"
+        return f"PureBipartiteState(dims={self.dims})"
 
 
 def pure_trace_distance(a: PureBipartiteState, b: PureBipartiteState) -> float:
@@ -141,7 +111,7 @@ def pure_trace_distance(a: PureBipartiteState, b: PureBipartiteState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# functionals usable on both dense elements and amplitude-form pure states
+# functionals usable on both dense elements and Schmidt-form pure states
 # ---------------------------------------------------------------------------
 
 
@@ -153,19 +123,19 @@ def entropy_of(x) -> float:
 
 def marginal_entropy_of(x, side: int = 0) -> float:
     if isinstance(x, PureBipartiteState):
-        return x.marginal_entropy(side)
+        return x.marginal_entropy()
     return von_neumann_entropy(partial_trace(x, [side]))
 
 
 def mutual_information_of(x) -> float:
     if isinstance(x, PureBipartiteState):
-        return 2.0 * x.marginal_entropy(0)
+        return 2.0 * x.marginal_entropy()
     return mutual_information(x)
 
 
 def conditional_entropy_of(x) -> float:
     if isinstance(x, PureBipartiteState):
-        return -x.marginal_entropy(1)
+        return -x.marginal_entropy()
     return conditional_entropy(x)
 
 
@@ -176,9 +146,7 @@ def pinched_entropy_of(x) -> float:
     |psi><psi| is s^2 on the (k, k) entries, so both return a stored entropy
     and the Schmidt form is never densified."""
     if isinstance(x, PureBipartiteState):
-        if x._schmidt is not None:
-            return x.marginal_entropy(0)
-        x = x.to_element()
+        return x.marginal_entropy()
     if x.diagonal:
         return von_neumann_entropy(x)
     return shannon_entropy(np.clip(x.diag, 0.0, None))
@@ -224,27 +192,20 @@ class StateSequence:
                 raise DimensionMismatchError("pure limit but non-pure element")
             if lim.dims == like.dims:
                 return lim
-            if lim._schmidt is not None:
-                s = np.zeros(min(like.dims))
-                s[: lim._schmidt.size] = lim._schmidt
-                return PureBipartiteState(like.dims, s)
-            m = np.zeros(like.dims, dtype=complex)
-            m[: lim.dims[0], : lim.dims[1]] = lim._dense
-            return PureBipartiteState(like.dims, m)
+            s = np.zeros(like.dims[0])
+            s[: lim._schmidt.size] = lim._schmidt
+            return PureBipartiteState(s)
         if lim.dim == like.dim:
             return lim
         if lim.factor_dims is not None and like.factor_dims is not None:
             if len(lim.factor_dims) != len(like.factor_dims):
                 raise DimensionMismatchError("limit and element factor counts differ")
-            if lim.diagonal:
-                src = lim.diag.reshape(lim.factor_dims)
-                dst = np.zeros(like.factor_dims)
-                dst[tuple(slice(0, d) for d in lim.factor_dims)] = src
-                return TraceClassElement(dst.reshape(-1), like.factor_dims)
-            src = lim.to_matrix().reshape(lim.factor_dims + lim.factor_dims)
-            dst = np.zeros(like.factor_dims + like.factor_dims, dtype=complex)
-            dst[tuple(slice(0, d) for d in lim.factor_dims + lim.factor_dims)] = src
-            return TraceClassElement(dst.reshape(like.dim, like.dim), like.factor_dims)
+            if not lim.diagonal:
+                raise DimensionMismatchError("a dense factorized limit embeds only into its own dimension")
+            src = lim.diag.reshape(lim.factor_dims)
+            dst = np.zeros(like.factor_dims)
+            dst[tuple(slice(0, d) for d in lim.factor_dims)] = src
+            return TraceClassElement(dst.reshape(-1), like.factor_dims)
         return lim.embed(like.dim, like.factor_dims)
 
     def limit_distance(self, x) -> float:
@@ -426,57 +387,28 @@ def mapped(fn, *bases: StateSequence, tags: dict, closed_forms: dict) -> StateSe
 
 
 def _purification(rho: TraceClassElement) -> PureBipartiteState:
-    """The canonical purification, amplitude sqrt(rho); Schmidt form for a diagonal rho."""
-    d = rho.dim
-    if rho.diagonal:
-        return PureBipartiteState((d, d), np.sqrt(np.clip(rho.diag, 0.0, None)))
-    dec = rho.spectrum()
-    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return PureBipartiteState((d, d), (dec.eigenvectors * w) @ dec.eigenvectors.conj().T)
+    """The canonical purification of a diagonal rho, Schmidt weights sqrt(diag rho)."""
+    if not rho.diagonal:
+        raise IncompatiblePurificationError("only a diagonal state lifts to Schmidt form")
+    return PureBipartiteState(np.sqrt(np.clip(rho.diag, 0.0, None)))
 
 
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+def lift_by_purification(seq: StateSequence) -> StateSequence:
+    """Lift a diagonal state sequence to pure bipartite states with exact marginals.
 
-
-def lift_by_purification(seq: StateSequence, target: PureBipartiteState | None = None) -> StateSequence:
-    """Lift a state sequence to pure bipartite states with exact marginals.
-
-    Each rho_n maps to the pure state with amplitude sqrt(rho_n) V, where V
-    is the unitary polar factor aligning the canonical purification with the
-    requested target.  Without a target V is the identity and the lift is
-    the purification map of ``seq``, limit included; with one the limit is
-    the target.  Marginals equal rho_n exactly and the lifted sequence
-    converges whenever the original does.
+    The lift is the purification map of ``seq``, limit included: each rho_n
+    maps to the Schmidt-form state with weights sqrt(rho_n), whose marginals
+    equal rho_n exactly, so the lift converges whenever ``seq`` does.  A
+    non-diagonal element or limit raises ``IncompatiblePurificationError``.
     """
-    lim = seq.limit
-    if isinstance(lim, PureBipartiteState):
+    if isinstance(seq.limit, PureBipartiteState):
         raise IncompatiblePurificationError("sequence is already lifted")
     closed = {}
     if "entropy" in seq.closed_forms:
         base = seq.closed_forms["entropy"]
         closed["marginal_entropy"] = base
         closed["mutual_information"] = lambda n: 2.0 * base(n)
-    tags = {**seq.tags, "lifted": True}
-    if target is None:
-        return mapped(_purification, seq, tags=tags, closed_forms=closed)
-    d0 = lim.dim
-    if target.dims != (d0, d0):
-        raise IncompatiblePurificationError(
-            f"target dims {target.dims} do not purify a dim-{d0} limit"
-        )
-    if trace_distance(target.marginal(0), lim) > 1e-8:
-        raise IncompatiblePurificationError("target marginal does not match the limit")
-    v_small = _polar_unitary(target.amplitude())
-
-    def gen(n: int):
-        root = _purification(seq.element(n))
-        v = np.eye(root.dims[1], dtype=complex)
-        v[:d0, :d0] = v_small
-        return PureBipartiteState(root.dims, root.amplitude() @ v)
-
-    return StateSequence(gen, target, seq.n_grid, tags, closed)
+    return mapped(_purification, seq, tags={**seq.tags, "lifted": True}, closed_forms=closed)
 
 
 # ---------------------------------------------------------------------------

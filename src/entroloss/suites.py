@@ -180,9 +180,7 @@ def _decohered_mi(x) -> float:
     """Mutual information after pinching both sides; for a Schmidt-form state
     that is the stored entropy of s^2, its pinching on the (k, k) entries."""
     if isinstance(x, PureBipartiteState):
-        if x._schmidt is not None:
-            return x.marginal_entropy(0)
-        x = x.to_element()
+        return x.marginal_entropy()
     return mutual_information_of(TraceClassElement(np.clip(x.diag, 0, None), x.factor_dims))
 
 

@@ -113,11 +113,13 @@ def test_complementary_of_identity_is_trace_map(rng):
 
 
 def test_complementary_of_partial_trace(rng):
-    op = partial_trace_channel((2, 3), keep=0)
     w = random_density(6, rng, factor_dims=(2, 3))
-    h_env = entropy_exchange(op, w)
-    h_b = von_neumann_entropy(partial_trace(w, [1]))
-    assert h_env == pytest.approx(h_b, abs=1e-9)
+    for keep in (0, 1):
+        op = partial_trace_channel((2, 3), keep=keep)
+        assert trace_distance(apply(op, w), partial_trace(w, [keep])) <= 1e-12
+        # the environment holds the traced-out factor
+        h_env = entropy_exchange(op, w)
+        assert h_env == pytest.approx(von_neumann_entropy(partial_trace(w, [1 - keep])), abs=1e-9)
 
 
 def test_choi_rank_examples(rng):

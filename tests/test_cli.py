@@ -207,6 +207,28 @@ def test_report_missing_artifacts(tmp_path):
     assert run(["--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"suite_id": "X", "title": "t", "pass',
+        '{"suite_id": "X"}',
+        "[]",
+        '{"suite_id": "X", "title": "t", "passed": true, "max_slack": null, "checks": []}',
+    ],
+    ids=["truncated", "missing-key", "not-an-object", "null-max-slack"],
+)
+def test_report_refuses_a_malformed_report_file_naming_it(tmp_path, capsys, text):
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "X_report.json").write_text(text)
+    cfg = write_config(
+        tmp_path,
+        {"command": "report", "report": {"dir": str(reports)}, "output": {"dir": str(tmp_path)}},
+    )
+    assert run(["--config", cfg]) == 2
+    assert "X_report.json" in capsys.readouterr().err
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = write_config(tmp_path, {"command": "quantity", "mystery": 1})
     assert run(["--config", cfg]) == 2
@@ -424,6 +446,11 @@ MISSING_KEY_CASES = {
     "log-scale-nan": (_gibbs({"kind": "log", "scale": math.nan, "truncation_dim": 4}), "quantity.hamiltonian.scale"),
     "suite-energy-nan": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"energy": math.nan}}}, "suite.params.energy"),
     "suite-seed-inf": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"seed": math.inf}}}, "suite.params.seed"),
+    # a seed is a non-negative integer wherever a config gives one
+    "seed-neg": ({**_quantity("entanglement_of_formation", state=MIXED), "seed": -1}, "seed"),
+    "budget-seed-neg": (_budgeted({"seed": -5}), "budget.seed"),
+    "suite-seed-neg": ({"command": "suite", "suite": {"ids": ["T2"], "params": {"seed": -1}}}, "suite.params.seed"),
+    "rotated_sharp-seed-neg": (_sequence({"seed": -3}, "rotated_sharp"), "sequence.params.seed"),
     # config shapes and unknown keys
     "suite-ids-int": ({"command": "suite", "suite": {"ids": 5}}, "suite.ids"),
     "suite-ids-nested": ({"command": "suite", "suite": {"ids": [["P4"]]}}, "suite.ids"),
@@ -449,6 +476,12 @@ def test_missing_or_invalid_key_is_a_config_error(tmp_path, capsys, payload, pat
     err = capsys.readouterr().err
     assert f"'{path}'" in err
     assert "np.float64" not in err  # numbers print as plain floats
+
+
+def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**_quantity("entanglement_of_formation", state=MIXED), "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg, "--seed", "-2"]) == 2
+    assert "'--seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["nope", ["entropy"]], ids=["unknown", "list"])

@@ -76,6 +76,12 @@ def test_gibbs_partition_zeta_oracle():
     assert gs.tail_bound <= 2e-3
 
 
+def test_linear_law_tail_bound_is_the_geometric_tail():
+    gs = gibbs_state(Hamiltonian.linear(0.5, 1.0, 64), 0.7, 40)
+    tail = math.fsum(math.exp(-0.7 * (0.5 + k)) for k in range(40, 400))
+    assert gs.tail_bound == pytest.approx(tail, rel=1e-14)
+
+
 def test_gibbs_requires_lambda_above_threshold():
     with pytest.raises(LambdaBelowGError):
         gibbs_state(Hamiltonian.logarithmic(1.0, 0.0, 100), 0.9, 50)

@@ -14,6 +14,7 @@ from entroloss import (
     make_classical_correlated_sequence,
     make_mixing_sequence,
     make_product_sequence,
+    make_rotated_sharp_sequence,
     make_sharp_sequence,
     mutual_information,
     partial_trace,
@@ -142,7 +143,7 @@ def test_non_converging_sequence_flagged(rng):
 
 
 def test_lift_constant_sequence(rng):
-    rho = random_density(3, rng)
+    rho = TraceClassElement(rng.dirichlet(np.ones(3)))
     seq = StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9)))
     lifted = lift_by_purification(seq)
     x = lifted.element(1)
@@ -156,14 +157,14 @@ def test_lift_marginals_exact(rng):
     for n in (16, 32):
         omega = lifted.element(n)
         rho = seq.element(n)
-        marg = omega.marginal(0)
+        marg = omega.marginal()
         assert trace_distance(marg, rho) <= 1e-10
         # partial-trace oracle on the materialized projector
         dense = omega.to_element()
         assert trace_distance(partial_trace(dense, [0]), rho) <= 1e-10
     # large-n marginals stay exact through the amplitude fast path
     omega = lifted.element(512)
-    assert trace_distance(omega.marginal(0), seq.element(512)) <= 1e-12
+    assert trace_distance(omega.marginal(), seq.element(512)) <= 1e-12
     assert lifted.is_converging()
 
 
@@ -186,49 +187,30 @@ def test_lift_mutual_information_doubles_marginal():
     assert est_i.loss_closed_form == pytest.approx(2 * est_h.loss_closed_form, abs=1e-12)
 
 
-def test_lift_with_explicit_target(rng):
-    rho0 = random_density(3, rng)
-    seq = StateSequence(
-        generator=lambda n: rho0,
-        limit=rho0,
-        n_grid=tuple(range(1, 9)),
-    )
-    from entroloss.operators import purification_amplitude
-
-    amp = purification_amplitude(rho0)
-    pad = np.zeros((3, 3), dtype=complex)
-    pad[:, : amp.shape[1]] = amp
-    # rotate the purifying side: still a purification of the same limit
-    phase = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
-    target = PureBipartiteState((3, 3), pad @ phase)
-    lifted = lift_by_purification(seq, target=target)
-    omega = lifted.element(4)
-    assert trace_distance(omega.marginal(0), rho0) <= 1e-9
-    assert pure_trace_distance(omega, target) <= 1e-6
-
-
-def test_lift_rejects_bad_target(rng):
-    rho0 = random_density(2, rng)
-    other = random_density(2, rng)
-    seq = StateSequence(generator=lambda n: rho0, limit=rho0, n_grid=tuple(range(1, 9)))
-    from entroloss.operators import purification_amplitude
-
-    amp = purification_amplitude(other)
-    pad = np.zeros((2, 2), dtype=complex)
-    pad[:, : amp.shape[1]] = amp
+def test_lifting_a_non_diagonal_family_is_refused(rng):
+    # a non-diagonal element: the rotated family's limit is the diagonal |0><0|
+    lifted = lift_by_purification(make_rotated_sharp_sequence())
     with pytest.raises(IncompatiblePurificationError):
-        lift_by_purification(seq, target=PureBipartiteState((2, 2), pad))
+        lifted.element(16)
+    # a non-diagonal limit is refused when the lift is built
+    rho = random_density(3, rng)
+    with pytest.raises(IncompatiblePurificationError):
+        lift_by_purification(StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9))))
+    with pytest.raises(IncompatiblePurificationError, match="already lifted"):
+        lift_by_purification(lift_by_purification(make_sharp_sequence(n_grid=GRID_MEDIUM)))
 
 
-def test_pure_state_storage_follows_the_rank_of_the_amplitude():
-    schmidt = PureBipartiteState((2, 3), np.array([0.6, 0.8]))
-    dense = PureBipartiteState((2, 3), np.diag([0.6, 0.8]) @ np.eye(2, 3))
-    assert repr(schmidt).endswith("schmidt)") and repr(dense).endswith("dense)")
-    assert np.array_equal(schmidt.amplitude(), dense.amplitude())
-    assert schmidt.marginal_entropy(0) == pytest.approx(dense.marginal_entropy(1), abs=1e-14)
-    for amplitude in (np.array([0.6, 0.8, 0.0]), np.ones((3, 2)), np.ones((2, 3, 1))):
+def test_pure_state_holds_its_schmidt_weights_only():
+    psi = PureBipartiteState(np.array([0.6, 0.8]))
+    assert psi.dims == (2, 2)
+    dense = psi.to_element()
+    assert dense.factor_dims == (2, 2)
+    for side in (0, 1):
+        assert trace_distance(partial_trace(dense, [side]), psi.marginal()) <= 1e-14
+    assert psi.marginal_entropy() == pytest.approx(von_neumann_entropy(partial_trace(dense, [1])), abs=1e-14)
+    for weights in (np.float64(0.6), np.diag([0.6, 0.8]), np.ones((2, 2, 1))):
         with pytest.raises(DimensionMismatchError):
-            PureBipartiteState((2, 3), amplitude)
+            PureBipartiteState(weights)
 
 
 def test_classical_correlated_family_structure():
@@ -271,6 +253,15 @@ def test_embedded_limit_bipartite():
     lim = seq.embedded_limit(x)
     assert lim.factor_dims == x.factor_dims
     assert lim.trace == pytest.approx(1.0, abs=1e-12)
+
+
+def test_embedded_limit_refuses_a_dense_factorized_limit_of_another_dimension(rng):
+    lim = random_density(4, rng, factor_dims=(2, 2))
+    x = random_density(9, rng, factor_dims=(3, 3))
+    seq = StateSequence(generator=lambda n: x, limit=lim, n_grid=tuple(range(1, 9)))
+    with pytest.raises(DimensionMismatchError):
+        seq.embedded_limit(x)
+    assert seq.embedded_limit(lim) is lim  # its own dimension needs no padding
 
 
 @pytest.mark.parametrize("suite_id", ["P1", "P4"])
