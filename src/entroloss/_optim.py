@@ -18,17 +18,27 @@ once its projected gradient norm falls below ``GRADIENT_TOL`` or its step
 below ``MIN_STEP``.
 
 All restarts advance together as one ``(restarts, rows, cols)`` stack: each
-iteration retracts the still-active restarts with one stacked QR and scores
-them with one objective call.  Restart 0 starts at the identity embedding,
-every other restart at a random isometry drawn from its own stream spawned
-from the budget seed, the draws retracted together by one stacked QR.  An
-objective with a critical point at the identity (a singleton ensemble, a
-trivial extension) would stop restart 0 there at once, so its search passes
-``identity_start=False`` and restart 0 starts at its own draw too.  The
-descent itself draws nothing, so the result is deterministic and every
-restart follows the trajectory it would follow alone.  ``random_isometry``
-is the one sign-fixed QR draw the package uses for Haar-random unitaries,
-isometries and Stinespring dilations.
+round retracts the candidates of the active restarts with one stacked QR and
+scores them with one objective call.  After an accepted step a restart puts
+one candidate in a round; after a rejected one, the next ``BATCH`` lengths
+s, s SHRINK, ... that its rejections would try one round at a time, none
+below ``MIN_STEP`` or past its budget, and it takes the first candidate that
+lowers its value.  So every restart follows the one-candidate trajectory in
+fewer rounds.  ``IsometrySearchResult.steps`` counts that trajectory, which
+the budget bounds; ``evaluations`` counts every isometry scored.
+
+Restart 0 starts at the identity embedding, every other restart at a random
+isometry drawn from its own stream spawned from the budget seed, the draws
+retracted together by one stacked QR.  An objective with a critical point at
+the identity (a singleton ensemble, a trivial extension) would stop restart
+0 there at once, so its search passes ``identity_start=False`` and restart 0
+starts at its own draw too.  The descent itself draws nothing, so the result
+is deterministic and every restart follows the trajectory it would follow
+alone.  ``random_isometry`` is the one sign-fixed QR draw the package uses
+for Haar-random unitaries, isometries and Stinespring dilations.
+``qr_isometry`` calls the gufuncs behind ``np.linalg.qr`` without its
+``triu``, type checks and ``errstate``; numpy < 2 names them otherwise, so
+there it calls ``np.linalg.qr``.
 """
 
 from __future__ import annotations
@@ -54,16 +64,28 @@ INITIAL_STEP = 0.7
 SHRINK = 0.93  # step factor after a rejected step
 GROW = 1.25  # step factor after an accepted step with <s, y> <= 0
 MIN_STEP = 1e-9
+BATCH = 4  # candidates a restart scores in one round after a rejected step
+
+
+try:
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+except ImportError:
+    _qr_r_raw = _qr_reduced = None
 
 
 def qr_isometry(m: np.ndarray) -> np.ndarray:
     """Nearest-ish isometry via QR with the R diagonal phase fixed positive.
 
-    ``m`` is one matrix or a stack of matrices along leading axes."""
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ``m`` is one complex matrix or a stack of them along leading axes."""
+    if _qr_r_raw is None:
+        q, r = np.linalg.qr(m)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+    else:
+        a = np.array(m, dtype=complex)  # overwritten with R above its diagonal and the reflectors below
+        q = _qr_reduced(a, _qr_r_raw(a))
+        d = np.diagonal(a, axis1=-2, axis2=-1)
     mag = np.abs(d)
-    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0)
     return q * phase.conj()[..., None, :]
 
 
@@ -82,7 +104,8 @@ class IsometrySearchResult:
     value: float
     isometry: np.ndarray
     restart_values: np.ndarray
-    evaluations: np.ndarray  # objective evaluations per restart: the start plus one per active iteration
+    evaluations: np.ndarray  # isometries scored per restart, the start and every speculative candidate included
+    steps: np.ndarray  # trajectory length per restart: the start plus one per step taken or rejected
 
     @property
     def gap_estimate(self) -> float:
@@ -103,33 +126,56 @@ def _tangent(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
-    """Descend every restart of the stack ``w`` in place until its gradient or its step is spent."""
+    """Descend every restart of the stack ``w`` in place until its gradient, its
+    step or its iteration budget is spent."""
     best, grad = objective(w)
     grad = _tangent(w, grad)
     norm = np.linalg.norm(grad, axis=(-2, -1))
     step = np.full(len(w), INITIAL_STEP)
-    evaluations = np.ones(len(w), dtype=int)
-    for _ in range(budget.iterations):
-        active = np.flatnonzero((step >= MIN_STEP) & (norm >= GRADIENT_TOL))
+    evaluations, steps = np.ones(len(w), dtype=int), np.ones(len(w), dtype=int)
+    width = np.ones(len(w), dtype=int)  # candidates per round: 1 after an accepted step, BATCH after a rejected one
+    offsets = np.arange(BATCH + 1)
+    while True:
+        active = np.flatnonzero((step >= MIN_STEP) & (norm >= GRADIENT_TOL) & (steps <= budget.iterations))
         if active.size == 0:
             break
-        s = step[active]
-        cand = qr_isometry(w[active] - s[:, None, None] * grad[active])
+        # the lengths s, s SHRINK, ... of each active restart (each the one before
+        # times SHRINK), one past the batch; it scores as many as its width and
+        # its budget allow, none below MIN_STEP
+        lengths = np.full((active.size, BATCH + 1), SHRINK)
+        lengths[:, 0] = step[active]
+        lengths = np.multiply.accumulate(lengths, axis=1)
+        limit = np.minimum(width[active], budget.iterations + 1 - steps[active])
+        scored = (lengths >= MIN_STEP) & (offsets < limit[:, None])
+        count = scored.sum(axis=1)
+        owner = active.repeat(count)
+        cand = qr_isometry(w[owner] - lengths[scored][:, None, None] * grad[owner])
         val, g = objective(cand)
-        evaluations[active] += 1
-        won = val < best[active] - 1e-14
-        up = active[won]
-        new, g = cand[won], _tangent(cand[won], g[won])
+        # a restart takes its first candidate that lowers its value; one that
+        # rejected all it scored stops at its first unscored length, the next
+        stop = ~scored
+        stop[scored] = val < best[owner] - 1e-14
+        first = stop.argmax(axis=1)
+        won = first < count
+        s = lengths[np.arange(active.size), first]
+        evaluations[active] += count
+        steps[active] += first + won
+        step[active] = s
+        width[active] = np.where(won, 1, BATCH)
+        pick, up = (count.cumsum() - count + first)[won], active[won]
         # Barzilai-Borwein length <s, y> / <y, y> from the accepted move s and
-        # the change y of the gradient, the old one projected to the new point
-        moved, change = new - w[up], g - _tangent(new, grad[up])
+        # the change y of the gradient, the old one projected to the new point;
+        # one stacked call projects both
+        new = cand[pick]
+        both = _tangent(np.concatenate([new, new]), np.concatenate([g[pick], grad[up]]))
+        g, carried = both[: up.size], both[up.size :]
+        moved, change = new - w[up], g - carried
         sy = np.einsum("nij,nij->n", moved.conj(), change).real
         yy = np.einsum("nij,nij->n", change.conj(), change).real
-        step[active] = s * SHRINK
         step[up] = np.where(sy > 0, sy / np.where(sy > 0, yy, 1.0), s[won] * GROW)
-        w[up], best[up], grad[up] = new, val[won], g
+        w[up], best[up], grad[up] = new, val[pick], g
         norm[up] = np.linalg.norm(g, axis=(-2, -1))
-    return best, evaluations
+    return best, evaluations, steps
 
 
 def minimize_isometry(
@@ -148,11 +194,12 @@ def minimize_isometry(
     w = qr_isometry(np.stack([_ginibre(np.random.default_rng(seed), rows, cols) for seed in seeds]))
     if identity_start:
         w[0] = np.eye(rows, cols)
-    values, evaluations = _descend(objective, w, budget)
+    values, evaluations, steps = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(
         value=float(values[best_idx]),
         isometry=w[best_idx],
         restart_values=values,
         evaluations=evaluations,
+        steps=steps,
     )

@@ -98,8 +98,15 @@ def _float(value) -> float:
     return _floats(float(value)).item()
 
 
+def _int(value) -> int:
+    """An integral number as an int; a bool, a string or a fraction is refused, not truncated."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _ints(value) -> list:
-    return [int(v) for v in value]
+    return [_int(v) for v in value]
 
 
 def _float_list(value) -> list:
@@ -107,7 +114,7 @@ def _float_list(value) -> list:
 
 
 def _count(value) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return n
@@ -115,7 +122,7 @@ def _count(value) -> int:
 
 def _nonnegative(value) -> int:
     """A non-negative int: every seed, from a config or ``--seed``, and ``budget.iterations``."""
-    n = int(value)
+    n = _int(value)
     if n < 0:
         raise ValueError(f"must be >= 0, got {n}")
     return n
@@ -214,14 +221,14 @@ def parse_channel(spec: dict, path: str) -> QuantumOperation:
     if kind == "depolarizing":
         _reject_unknown(spec, {"kind", "p", "dim"}, path)
         p = _as(_float, _required(spec, "p", path), f"{path}.p")
-        return _at(path, depolarizing_channel, p, _as(int, spec.get("dim", 2), f"{path}.dim"))
+        return _at(path, depolarizing_channel, p, _as(_int, spec.get("dim", 2), f"{path}.dim"))
     if kind == "dephasing":
         _reject_unknown(spec, {"kind", "p"}, path)
         return _at(path, dephasing_channel, _as(_float, _required(spec, "p", path), f"{path}.p"))
     if kind == "partial_trace":
         _reject_unknown(spec, {"kind", "dims", "keep"}, path)
         dims = _as(_ints, _required(spec, "dims", path), f"{path}.dims")
-        return partial_trace_channel(dims, _as(int, _required(spec, "keep", path), f"{path}.keep"))
+        return partial_trace_channel(dims, _as(_int, _required(spec, "keep", path), f"{path}.keep"))
     if kind == "measure_prepare":
         _reject_unknown(spec, {"kind", "povm", "preps"}, path)
         povm = [_complex_matrix(m, f"{path}.povm") for m in _required(spec, "povm", path)]
@@ -242,7 +249,7 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
         return _as(_float, spec.get(key, default), f"{path}.{key}")
 
     def truncation():
-        return _as(int, _required(spec, "truncation_dim", path), f"{path}.truncation_dim")
+        return _as(_int, _required(spec, "truncation_dim", path), f"{path}.truncation_dim")
 
     if kind == "log":
         _reject_unknown(spec, {"kind", "scale", "offset", "truncation_dim"}, path)
@@ -358,7 +365,7 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
 
     def size(key, default=None):
         value = section.get(key)
-        return default if value is None else _as(int, value, f"quantity.{key}")
+        return default if value is None else _as(_int, value, f"quantity.{key}")
 
     def holevo():
         spec = section.get("ensemble")

@@ -71,8 +71,9 @@ def _exact(value: float, direction: Direction, **meta) -> BoundedValue:
 
 
 def _from_search(value: float, direction: Direction, search: IsometrySearchResult, **meta) -> BoundedValue:
-    """Wrap a search; ``meta`` also records its cost (objective evaluations over
-    all restarts) and its agreement (restarts within 1e-4 of the best)."""
+    """Wrap a search; ``meta`` also records its cost (isometries scored over all
+    restarts, speculative candidates included, next to the trajectory steps
+    those restarts took) and its agreement (restarts within 1e-4 of the best)."""
     return BoundedValue(
         float(value),
         direction,
@@ -81,6 +82,7 @@ def _from_search(value: float, direction: Direction, search: IsometrySearchResul
         meta={
             **meta,
             "evaluations": int(search.evaluations.sum()),
+            "steps": int(search.steps.sum()),
             "restarts_near_best": int(np.count_nonzero(search.restart_values <= search.value + 1e-4)),
         },
     )
@@ -334,9 +336,13 @@ def c_squashed_entanglement_k(
     def objective(w):
         c = _members(amp, w, k, r)
         c4 = c.reshape(-1, k, da, db, r)
-        joint, g_ab = _entropy(c.swapaxes(-1, -2))  # r x dim: the smaller Gram side
-        s_a, g_a = _entropy(c4.reshape(-1, k, da, db * r))
-        s_b, g_b = _entropy(c4.swapaxes(2, 3).reshape(-1, k, db, da * r))
+        # the joint term (r x dim: the smaller Gram side), then the A and B terms
+        terms = (c.swapaxes(-1, -2), c4.reshape(-1, k, da, db * r), c4.swapaxes(2, 3).reshape(-1, k, db, da * r))
+        if r == da == db:  # one shape, so one stacked call
+            ent, grads = _entropy(np.stack(terms))
+        else:
+            ent, grads = zip(*map(_entropy, terms))
+        (joint, s_a, s_b), (g_ab, g_a, g_b) = ent, grads
         g = g_a.reshape(c4.shape) + g_b.reshape(-1, k, db, da, r).swapaxes(2, 3)
         g = g.reshape(c.shape) - g_ab.swapaxes(-1, -2)
         return (s_a + s_b - joint).sum(axis=-1), _members_adjoint(amp, g, k, r)

@@ -364,6 +364,13 @@ MISSING_KEY_CASES = {
     "povm_size-str": (_quantity("classical_correlations", state=MIXED, povm_size="two"), "quantity.povm_size"),
     "extension_dim-str": (_quantity("squashed_entanglement", state=MIXED, extension_dim="x"), "quantity.extension_dim"),
     "restarts-str": (_budgeted({"restarts": "x"}), "budget.restarts"),
+    # an int slot refuses a bool or a fraction instead of truncating it
+    "restarts-fraction": (_budgeted({"restarts": 2.9, "iterations": 5.5}), "budget.restarts"),
+    "iterations-fraction": (_budgeted({"iterations": 5.5}), "budget.iterations"),
+    "restarts-bool": (_budgeted({"restarts": True}), "budget.restarts"),
+    "suite-seed-fraction": ({"command": "suite", "suite": {"ids": ["P4"], "params": {"seed": 1.7}}}, "suite.params.seed"),
+    "grid-fraction": ({"command": "sequence", "sequence": {"family": "sharp", "grid": [16.5, 32, 64, 128]}}, "sequence.grid"),
+    "members-fraction": (_quantity("c_squashed_entanglement", state=MIXED, members=2.5), "quantity.members"),
     "seed-str": ({**_quantity("entropy", state=MIXED), "seed": "x"}, "seed"),
     "identity-dim-str": (_output_entropy({"kind": "identity", "dim": "x"}), "quantity.channel.dim"),
     "identity-dim-0": (_output_entropy({"kind": "identity", "dim": 0}), "quantity.channel.dim"),

@@ -11,7 +11,7 @@ stacks with the same batched objective.
 import numpy as np
 import pytest
 
-from entroloss import TraceClassElement, roofs
+from entroloss import TraceClassElement, _optim, roofs
 from entroloss._optim import (
     GRADIENT_TOL,
     GROW,
@@ -24,6 +24,7 @@ from entroloss._optim import (
     qr_isometry,
     random_isometry,
 )
+from entroloss.operators import purification_amplitude
 from entroloss.rand import random_channel, random_density, random_pure
 
 # long enough that several roofs see restarts leave the stack at different iterations
@@ -115,6 +116,18 @@ def test_stacked_qr_isometry_equals_per_matrix(shape):
         assert np.allclose(w.conj().T @ w, np.eye(shape[-1]), atol=1e-12)
         r_diag = np.diagonal(w.conj().T @ m)  # m = w r with r's diagonal fixed real positive
         assert np.allclose(r_diag.imag, 0.0, atol=1e-12) and (r_diag.real > 0).all()
+    q, r = np.linalg.qr(stack)  # the sign-fixed np.linalg.qr form, byte for byte
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    assert out.tobytes() == (q * (d / np.abs(d)).conj()[..., None, :]).tobytes()
+
+
+def test_qr_isometry_without_the_gufuncs_calls_numpy_qr(monkeypatch):
+    # numpy < 2 names the QR gufuncs otherwise, and qr_isometry falls back to np.linalg.qr
+    rng = np.random.default_rng(37)
+    stack = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))
+    direct = qr_isometry(stack)
+    monkeypatch.setattr(_optim, "_qr_r_raw", None)
+    assert qr_isometry(stack).tobytes() == direct.tobytes()
 
 
 @pytest.mark.parametrize("identity_start", [True, False])
@@ -136,13 +149,24 @@ def test_stacked_starts_equal_per_restart_draws(shape, identity_start):
     assert seen[0].tobytes() == np.stack(starts).tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(ROOFS))
-def test_stacked_search_matches_sequential_restarts(name, monkeypatch, rng):
-    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)
+# the long budget keeps the plain roof name; short budgets stop restarts
+# inside a batch of speculative candidates
+SEARCH_CASES = [
+    pytest.param(name, iterations, id=name if iterations == BUDGET.iterations else f"{name}-{iterations}")
+    for name in sorted(ROOFS)
+    for iterations in (BUDGET.iterations, 0, 1, 2, 5, 9, 17)
+]
+
+
+@pytest.mark.parametrize("name, iterations", SEARCH_CASES)
+def test_stacked_search_matches_sequential_restarts(name, iterations, monkeypatch, rng):
+    budget = OptimizerBudget(restarts=BUDGET.restarts, iterations=iterations, seed=BUDGET.seed)
+    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng, budget)
     values, isometries, evaluations = reference_search(objective, rows, cols, budget, **kwargs)
     assert result.restart_values.tobytes() == values.tobytes()
     assert result.isometry.tobytes() == isometries[int(np.argmin(values))].tobytes()
-    assert result.evaluations.tolist() == evaluations.tolist()
+    assert result.steps.tolist() == evaluations.tolist()
+    assert (result.evaluations >= result.steps).all()
 
 
 @pytest.mark.parametrize("name", sorted(ROOFS))
@@ -162,6 +186,31 @@ def test_objective_gradient_matches_finite_differences(name, monkeypatch, rng):
         numeric = (objective(w + h * d)[0] - objective(w - h * d)[0]) / (2 * h)
         analytic = np.einsum("nij,nij->n", grad.conj(), d).real
         assert (np.abs(numeric - analytic) <= 1e-6 * np.abs(analytic)).all()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_c_squashed_objective_equals_three_entropy_calls(dims, monkeypatch, rng):
+    # at r = dA = dB the joint, A and B terms share a shape and go through one
+    # stacked entropy call; values and gradients match one call per term
+    omega = random_density(dims[0] * dims[1], rng, rank=2, factor_dims=dims)
+
+    def run(rng, budget):
+        return roofs.c_squashed_entanglement_k(omega, 2, budget)
+
+    objective, rows, cols, *_ = captured_search(monkeypatch, run, rng, OptimizerBudget(restarts=1, iterations=0))
+    amp = purification_amplitude(omega)
+    k, r, (da, db) = 2, amp.shape[1], dims
+    w = np.stack([random_isometry(rng, rows, cols) for _ in range(5)])
+    c = roofs._members(amp, w, k, r)
+    c4 = c.reshape(-1, k, da, db, r)
+    joint, g_ab = roofs._entropy(c.swapaxes(-1, -2))
+    s_a, g_a = roofs._entropy(c4.reshape(-1, k, da, db * r))
+    s_b, g_b = roofs._entropy(c4.swapaxes(2, 3).reshape(-1, k, db, da * r))
+    g = g_a.reshape(c4.shape) + g_b.reshape(-1, k, db, da, r).swapaxes(2, 3)
+    g = g.reshape(c.shape) - g_ab.swapaxes(-1, -2)
+    value, grad = objective(w)
+    assert value.tobytes() == (s_a + s_b - joint).sum(axis=-1).tobytes()
+    assert grad.tobytes() == roofs._members_adjoint(amp, g, k, r).tobytes()
 
 
 def test_evaluations_count_every_scored_isometry():

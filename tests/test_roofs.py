@@ -344,6 +344,7 @@ def test_search_meta_records_cost_and_agreement(rng, monkeypatch):
     (search,) = searches
     assert out.meta["members"] == 3
     assert out.meta["evaluations"] == search.evaluations.sum() > BUDGET.restarts
+    assert out.meta["steps"] == search.steps.sum() <= out.meta["evaluations"]
     near = [v for v in search.restart_values if v <= search.value + 1e-4]
     assert out.meta["restarts_near_best"] == len(near) >= 1
     # the report keeps its fields: the diagnostics stay out of the serialized value
