@@ -1,4 +1,4 @@
-"""Riemannian gradient descent on the isometry manifold.
+"""Riemannian quasi-Newton descent on the isometry manifold.
 
 The search space is the set of complex isometries W (rows x cols, rows >=
 cols, W^dag W = I).  The objective contract is a ``(B, rows, cols)`` stack of
@@ -7,25 +7,44 @@ Euclidean gradients G = df/dconj(W), normalized so that the derivative along
 a direction D is Re Tr[G^dag D].  The objectives are homogeneous, so they
 are defined off the manifold as well.
 
-Each step projects G onto the tangent space at W, G - W herm(W^dag G)
-(Edelman, Arias and Smith 1998, embedded metric), moves along minus the
-projection and retracts to the manifold by a sign-fixed QR factorization.
-A step that lowers the value is accepted and the next length is the
-Barzilai-Borwein length <s, y> / <y, y> of the accepted move s and the
-gradient change y (``GROW`` times the length when <s, y> <= 0); a rejected
-step shrinks by ``SHRINK``.  A restart starts at ``INITIAL_STEP`` and stops
-once its projected gradient norm falls below ``GRADIENT_TOL`` or its step
-below ``MIN_STEP``.
+Each step projects G onto the tangent space at W, g = G - W herm(W^dag G)
+(Edelman, Arias and Smith 1998, embedded metric), moves along a
+limited-memory BFGS direction d = -H g and retracts to the manifold by a
+sign-fixed QR factorization (quasi-Newton on manifolds: Huang, Absil and
+Gallivan, SIAM J. Optim. 28, 2018).  Each restart keeps its last ``MEMORY``
+pairs of an accepted move s = W_new - W_old and the gradient change y =
+g_new - P(g_old), the old gradient projected to the new point; a pair with
+<s, y> <= 0 is not stored, and stored pairs are not transported further.
+H is the L-BFGS inverse Hessian from H_0 = gamma I, gamma = <s, y> / <y, y>
+of the newest pair, in the compact form of Byrd, Nocedal and Schnabel (Math.
+Prog. 63, 1994): with R the upper triangle of S^T Y and D its diagonal,
+
+    H g = gamma g + S p - gamma Y u,   R u = S^T g,
+    R^T p = (D + gamma Y^T Y) u - gamma Y^T g.
+
+All inner products come from one batched Gram matrix of [S, Y, g] per round,
+and the rest is two (MEMORY x MEMORY) triangular solves through numpy's
+``solve`` gufunc, without ``np.linalg.solve``'s checks.  A missing pair is a
+zero column with INITIAL_STEP on R's diagonal, so an empty memory gives
+d = -INITIAL_STEP g: the first candidate of every restart, and the fallback
+where d is not downhill (<d, g> >= 0).
+
+The candidate at multiplier t is qr(W + t d).  A step that lowers the value
+by more than 1e-14 is accepted and the next t is 1; a rejected step
+multiplies t by ``SHRINK``.  A restart stops once its projected gradient
+norm falls below ``GRADIENT_TOL``, its multiplier below ``MIN_STEP`` or its
+trajectory reaches the iteration budget.
 
 All restarts advance together as one ``(restarts, rows, cols)`` stack: each
 round retracts the candidates of the active restarts with one stacked QR and
 scores them with one objective call.  After an accepted step a restart puts
-one candidate in a round; after a rejected one, the next ``BATCH`` lengths
-s, s SHRINK, ... that its rejections would try one round at a time, none
-below ``MIN_STEP`` or past its budget, and it takes the first candidate that
-lowers its value.  So every restart follows the one-candidate trajectory in
-fewer rounds.  ``IsometrySearchResult.steps`` counts that trajectory, which
-the budget bounds; ``evaluations`` counts every isometry scored.
+one candidate in a round; after a rejected one, the next ``BATCH``
+multipliers t, t SHRINK, ... that its rejections would try one round at a
+time, none below ``MIN_STEP`` or past its budget, and it takes the first
+candidate that lowers its value.  So every restart follows the
+one-candidate trajectory in fewer rounds.  ``IsometrySearchResult.steps``
+counts that trajectory, which the budget bounds; ``evaluations`` counts
+every isometry scored and ``rounds`` the stacked objective calls.
 
 Restart 0 starts at the identity embedding, every other restart at a random
 isometry drawn from its own stream spawned from the budget seed, the draws
@@ -46,6 +65,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _solve  # the gufunc behind np.linalg.solve, on every numpy
+
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -54,6 +76,18 @@ class OptimizerBudget:
     iterations: int = 2000
     seed: int = 0
 
+    def __post_init__(self):
+        # an integral number is kept as an int; a bool, a string or a fraction is refused, not truncated
+        for name, least in (("restarts", 1), ("iterations", 0), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                integral = not isinstance(value, (bool, str)) and int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral or value < least:
+                raise InvalidParameterError(f"budget {name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+
 
 DEFAULT_BUDGET = OptimizerBudget()
 
@@ -61,11 +95,12 @@ DEFAULT_BUDGET = OptimizerBudget()
 # falls below this.
 GRADIENT_TOL = 3e-7
 INITIAL_STEP = 0.7
-SHRINK = 0.93  # step factor after a rejected step
-GROW = 1.25  # step factor after an accepted step with <s, y> <= 0
+SHRINK = 0.5  # multiplier factor after a rejected step
 MIN_STEP = 1e-9
 BATCH = 4  # candidates a restart scores in one round after a rejected step
-
+MEMORY = 3  # (s, y) pairs a restart keeps for its L-BFGS direction
+_UPPER = np.triu(np.ones((MEMORY, MEMORY)))
+_EMPTY = INITIAL_STEP * np.eye(MEMORY)  # R's diagonal at a missing pair
 
 try:
     from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
@@ -106,6 +141,7 @@ class IsometrySearchResult:
     restart_values: np.ndarray
     evaluations: np.ndarray  # isometries scored per restart, the start and every speculative candidate included
     steps: np.ndarray  # trajectory length per restart: the start plus one per step taken or rejected
+    rounds: int  # stacked objective calls shared by all restarts, the start's included
 
     @property
     def gap_estimate(self) -> float:
@@ -125,23 +161,49 @@ def _tangent(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - w @ ((wg + wg.conj().swapaxes(-1, -2)) / 2)
 
 
+def _direction(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L-BFGS directions -H g, and <g, g>, from stacks ``basis`` of [s_1 .. s_M,
+    y_1 .. y_M, g], oldest pair first and missing pairs zero, in the compact
+    form (module docstring)."""
+    k = MEMORY
+    v = basis.reshape(len(basis), 2 * k + 1, -1).view(float)  # Re<a, b> is the dot product of the real views
+    gram = v @ v.swapaxes(-1, -2)
+    sy, yy, a, b = gram[:, :k, k:-1], gram[:, k:-1, k:-1], gram[:, :k, -1:], gram[:, k:-1, -1:]
+    diag = np.diagonal(sy, axis1=-2, axis2=-1)[..., None]
+    missing = diag == 0  # the zero pairs
+    r = sy * _UPPER + _EMPTY * missing
+    gamma = r[:, -1:, -1:] / (yy[:, -1:, -1:] + missing[:, -1:])  # INITIAL_STEP when no pair is stored
+    u = _solve(r, a)
+    p = _solve(r.swapaxes(-1, -2), diag * u + gamma * (yy @ u - b))
+    coef = np.concatenate([-p, gamma * u, -gamma], axis=1)  # -H g over the columns of basis
+    d = (coef.swapaxes(-1, -2) @ v).view(complex).reshape(basis.shape[0], *basis.shape[2:])
+    downhill = (gram[:, -1:] @ coef)[:, 0, 0] < 0
+    if not downhill.all():
+        d[~downhill] = -INITIAL_STEP * basis[~downhill, -1]  # the direction of an empty memory
+    return d, gram[:, -1, -1]
+
+
 def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
     """Descend every restart of the stack ``w`` in place until its gradient, its
-    step or its iteration budget is spent."""
+    step multiplier or its iteration budget is spent."""
     best, grad = objective(w)
-    grad = _tangent(w, grad)
-    norm = np.linalg.norm(grad, axis=(-2, -1))
-    step = np.full(len(w), INITIAL_STEP)
+    k = MEMORY
+    basis = np.zeros((len(w), 2 * k + 1, *w.shape[1:]), dtype=complex)  # [S, Y, g] per restart
+    basis[:, -1] = _tangent(w, grad)
+    direction = -INITIAL_STEP * basis[:, -1]
+    norm = np.linalg.norm(basis[:, -1], axis=(-2, -1))
+    step = np.ones(len(w))
     evaluations, steps = np.ones(len(w), dtype=int), np.ones(len(w), dtype=int)
+    rounds = 1
     width = np.ones(len(w), dtype=int)  # candidates per round: 1 after an accepted step, BATCH after a rejected one
     offsets = np.arange(BATCH + 1)
     while True:
         active = np.flatnonzero((step >= MIN_STEP) & (norm >= GRADIENT_TOL) & (steps <= budget.iterations))
         if active.size == 0:
             break
-        # the lengths s, s SHRINK, ... of each active restart (each the one before
-        # times SHRINK), one past the batch; it scores as many as its width and
-        # its budget allow, none below MIN_STEP
+        # the multipliers t, t SHRINK, ... of each active restart (each the one
+        # before times SHRINK), one past the batch; it scores as many as its
+        # width and its budget allow, none below MIN_STEP
         lengths = np.full((active.size, BATCH + 1), SHRINK)
         lengths[:, 0] = step[active]
         lengths = np.multiply.accumulate(lengths, axis=1)
@@ -149,33 +211,37 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
         scored = (lengths >= MIN_STEP) & (offsets < limit[:, None])
         count = scored.sum(axis=1)
         owner = active.repeat(count)
-        cand = qr_isometry(w[owner] - lengths[scored][:, None, None] * grad[owner])
+        cand = qr_isometry(w[owner] + lengths[scored][:, None, None] * direction[owner])
         val, g = objective(cand)
+        rounds += 1
         # a restart takes its first candidate that lowers its value; one that
-        # rejected all it scored stops at its first unscored length, the next
+        # rejected all it scored stops at its first unscored multiplier, the next
         stop = ~scored
         stop[scored] = val < best[owner] - 1e-14
         first = stop.argmax(axis=1)
         won = first < count
-        s = lengths[np.arange(active.size), first]
         evaluations[active] += count
         steps[active] += first + won
-        step[active] = s
+        step[active] = np.where(won, 1.0, lengths[np.arange(active.size), first])
         width[active] = np.where(won, 1, BATCH)
         pick, up = (count.cumsum() - count + first)[won], active[won]
-        # Barzilai-Borwein length <s, y> / <y, y> from the accepted move s and
-        # the change y of the gradient, the old one projected to the new point;
-        # one stacked call projects both
-        new = cand[pick]
-        both = _tangent(np.concatenate([new, new]), np.concatenate([g[pick], grad[up]]))
-        g, carried = both[: up.size], both[up.size :]
-        moved, change = new - w[up], g - carried
-        sy = np.einsum("nij,nij->n", moved.conj(), change).real
-        yy = np.einsum("nij,nij->n", change.conj(), change).real
-        step[up] = np.where(sy > 0, sy / np.where(sy > 0, yy, 1.0), s[won] * GROW)
-        w[up], best[up], grad[up] = new, val[pick], g
-        norm[up] = np.linalg.norm(g, axis=(-2, -1))
-    return best, evaluations, steps
+        if up.size == 0:
+            continue
+        # the pair (s, y) of each accepted step, the old gradient projected to the
+        # new point in the same stacked call as the new one; the memory drops its
+        # oldest pair for it unless <s, y> <= 0
+        new, old = cand[pick], basis[up]
+        both = _tangent(np.concatenate([new, new]), np.concatenate([g[pick], old[:, -1]]))
+        g = both[: up.size]
+        moved, change = new - w[up], g - both[up.size :]
+        keep = np.einsum("nij,nij->n", moved.conj(), change).real > 0
+        mem = np.concatenate([old[:, 1:k], moved[:, None], old[:, k + 1 : -1], change[:, None], g[:, None]], axis=1)
+        if not keep.all():
+            mem[~keep, :-1] = old[~keep, :-1]
+        basis[up] = mem
+        direction[up], gg = _direction(mem)
+        w[up], best[up], norm[up] = new, val[pick], np.sqrt(gg)
+    return best, evaluations, steps, rounds
 
 
 def minimize_isometry(
@@ -194,7 +260,7 @@ def minimize_isometry(
     w = qr_isometry(np.stack([_ginibre(np.random.default_rng(seed), rows, cols) for seed in seeds]))
     if identity_start:
         w[0] = np.eye(rows, cols)
-    values, evaluations, steps = _descend(objective, w, budget)
+    values, evaluations, steps, rounds = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(
         value=float(values[best_idx]),
@@ -202,4 +268,5 @@ def minimize_isometry(
         restart_values=values,
         evaluations=evaluations,
         steps=steps,
+        rounds=rounds,
     )

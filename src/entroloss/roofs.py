@@ -73,7 +73,8 @@ def _exact(value: float, direction: Direction, **meta) -> BoundedValue:
 def _from_search(value: float, direction: Direction, search: IsometrySearchResult, **meta) -> BoundedValue:
     """Wrap a search; ``meta`` also records its cost (isometries scored over all
     restarts, speculative candidates included, next to the trajectory steps
-    those restarts took) and its agreement (restarts within 1e-4 of the best)."""
+    those restarts took and the stacked objective calls, the rounds, they
+    shared) and its agreement (restarts within 1e-4 of the best)."""
     return BoundedValue(
         float(value),
         direction,
@@ -83,8 +84,21 @@ def _from_search(value: float, direction: Direction, search: IsometrySearchResul
             **meta,
             "evaluations": int(search.evaluations.sum()),
             "steps": int(search.steps.sum()),
+            "rounds": search.rounds,
             "restarts_near_best": int(np.count_nonzero(search.restart_values <= search.value + 1e-4)),
         },
+    )
+
+
+def _derived(value: float, direction: Direction, estimate: BoundedValue, **meta) -> BoundedValue:
+    """A value computed from ``estimate``, with its convergence and the cost of its search."""
+    cost = ("evaluations", "steps", "rounds", "restarts_near_best")
+    return BoundedValue(
+        value,
+        direction,
+        converged=estimate.converged,
+        gap_estimate=estimate.gap_estimate,
+        meta={**meta, **{key: estimate.meta[key] for key in cost if key in estimate.meta}},
     )
 
 
@@ -173,13 +187,7 @@ def entropy_k_gap(
     if k >= rho.rank():
         return _exact(0.0, Direction.UPPER_BOUND, anchor="singleton ensemble")
     approx = entropy_k_approximation(rho, k, budget, members)
-    return BoundedValue(
-        h - approx.value,
-        Direction.UPPER_BOUND,
-        converged=approx.converged,
-        gap_estimate=approx.gap_estimate,
-        meta={"approximator": approx.value},
-    )
+    return _derived(h - approx.value, Direction.UPPER_BOUND, approx, approximator=approx.value)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +232,8 @@ def constrained_holevo_estimate(
     rho.require_state()
     coh = convex_closure_output_entropy(op, rho, members, budget)
     h_out = output_entropy(op, rho)
-    return BoundedValue(
-        max(h_out - coh.value, 0.0),
-        Direction.LOWER_BOUND,
-        converged=coh.converged,
-        gap_estimate=coh.gap_estimate,
-        meta={"convex_closure": coh.value, "output_entropy": h_out},
+    return _derived(
+        max(h_out - coh.value, 0.0), Direction.LOWER_BOUND, coh, convex_closure=coh.value, output_entropy=h_out
     )
 
 
@@ -443,12 +447,8 @@ def quantum_discord(
     """I(A:B) minus the classical-correlations estimate; an upper bound on the discord."""
     cb = classical_correlations(omega, povm_size, budget)
     i_ab = mutual_information(omega)
-    return BoundedValue(
-        max(i_ab - cb.value, 0.0),
-        Direction.UPPER_BOUND,
-        converged=cb.converged,
-        gap_estimate=cb.gap_estimate,
-        meta={"mutual_information": i_ab, "classical_correlations": cb.value},
+    return _derived(
+        max(i_ab - cb.value, 0.0), Direction.UPPER_BOUND, cb, mutual_information=i_ab, classical_correlations=cb.value
     )
 
 

@@ -1,11 +1,13 @@
-"""The stacked gradient search against restarts run one after another, and the
-objective gradients against finite differences.
+"""The stacked L-BFGS search against restarts run one after another, against the
+Barzilai-Borwein search it replaced, and the objective gradients against
+finite differences.
 
 Every restart of ``minimize_isometry`` advances inside one stack, but it must
 follow exactly the trajectory it would follow alone: the same start, the same
-projected gradient, the same QR retraction, accept rule and step length.  The
-reference below is that one-restart-at-a-time loop, scoring one-element
-stacks with the same batched objective.
+projected gradient, the same memory of (s, y) pairs, direction, QR
+retraction, accept rule and step multiplier.  The reference below is that
+one-restart-at-a-time loop, scoring one-element stacks with the same batched
+objective.
 """
 
 import numpy as np
@@ -13,17 +15,20 @@ import pytest
 
 from entroloss import TraceClassElement, _optim, roofs
 from entroloss._optim import (
+    BATCH,
     GRADIENT_TOL,
-    GROW,
     INITIAL_STEP,
+    MEMORY,
     MIN_STEP,
     SHRINK,
     OptimizerBudget,
+    _direction,
     _tangent,
     minimize_isometry,
     qr_isometry,
     random_isometry,
 )
+from entroloss.errors import InvalidParameterError
 from entroloss.operators import purification_amplitude
 from entroloss.rand import random_channel, random_density, random_pure
 
@@ -36,36 +41,88 @@ def inner(a, b):
     return np.einsum("ij,ij->", a.conj(), b).real
 
 
-def reference_search(objective, rows, cols, budget, identity_start=True):
-    """Restarts one after another; returns values, final isometries and evaluation counts."""
-    values, isometries, evaluations = [], [], []
+def start_points(rows, cols, budget, identity_start):
+    """The start of each restart: its own draw, or the identity embedding for restart 0."""
     for i, seed in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
         if i == 0 and identity_start:
-            w = np.eye(rows, cols, dtype=complex)
+            yield np.eye(rows, cols, dtype=complex)
         else:
-            w = random_isometry(np.random.default_rng(seed), rows, cols)
+            yield random_isometry(np.random.default_rng(seed), rows, cols)
+
+
+def reference_search(objective, rows, cols, budget, identity_start=True):
+    """Restarts one after another, each a one-candidate L-BFGS loop; returns
+    values, final isometries and trajectory lengths."""
+    values, isometries, lengths = [], [], []
+    for w in start_points(rows, cols, budget, identity_start):
         value, grad = objective(w[None])
         best, g = float(value[0]), _tangent(w, grad[0])
-        step = INITIAL_STEP
+        pairs = []  # (s, y), oldest first
+        direction, norm, t = -INITIAL_STEP * g, np.linalg.norm(g), 1.0
         count = 1
         for _ in range(budget.iterations):
-            if step < MIN_STEP or np.linalg.norm(g) < GRADIENT_TOL:
+            if t < MIN_STEP or norm < GRADIENT_TOL:
                 break
-            cand = qr_isometry(w - step * g)
+            cand = qr_isometry(w + t * direction)
             value, grad = objective(cand[None])
             count += 1
             if value[0] < best - 1e-14:
                 g_new = _tangent(cand, grad[0])
-                moved, change = cand - w, g_new - _tangent(cand, g)
-                sy = inner(moved, change)
-                step = sy / inner(change, change) if sy > 0 else step * GROW
+                s, y = cand - w, g_new - _tangent(cand, g)
+                if inner(s, y) > 0:
+                    pairs = (pairs + [(s, y)])[-MEMORY:]
+                basis = np.zeros((2 * MEMORY + 1, rows, cols), dtype=complex)
+                for j, (s_j, y_j) in enumerate(pairs, start=MEMORY - len(pairs)):
+                    basis[j], basis[MEMORY + j] = s_j, y_j
+                basis[-1] = g_new
+                d, gg = _direction(basis[None])
+                direction, norm, t = d[0], np.sqrt(gg[0]), 1.0
                 w, best, g = cand, float(value[0]), g_new
             else:
-                step *= SHRINK
+                t *= SHRINK
         values.append(best)
         isometries.append(w)
-        evaluations.append(count)
-    return np.array(values), isometries, np.array(evaluations)
+        lengths.append(count)
+    return np.array(values), isometries, np.array(lengths)
+
+
+# the Barzilai-Borwein step the L-BFGS direction replaced, with its constants
+BB_SHRINK = 0.93  # step factor after a rejected step
+BB_GROW = 1.25  # step factor after an accepted step with <s, y> <= 0
+
+
+def bb_search(objective, rows, cols, budget, identity_start=True):
+    """The Barzilai-Borwein search, restarts one after another; returns the
+    restart values and the rounds its stacked, batched form took: each restart
+    scores one candidate in the round after an accepted step and up to
+    ``BATCH`` after a rejected one, and all restarts share the start's round."""
+    values, rounds = [], []
+    for w in start_points(rows, cols, budget, identity_start):
+        value, grad = objective(w[None])
+        best, g = float(value[0]), _tangent(w, grad[0])
+        step = INITIAL_STEP
+        spent, left, width = 0, 0, 1  # rounds, candidates left in this one, candidates in the next
+        for _ in range(budget.iterations):
+            if step < MIN_STEP or np.linalg.norm(g) < GRADIENT_TOL:
+                break
+            if left == 0:
+                spent, left = spent + 1, width
+            cand = qr_isometry(w - step * g)
+            value, grad = objective(cand[None])
+            left -= 1
+            if value[0] < best - 1e-14:
+                g_new = _tangent(cand, grad[0])
+                moved, change = cand - w, g_new - _tangent(cand, g)
+                sy = inner(moved, change)
+                step = sy / inner(change, change) if sy > 0 else step * BB_GROW
+                w, best, g = cand, float(value[0]), g_new
+                left, width = 0, 1
+            else:
+                step *= BB_SHRINK
+                width = BATCH
+        values.append(best)
+        rounds.append(spent)
+    return np.array(values), 1 + max(rounds)
 
 
 def rank2_two_qubit(rng):
@@ -167,6 +224,139 @@ def test_stacked_search_matches_sequential_restarts(name, iterations, monkeypatc
     assert result.isometry.tobytes() == isometries[int(np.argmin(values))].tobytes()
     assert result.steps.tolist() == evaluations.tolist()
     assert (result.evaluations >= result.steps).all()
+
+
+# seeds of the inputs next to the fixture's
+BB_SEEDS = [None, 1, 2]
+
+
+def bb_case(name, seed, monkeypatch, rng):
+    """One roof's search and the Barzilai-Borwein oracle's (values, rounds) on its objective."""
+    rng = rng if seed is None else np.random.default_rng(seed)
+    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)
+    return result, bb_search(objective, rows, cols, budget, **kwargs)
+
+
+@pytest.mark.parametrize("seed", BB_SEEDS)
+@pytest.mark.parametrize("name", sorted(ROOFS))
+def test_lbfgs_is_no_looser_than_barzilai_borwein(name, seed, monkeypatch, rng):
+    result, (values, _) = bb_case(name, seed, monkeypatch, rng)
+    assert result.value <= values.min() + 1e-9
+
+
+@pytest.mark.parametrize("seed", BB_SEEDS)
+@pytest.mark.parametrize("name", ["c_squashed", "squashed", "squashed_padded"])
+def test_lbfgs_takes_fewer_rounds_than_barzilai_borwein(name, seed, monkeypatch, rng):
+    result, (_, rounds) = bb_case(name, seed, monkeypatch, rng)
+    assert result.rounds < rounds
+
+
+def two_loop(pairs, g):
+    """-H g by the textbook two-loop recursion (Nocedal and Wright, Algorithm 7.4)."""
+    q, alphas = g, []
+    for s, y in reversed(pairs):
+        alphas.append(inner(s, q) / inner(s, y))
+        q = q - alphas[-1] * y
+    gamma = inner(*pairs[-1]) / inner(pairs[-1][1], pairs[-1][1]) if pairs else INITIAL_STEP
+    r = gamma * q
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        r = r + (alpha - inner(y, r) / inner(s, y)) * s
+    return -r
+
+
+def memory_stack(pairs, g):
+    """The [s_1 .. s_M, y_1 .. y_M, g] stack of one restart, oldest pair first, missing pairs zero."""
+    basis = np.zeros((2 * MEMORY + 1, *g.shape), dtype=complex)
+    for j, (s, y) in enumerate(pairs, start=MEMORY - len(pairs)):
+        basis[j], basis[MEMORY + j] = s, y
+    basis[-1] = g
+    return basis
+
+
+def random_pairs(rng, stored, shape):
+    """``stored`` (s, y) pairs with <s, y> > 0, and a gradient."""
+    def gauss():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    pairs = []
+    for _ in range(stored):
+        s = gauss()
+        pairs.append((s, rng.uniform(0.2, 2.0) * s + 0.3 * gauss()))
+    assert all(inner(s, y) > 0 for s, y in pairs)
+    return pairs, gauss()
+
+
+@pytest.mark.parametrize("stored", range(MEMORY + 1))
+def test_direction_is_the_two_loop_recursion(stored, rng):
+    # the compact form and the two-loop recursion are two evaluations of one H g
+    pairs, g = random_pairs(rng, stored, (5, 2))
+    d, gg = _direction(memory_stack(pairs, g)[None])
+    expected = two_loop(pairs, g)
+    assert np.allclose(d[0], expected, rtol=0, atol=1e-12 * np.linalg.norm(expected))
+    assert gg[0] == pytest.approx(inner(g, g), rel=1e-14)
+    assert inner(d[0], g) < 0
+    if not pairs:  # an empty memory steps along -g at INITIAL_STEP
+        assert d[0].tobytes() == (-INITIAL_STEP * g).tobytes()
+
+
+def test_direction_of_a_stack_equals_one_call_per_restart(rng):
+    stacks = [memory_stack(*random_pairs(rng, stored, (4, 3))) for stored in (0, 1, 2, 3, 3, 1)]
+    d, gg = _direction(np.stack(stacks))
+    for i, basis in enumerate(stacks):
+        alone, gg_alone = _direction(basis[None])
+        assert d[i].tobytes() == alone[0].tobytes() and gg[i] == gg_alone[0]
+
+
+def test_direction_falls_back_to_the_first_step_when_not_downhill(rng):
+    # the search stores no pair with <s, y> <= 0; one such pair here turns -H g uphill
+    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    d, _ = _direction(memory_stack([(g, -g)], g)[None])
+    assert d[0].tobytes() == (-INITIAL_STEP * g).tobytes()
+
+
+def test_first_candidate_is_the_gradient_step_at_initial_step(rng):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = a + a.conj().T
+    seen = []
+
+    def objective(w):  # Re Tr[W^dag A W]
+        seen.append(w.copy())
+        return np.einsum("nij,ik,nkj->n", w.conj(), a, w).real, a @ w
+
+    minimize_isometry(objective, 4, 2, OptimizerBudget(restarts=3, iterations=1, seed=5))
+    start = seen[0]
+    g = _tangent(start, a @ start)
+    assert seen[1].tobytes() == qr_isometry(start - INITIAL_STEP * g).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 0),
+        ("restarts", -2),
+        ("restarts", True),
+        ("restarts", "4"),
+        ("restarts", 2.5),
+        ("restarts", float("nan")),
+        ("iterations", -3),
+        ("iterations", 1.5),
+        ("iterations", False),
+        ("iterations", None),
+        ("seed", -1),
+        ("seed", "0"),
+        ("seed", 0.5),
+        ("seed", float("inf")),
+    ],
+)
+def test_budget_refuses_invalid_values(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        OptimizerBudget(**{field: value})
+
+
+def test_budget_takes_integral_numbers():
+    budget = OptimizerBudget(restarts=np.int64(3), iterations=5.0, seed=0)
+    assert (budget.restarts, budget.iterations, budget.seed) == (3, 5, 0)
+    assert all(type(v) is int for v in (budget.restarts, budget.iterations, budget.seed))
 
 
 @pytest.mark.parametrize("name", sorted(ROOFS))

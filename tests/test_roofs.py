@@ -345,11 +345,28 @@ def test_search_meta_records_cost_and_agreement(rng, monkeypatch):
     assert out.meta["members"] == 3
     assert out.meta["evaluations"] == search.evaluations.sum() > BUDGET.restarts
     assert out.meta["steps"] == search.steps.sum() <= out.meta["evaluations"]
+    assert out.meta["rounds"] == search.rounds
+    assert 1 < out.meta["rounds"] <= search.steps.max()
     near = [v for v in search.restart_values if v <= search.value + 1e-4]
     assert out.meta["restarts_near_best"] == len(near) >= 1
     # the report keeps its fields: the diagnostics stay out of the serialized value
     assert sorted(cli._jsonable(out)) == ["converged", "direction", "gap_estimate", "provenance", "value"]
     assert "evaluations" not in entanglement_of_formation(bell()).meta  # exact anchors run no search
+    # the estimates derived from a search carry its cost next to their own values
+    cost = ["evaluations", "steps", "rounds", "restarts_near_best"]
+    derived = [
+        (entropy_k_gap(random_density(4, rng, rank=3), 2, BUDGET), "approximator"),
+        (constrained_holevo_estimate(identity_channel(2), random_density(2, rng), 2, BUDGET), "convex_closure"),
+        (quantum_discord(rank2_two_qubit(rng), budget=BUDGET), "classical_correlations"),
+    ]
+    for (est, key), search in zip(derived, searches[1:], strict=True):
+        assert {k: est.meta[k] for k in cost} == {
+            "evaluations": search.evaluations.sum(),
+            "steps": search.steps.sum(),
+            "rounds": search.rounds,
+            "restarts_near_best": np.count_nonzero(search.restart_values <= search.value + 1e-4),
+        }
+        assert key in est.meta
 
 
 # -- measurement side ------------------------------------------------------------
