@@ -62,6 +62,7 @@ there it calls ``np.linalg.qr``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,8 @@ class IsometrySearchResult:
     evaluations: np.ndarray  # isometries scored per restart, the start and every speculative candidate included
     steps: np.ndarray  # trajectory length per restart: the start plus one per step taken or rejected
     rounds: int  # stacked objective calls shared by all restarts, the start's included
+    multipliers: np.ndarray  # step multiplier t per restart when it stopped
+    seconds: float  # wall time of the search, the starting draws included
 
     @property
     def gap_estimate(self) -> float:
@@ -241,7 +244,7 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
         basis[up] = mem
         direction[up], gg = _direction(mem)
         w[up], best[up], norm[up] = new, val[pick], np.sqrt(gg)
-    return best, evaluations, steps, rounds
+    return best, evaluations, steps, rounds, step
 
 
 def minimize_isometry(
@@ -254,13 +257,14 @@ def minimize_isometry(
     at the identity embedding instead of a random isometry."""
     budget = budget or DEFAULT_BUDGET
     if rows < cols:
-        raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
+        raise InvalidParameterError(f"isometry needs rows >= cols, got {rows} < {cols}")
+    start = time.perf_counter()
     # each start is the draw random_isometry makes from its restart's stream
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
     w = qr_isometry(np.stack([_ginibre(np.random.default_rng(seed), rows, cols) for seed in seeds]))
     if identity_start:
         w[0] = np.eye(rows, cols)
-    values, evaluations, steps, rounds = _descend(objective, w, budget)
+    values, evaluations, steps, rounds, multipliers = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(
         value=float(values[best_idx]),
@@ -269,4 +273,6 @@ def minimize_isometry(
         evaluations=evaluations,
         steps=steps,
         rounds=rounds,
+        multipliers=multipliers,
+        seconds=time.perf_counter() - start,
     )

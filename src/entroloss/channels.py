@@ -60,7 +60,7 @@ class QuantumOperation:
     matrices or (``from_entries``) from the entries of scaled partial
     permutations."""
 
-    __slots__ = ("_kraus", "_entries", "dim_in", "dim_out", "trace_preserving")
+    __slots__ = ("_kraus", "_entries", "_complementary", "dim_in", "dim_out", "trace_preserving")
 
     def __init__(self, kraus):
         mats = [np.asarray(k, dtype=complex) for k in kraus]
@@ -71,6 +71,7 @@ class QuantumOperation:
             raise DimensionMismatchError("all Kraus operators must share one shape")
         self._kraus = mats
         self._entries = None
+        self._complementary = None
         self.dim_out, self.dim_in = shape
         stacked = np.concatenate(mats, axis=0)  # (n_kraus * dim_out, dim_in)
         rows = stacked.shape[0]
@@ -110,6 +111,7 @@ class QuantumOperation:
         op = cls.__new__(cls)
         op._kraus = None
         op._entries = (index, row, col, amp)
+        op._complementary = None
         op.dim_out, op.dim_in = dim_out, dim_in
         op.trace_preserving = float(weight.min()) >= 1.0 - KRAUS_TOL
         return op
@@ -184,12 +186,14 @@ def complementary(op: QuantumOperation) -> QuantumOperation:
     """Environment-side marginal of the dilation, Tr_B V rho V^dag.
 
     Kraus operators of the complementary are the output-row slices of the
-    original set: B_b[k, m] = K_k[b, m].
+    original set: B_b[k, m] = K_k[b, m].  The operation builds and validates
+    its complementary on first use and keeps it, so every later call returns
+    that same object.
     """
-    env = len(op.kraus)
-    stacked = np.stack(op.kraus)  # (env, out, in)
-    kraus = [stacked[:, b, :].copy() for b in range(op.dim_out)]
-    return QuantumOperation(kraus)
+    if op._complementary is None:
+        stacked = np.stack(op.kraus)  # (env, out, in)
+        op._complementary = QuantumOperation([stacked[:, b, :].copy() for b in range(op.dim_out)])
+    return op._complementary
 
 
 def choi_matrix(op: QuantumOperation) -> np.ndarray:

@@ -23,12 +23,15 @@ that way and never builds tau.
 Spectra of dense states come from ``TraceClassElement.eigenvalues()``, so
 the entropy and the Tr rho log rho term of a relative entropy reuse the
 spectrum an element already holds, and ``von_neumann_entropy`` keeps its
-value on the element, so an element is scored once.  The checked
-conditional mutual information reads the spectrum of rho_ABC once: its cuts
-I(A:BC), I(AB:C) and I(AC:B) are rho_ABC or a factor permutation of it,
-which inherits the spectrum.  It builds each two-factor marginal AB, BC and
-AC once and evaluates both its entropy and the cuts I(A:B), I(B:C) and
-I(A:C) on that one element.
+value on the element, so an element is scored once.  A factor's
+eigenvectors come from ``TraceClassElement.spectrum()``, which an element
+also keeps, so a marginal that is the factor of several products is
+eigendecomposed once.  The checked conditional mutual information forms
+each of its six marginals A, B, C, AB, BC and AC once and evaluates its
+primary form and all six cuts on those elements: it runs ``eigvalsh`` on
+rho_ABC at most once (the cuts I(A:BC), I(AB:C) and I(AC:B) are rho_ABC or
+a factor permutation of it, which inherits the spectrum) and ``eigh`` on
+each marginal once.
 """
 
 from __future__ import annotations
@@ -186,10 +189,11 @@ def relative_entropy_to_product(
         return relative_entropy(rho, tensor(a, b))
     _require_dense_dim(rho.dim)
     sa, sb = a.spectrum(), b.spectrum()
+    va, vb = sa.eigenvectors, sb.eigenvectors
     return _dense_relative_entropy(
         rho,
         np.outer(sa.eigenvalues, sb.eigenvalues).ravel(),
-        np.kron(sa.eigenvectors, sb.eigenvectors),
+        (va[:, None, :, None] * vb[None, :, None, :]).reshape(rho.dim, rho.dim),  # kron(va, vb), bit for bit
         a.trace * b.trace,
     )
 
@@ -264,39 +268,37 @@ def conditional_entropy(omega: TraceClassElement) -> float:
     return primary
 
 
-def _mi_of_cut(omega: TraceClassElement, split: int) -> float:
-    """I(first ``split`` factors : the rest) of a multipartite state.
-
-    The state is taken as normalized, so the cut is evaluated without the
-    rescaling in mutual_information and keeps the spectrum it inherits."""
-    sub = group_factors(omega, (split, len(omega.factor_dims) - split))
-    return relative_entropy_to_product(sub, *_marginals_ab(sub))
-
-
 def conditional_mutual_information(omega: TraceClassElement, check: bool = True) -> float:
     """I(A:C|B) = H(AB) + H(BC) - H(ABC) - H(B) for factors ordered (A, B, C).
 
     With ``check=True`` the three mutual-information recombinations are also
     evaluated and must agree within 1e-8; strong subadditivity makes the
-    value nonnegative.
+    value nonnegative.  The six marginals A, B, C, AB, BC and AC are formed
+    once each, and every cut is a relative entropy of one of them, or of
+    rho_ABC, to the product of two others: A:BC and AB:C of rho_ABC, A:B of
+    AB, B:C of BC, A:C of AC, and AC:B of rho_ABC with B and C swapped.
     """
     omega.require_state()
     if omega.factor_dims is None or len(omega.factor_dims) != 3:
         raise BadFactorizationError("conditional mutual information requires three factors")
     ab = partial_trace(omega, [0, 1])
     bc = partial_trace(omega, [1, 2])
+    b = partial_trace(omega, [1])
     h_ab = von_neumann_entropy(ab)
     h_bc = von_neumann_entropy(bc)
     h_abc = von_neumann_entropy(omega)
-    h_b = von_neumann_entropy(partial_trace(omega, [1]))
+    h_b = von_neumann_entropy(b)
     primary = h_ab + h_bc - h_abc - h_b
     if check:
-        i_a_bc = _mi_of_cut(omega, 1)
-        i_a_b = _mi_of_cut(ab, 1)
-        i_ab_c = _mi_of_cut(omega, 2)
-        i_b_c = _mi_of_cut(bc, 1)
-        i_a_c = _mi_of_cut(partial_trace(omega, [0, 2]), 1)
-        i_ac_b = _mi_of_cut(permute_factors(omega, (0, 2, 1)), 2)
+        # omega is a state, so the cuts are taken without mutual_information's
+        # rescaling; a regrouping or a factor permutation keeps omega's spectrum
+        a, c, ac = partial_trace(omega, [0]), partial_trace(omega, [2]), partial_trace(omega, [0, 2])
+        i_a_bc = relative_entropy_to_product(group_factors(omega, (1, 2)), a, bc)
+        i_a_b = relative_entropy_to_product(ab, a, b)
+        i_ab_c = relative_entropy_to_product(group_factors(omega, (2, 1)), ab, c)
+        i_b_c = relative_entropy_to_product(bc, b, c)
+        i_a_c = relative_entropy_to_product(ac, a, c)
+        i_ac_b = relative_entropy_to_product(group_factors(permute_factors(omega, (0, 2, 1)), (2, 1)), ac, b)
         variants = (
             i_a_bc - i_a_b,
             i_ab_c - i_b_c,

@@ -21,6 +21,13 @@ Conventions
   array, and ``permute_factors`` passes it on, since a factor permutation is
   a unitary conjugation.  Every other derived element (``scaled``, proper
   partial traces, ``tensor``, channel outputs) computes its own.
+* A dense element runs ``eigh`` at most once, on the first ``spectrum()``
+  call, and keeps the result with both arrays read-only.  The elements that
+  share the ``eigvalsh`` spectrum share it too, except ``permute_factors``:
+  a factor permutation keeps the eigenvalues but moves the eigenvectors.
+  A diagonal element's spectrum is built on each call and never kept.
+  Entropies read the ``eigvalsh`` spectrum, never ``eigh``'s eigenvalues,
+  whose bits differ.
 * Every element keeps its von Neumann entropy once
   ``info.von_neumann_entropy`` has computed it.  ``copy``, ``with_factors``,
   ``group_factors``, a keep-all ``partial_trace`` and a same-dim ``embed``
@@ -42,6 +49,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from string import ascii_letters
@@ -118,11 +126,12 @@ class TraceClassElement:
     entries or eigenvalues down to -PSD_TOL.
     """
 
-    __slots__ = ("_matrix", "_diag", "_support", "_eigenvalues", "_entropy", "factor_dims", "dim")
+    __slots__ = ("_matrix", "_diag", "_support", "_eigenvalues", "_spectrum", "_entropy", "factor_dims", "dim")
 
     def __init__(self, entries, factor_dims=None):
         a = np.asarray(entries)
         self._eigenvalues = None
+        self._spectrum = None
         self._support = None
         if a.ndim == 1:
             d = np.array(a, dtype=float)
@@ -161,7 +170,8 @@ class TraceClassElement:
 
     @classmethod
     def _unchecked(
-        cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None, entropy=None, support=None, dim=None
+        cls, matrix=None, diag=None, factor_dims=None, eigenvalues=None, entropy=None, support=None, dim=None,
+        spectrum=None,
     ) -> "TraceClassElement":
         """Element from a matrix or diagonal the caller knows is valid; runs no check,
         so derived elements (partial traces, products, copies) cost no eigensolve.
@@ -171,12 +181,14 @@ class TraceClassElement:
         sorted array of distinct flat indices below ``dim``, ``diag`` holds the
         values at those indices of a dim-``dim`` diagonal that is zero elsewhere.
         ``eigenvalues`` and ``entropy`` are the stored values of an element
-        with the same spectrum."""
+        with the same spectrum, ``spectrum`` the stored ``eigh`` of one with
+        the same matrix."""
         out = cls.__new__(cls)
         out._matrix = matrix
         out._diag = diag
         out._support = support
         out._eigenvalues = eigenvalues
+        out._spectrum = spectrum
         out._entropy = entropy
         out.factor_dims = factor_dims
         out.dim = (matrix if diag is None else diag).shape[0] if dim is None else dim
@@ -244,7 +256,10 @@ class TraceClassElement:
         return self.eigenvalues()[::-1].copy()
 
     def spectrum(self) -> SpectralDecomposition:
-        """Eigenvalues sorted descending with their eigenvector columns (``eigh``)."""
+        """Eigenvalues sorted descending with their eigenvector columns (``eigh``).
+
+        A dense element runs ``eigh`` on first use only and keeps the result,
+        both arrays read-only."""
         if self._diag is not None:
             _require_dense_dim(self.dim)
             d = self.diag
@@ -252,11 +267,13 @@ class TraceClassElement:
             vecs = np.zeros((self.dim, self.dim), dtype=complex)
             vecs[order, np.arange(self.dim)] = 1.0
             return SpectralDecomposition(d[order].copy(), vecs)
-        try:
-            w, v = np.linalg.eigh(self._matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise ConvergenceFailureError(str(exc)) from exc
-        return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+        if self._spectrum is None:
+            try:
+                w, v = np.linalg.eigh(self._matrix)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+                raise ConvergenceFailureError(str(exc)) from exc
+            self._spectrum = SpectralDecomposition(_read_only(w[::-1].copy()), _read_only(v[:, ::-1].copy()))
+        return self._spectrum
 
     def rank(self) -> int:
         w = self.eigenvalues()
@@ -274,7 +291,8 @@ class TraceClassElement:
 
     def copy(self) -> "TraceClassElement":
         return TraceClassElement._unchecked(
-            self._matrix, self._diag, self.factor_dims, self._eigenvalues, self._entropy, self._support, self.dim
+            self._matrix, self._diag, self.factor_dims, self._eigenvalues, self._entropy, self._support, self.dim,
+            self._spectrum,
         )
 
     def scaled(self, factor: float) -> "TraceClassElement":
@@ -358,18 +376,23 @@ def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
         drop = tuple(i for i in range(len(dims)) if i not in keep)
         marg = w.diag.reshape(dims).sum(axis=drop)
         return TraceClassElement._unchecked(diag=marg.reshape(-1), factor_dims=kept_dims)
-    k = len(dims)
     t = w.to_matrix().reshape(dims + dims)
+    d_out = math.prod(kept_dims)
+    reduced = np.einsum(_trace_subscripts(len(dims), tuple(keep)), t).reshape(d_out, d_out)
+    return TraceClassElement._unchecked((reduced + reduced.conj().T) / 2.0, factor_dims=kept_dims)
+
+
+@functools.cache
+def _trace_subscripts(k: int, keep: tuple) -> str:
+    """The einsum subscripts of a partial trace over k factors keeping ``keep``,
+    built once per factor count and kept set."""
     row = list(ascii_letters[:k])
     col = list(ascii_letters[k : 2 * k])
     for i in range(k):
         if i not in keep:
             col[i] = row[i]
     out_idx = "".join(row[i] for i in keep) + "".join(ascii_letters[k + i] for i in keep)
-    expr = "".join(row) + "".join(col) + "->" + out_idx
-    d_out = math.prod(kept_dims)
-    reduced = np.einsum(expr, t).reshape(d_out, d_out)
-    return TraceClassElement._unchecked((reduced + reduced.conj().T) / 2.0, factor_dims=kept_dims)
+    return "".join(row) + "".join(col) + "->" + out_idx
 
 
 def permute_factors(w: TraceClassElement, order) -> TraceClassElement:

@@ -74,7 +74,8 @@ def _from_search(value: float, direction: Direction, search: IsometrySearchResul
     """Wrap a search; ``meta`` also records its cost (isometries scored over all
     restarts, speculative candidates included, next to the trajectory steps
     those restarts took and the stacked objective calls, the rounds, they
-    shared) and its agreement (restarts within 1e-4 of the best)."""
+    shared), its agreement (restarts within 1e-4 of the best), each
+    restart's final step multiplier and the search's wall seconds."""
     return BoundedValue(
         float(value),
         direction,
@@ -86,13 +87,15 @@ def _from_search(value: float, direction: Direction, search: IsometrySearchResul
             "steps": int(search.steps.sum()),
             "rounds": search.rounds,
             "restarts_near_best": int(np.count_nonzero(search.restart_values <= search.value + 1e-4)),
+            "multipliers": search.multipliers,
+            "seconds": search.seconds,
         },
     )
 
 
 def _derived(value: float, direction: Direction, estimate: BoundedValue, **meta) -> BoundedValue:
     """A value computed from ``estimate``, with its convergence and the cost of its search."""
-    cost = ("evaluations", "steps", "rounds", "restarts_near_best")
+    cost = ("evaluations", "steps", "rounds", "restarts_near_best", "multipliers", "seconds")
     return BoundedValue(
         value,
         direction,
@@ -149,7 +152,8 @@ def entropy_k_approximation(
     """Best found mean member entropy over ensembles with member rank <= k.
 
     Lower bound on the rank-k entropy approximator; exact at k = 1 (zero)
-    and at k >= rank(rho) (the singleton ensemble gives H(rho))."""
+    and at k >= rank(rho) (the singleton ensemble gives H(rho)).  Refuses
+    ``members`` * k below the rank, where no such ensemble averages to rho."""
     k = int(k)
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
@@ -161,6 +165,8 @@ def entropy_k_approximation(
     amp = purification_amplitude(rho)
     r = amp.shape[1]
     m = int(members) if members is not None else rho.dim
+    if m * k < r:
+        raise InvalidParameterError(f"ensemble size {m} times member rank {k} below rank {r} cannot average to the state")
     budget = budget or DEFAULT_BUDGET
 
     def objective(w):
@@ -198,7 +204,11 @@ def entropy_k_gap(
 def convex_closure_output_entropy(
     op, rho: TraceClassElement, members: int, budget: OptimizerBudget | None = None
 ) -> BoundedValue:
-    """Best found sum_i pi_i H(Phi(rho_i)) over pure-member ensembles averaging to rho."""
+    """Best found sum_i pi_i H(Phi(rho_i)) over pure-member ensembles averaging to rho.
+
+    Exact on a pure rho and for the singleton ensemble (``members`` = 1);
+    refuses any other ``members`` below the rank of rho, where no
+    pure-member ensemble averages to it."""
     m = int(members)
     if m < 1:
         raise InvalidParameterError("ensemble size must be >= 1")
@@ -206,6 +216,8 @@ def convex_closure_output_entropy(
     r = amp.shape[1]
     if m == 1 or r == 1:
         return _exact(output_entropy(op, rho), Direction.UPPER_BOUND, anchor="singleton ensemble")
+    if m < r:
+        raise InvalidParameterError(f"ensemble size {m} below rank {r} cannot average to the state")
     kstack = np.stack(op.kraus)  # (nk, dout, din)
     budget = budget or DEFAULT_BUDGET
 

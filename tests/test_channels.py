@@ -292,6 +292,21 @@ def test_coherent_information_applies_the_operation_and_its_complementary_once(r
     assert value == expected
 
 
+def test_channel_identities_decompose_the_input_once_and_build_one_complementary(rng, monkeypatch):
+    op = random_channel(3, 3, 2, rng)
+    rho = random_density(3, rng)
+    solves, built = [], []
+    real_eigh, real_init = np.linalg.eigh, QuantumOperation.__init__
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: solves.append(a) or real_eigh(a, *args, **kw))
+    monkeypatch.setattr(QuantumOperation, "__init__", lambda self, kraus: built.append(self) or real_init(self, kraus))
+    channel_mutual_information(op, rho)
+    coherent_information(op, rho)
+    stinespring_entropy_residual(op, rho)
+    assert sum(np.array_equal(a, rho.to_matrix()) for a in solves) == 1
+    assert len(built) == 1
+    assert complementary(op) is built[0]
+
+
 def test_measure_prepare_channel(rng):
     povm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     preps = [TraceClassElement.pure([1.0, 0.0]), TraceClassElement.pure([0.0, 1.0])]

@@ -360,6 +360,11 @@ MISSING_KEY_CASES = {
         _quantity("constrained_holevo", state=PURE, channel={"kind": "identity", "dim": 4}, members=0),
         "quantity.members",
     ),
+    # a full-rank qutrit needs three pure members; the default is two
+    "holevo-members-below-rank": (
+        _quantity("constrained_holevo", state={"kind": "max_mixed", "dim": 3}, channel={"kind": "depolarizing", "p": 0.3, "dim": 3}),
+        "quantity.members",
+    ),
     "c_squashed-members-str": (_quantity("c_squashed_entanglement", state=MIXED, members="two"), "quantity.members"),
     "povm_size-str": (_quantity("classical_correlations", state=MIXED, povm_size="two"), "quantity.povm_size"),
     "extension_dim-str": (_quantity("squashed_entanglement", state=MIXED, extension_dim="x"), "quantity.extension_dim"),

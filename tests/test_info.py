@@ -682,3 +682,36 @@ def test_checked_cmi_eigendecomposes_each_two_factor_marginal_once(rng, monkeypa
     assert len(solves) == 3
     assert len(set(solves)) == len(solves)
     assert value == unvalidated
+
+
+def test_checked_cmi_forms_each_marginal_once(rng, monkeypatch):
+    w = TraceClassElement(random_pure(27, rng).to_matrix(), (3, 3, 3))
+    unchecked = conditional_mutual_information(w, check=False)
+    traces, solves = [], []
+    real_trace, real_eigh = info.partial_trace, np.linalg.eigh
+    monkeypatch.setattr(info, "partial_trace", lambda el, keep: traces.append(tuple(keep)) or real_trace(el, keep))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: solves.append(a.tobytes()) or real_eigh(a, *args, **kw))
+    value = conditional_mutual_information(w, check=True)
+    # A, B, C, AB, BC and AC, each formed once and eigendecomposed once
+    assert sorted(traces) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    assert len(solves) == 6 and len(set(solves)) == 6
+    assert value == unchecked
+
+
+# (a.dim, b.dim) of each cut of a (2, 3, 4) state
+CUTS = {"A:BC": (2, 12), "A:B": (2, 3), "AB:C": (6, 4), "B:C": (3, 4), "A:C": (2, 4), "AC:B": (8, 3)}
+
+
+@pytest.mark.parametrize("dims", list(CUTS.values()), ids=list(CUTS))
+def test_cmi_check_catches_one_scaled_cut(rng, monkeypatch, dims):
+    w = random_density(24, rng, factor_dims=(2, 3, 4))
+    conditional_mutual_information(w)
+    real = info.relative_entropy_to_product
+
+    def scaled(rho, a, b):
+        value = real(rho, a, b)
+        return value * 1.01 if (a.dim, b.dim) == dims else value
+
+    monkeypatch.setattr(info, "relative_entropy_to_product", scaled)
+    with pytest.raises(ArithmeticError):
+        conditional_mutual_information(w)

@@ -328,6 +328,29 @@ def test_permuted_element_inherits_its_spectrum(rng):
         assert np.max(np.abs(p.eigenvalues() - np.linalg.eigvalsh(p.to_matrix()))) <= 1e-12
 
 
+def test_kept_eigendecomposition_is_read_only_and_shared_by_the_same_matrix(rng, monkeypatch):
+    w = random_density(12, rng, factor_dims=(2, 3, 2))
+    solves = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: solves.append(a) or real(a, *args, **kw))
+    dec = w.spectrum()
+    assert w.spectrum() is dec and len(solves) == 1
+    for array in (dec.eigenvalues, dec.eigenvectors):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    for same in (w.copy(), w.with_factors((6, 2)), group_factors(w, (1, 2)), partial_trace(w, [0, 1, 2]), w.embed(12)):
+        assert same.spectrum() is dec
+    assert len(solves) == 1
+    # a factor permutation keeps the eigenvalues but not the eigenvectors
+    own = (w.scaled(0.5), partial_trace(w, [0, 2]), permute_factors(w, (1, 0, 2)))
+    for other in own:
+        assert other.spectrum() is not dec
+        assert other.spectrum() is other.spectrum()
+    assert len(solves) == 1 + len(own)
+    permuted = own[-1].spectrum()
+    assert np.max(np.abs(reconstruct(permuted) - own[-1].to_matrix())) <= 1e-12
+
+
 def test_trace_distance_identical(rng):
     a = random_density(4, rng)
     assert trace_distance(a, a) == 0.0

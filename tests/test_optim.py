@@ -444,3 +444,9 @@ def test_restarts_stop_once_the_gradient_vanishes():
     budget = OptimizerBudget(restarts=3, iterations=5000, seed=0)
     result = minimize_isometry(lambda w: (np.zeros(w.shape[0]), np.zeros_like(w)), 3, 2, budget)
     assert result.evaluations.tolist() == [1] * 3
+
+
+def test_fewer_rows_than_columns_is_an_invalid_parameter():
+    with pytest.raises(InvalidParameterError, match="rows >= cols") as raised:
+        minimize_isometry(lambda w: (np.zeros(len(w)), np.zeros_like(w)), 2, 3)
+    assert isinstance(raised.value, ValueError)  # callers that catch ValueError still do

@@ -12,6 +12,7 @@ from entroloss import (
     constrained_holevo_estimate,
     conditional_mutual_information,
     convex_closure_output_entropy,
+    depolarizing_channel,
     entanglement_of_formation,
     entropy_k_approximation,
     entropy_k_gap,
@@ -30,7 +31,7 @@ from entroloss import (
     von_neumann_entropy,
 )
 from entroloss._optim import DEFAULT_BUDGET, OptimizerBudget, minimize_isometry, random_isometry
-from entroloss.errors import NotPureError
+from entroloss.errors import InvalidParameterError, NotPureError
 from entroloss.rand import random_density, random_pure
 
 LOG2 = math.log(2.0)
@@ -139,6 +140,23 @@ def test_convex_closure_matches_formation_on_partial_trace(rng):
     coh = convex_closure_output_entropy(op, omega, 2, BUDGET)
     ef = entanglement_of_formation(omega, members=2, budget=BUDGET)
     assert coh.value == pytest.approx(ef.value, abs=1e-9)
+
+
+def test_an_ensemble_smaller_than_the_rank_is_refused(rng):
+    rho = random_density(3, rng)  # full rank: three pure members at least
+    op = depolarizing_channel(0.3, 3)
+    sigma = random_density(4, rng)  # rank 4: members * k >= 4 for rank-k members
+    calls = {
+        "convex closure": lambda: convex_closure_output_entropy(op, rho, 2, BUDGET),
+        "constrained Holevo": lambda: constrained_holevo_estimate(op, rho, 2, BUDGET),
+        "approximator": lambda: entropy_k_approximation(sigma, 2, BUDGET, members=1),
+        "gap": lambda: entropy_k_gap(sigma, 3, BUDGET, members=1),
+    }
+    for call in calls.values():
+        with pytest.raises(InvalidParameterError, match="below rank"):
+            call()
+    # at the rank the search runs
+    assert convex_closure_output_entropy(op, rho, 3, BUDGET).value >= 0.0
 
 
 def test_constrained_holevo_identity_consistency(rng):
@@ -367,6 +385,26 @@ def test_search_meta_records_cost_and_agreement(rng, monkeypatch):
             "restarts_near_best": np.count_nonzero(search.restart_values <= search.value + 1e-4),
         }
         assert key in est.meta
+
+
+def test_search_meta_records_final_multipliers_and_wall_time(rng, monkeypatch):
+    searches = []
+
+    def capture(objective, rows, cols, budget):
+        searches.append(minimize_isometry(objective, rows, cols, budget))
+        return searches[-1]
+
+    monkeypatch.setattr(roofs, "minimize_isometry", capture)
+    out = entanglement_of_formation(rank2_two_qubit(rng), members=3, budget=BUDGET)
+    gap = entropy_k_gap(random_density(4, rng, rank=3), 2, BUDGET)
+    for est, search in zip((out, gap), searches, strict=True):
+        # a restart ends at t = 1 after an accepted step, or below it after rejections
+        assert search.multipliers.shape == (BUDGET.restarts,)
+        assert ((search.multipliers > 0) & (search.multipliers <= 1)).all()
+        assert search.seconds > 0
+        assert est.meta["multipliers"] is search.multipliers
+        assert est.meta["seconds"] == search.seconds
+    assert sorted(cli._jsonable(gap)) == ["converged", "direction", "gap_estimate", "provenance", "value"]
 
 
 # -- measurement side ------------------------------------------------------------
