@@ -22,12 +22,17 @@ Prog. 63, 1994): with R the upper triangle of S^T Y and D its diagonal,
     H g = gamma g + S p - gamma Y u,   R u = S^T g,
     R^T p = (D + gamma Y^T Y) u - gamma Y^T g.
 
-All inner products come from one batched Gram matrix of [S, Y, g] per round,
-and the rest is two (MEMORY x MEMORY) triangular solves through numpy's
-``solve`` gufunc, without ``np.linalg.solve``'s checks.  A missing pair is a
-zero column with INITIAL_STEP on R's diagonal, so an empty memory gives
-d = -INITIAL_STEP g: the first candidate of every restart, and the fallback
-where d is not downhill (<d, g> >= 0).
+All inner products come from one batched Gram matrix of [S, Y, g] per round.
+The two triangular systems are solved as one, for the coefficients of d on
+S and Y, through numpy's ``solve`` gufunc without ``np.linalg.solve``'s
+checks:
+
+    [[0, R], [R^T, D / gamma + Y^T Y]] [-p; gamma u] = gamma [S^T g; Y^T g].
+
+A missing pair is a zero column of S and Y with 1 on the system's diagonal
+in both its rows, and gamma = INITIAL_STEP while the newest pair is
+missing, so an empty memory gives d = -INITIAL_STEP g: the first candidate
+of every restart, and the fallback where d is not downhill (<d, g> >= 0).
 
 The candidate at multiplier t is qr(W + t d).  A step that lowers the value
 by more than 1e-14 is accepted and the next t is 1; a rejected step
@@ -44,16 +49,25 @@ time, none below ``MIN_STEP`` or past its budget, and it takes the first
 candidate that lowers its value.  So every restart follows the
 one-candidate trajectory in fewer rounds.  ``IsometrySearchResult.steps``
 counts that trajectory, which the budget bounds; ``evaluations`` counts
-every isometry scored and ``rounds`` the stacked objective calls.
+every isometry scored and ``rounds`` the stacked objective calls.  A round
+is then: the multipliers of the active restarts (t SHRINK^j, exact because
+SHRINK is a power of two), the stacked retraction, the objective and the
+accept rule; and for the restarts that accepted, one stacked ``_tangent``
+call that projects the new gradient and the old one at the new point (the
+memory's last slot holds the new raw gradient next to the old projected
+one), one concatenate that pushes the pair and one ``_direction`` call.
 
 Restart 0 starts at the identity embedding, every other restart at a random
 isometry drawn from its own stream spawned from the budget seed, the draws
-retracted together by one stacked QR.  An objective with a critical point at
-the identity (a singleton ensemble, a trivial extension) would stop restart
-0 there at once, so its search passes ``identity_start=False`` and restart 0
-starts at its own draw too.  The descent itself draws nothing, so the result
-is deterministic and every restart follows the trajectory it would follow
-alone.  ``random_isometry`` is the one sign-fixed QR draw the package uses
+retracted together by one stacked QR.  That stack depends only on (seed,
+restarts, rows, cols), so it is built once per key and kept read-only in a
+memo of ``STARTS_KEPT`` keys; a search copies it before it sets the identity
+start.  An objective with a critical point at the identity (a singleton
+ensemble, a trivial extension) would stop restart 0 there at once, so its
+search passes ``identity_start=False`` and restart 0 starts at its own draw
+too.  The descent itself draws nothing, so the result is deterministic and
+every restart follows the trajectory it would follow alone.
+``random_isometry`` is the one sign-fixed QR draw the package uses
 for Haar-random unitaries, isometries and Stinespring dilations.
 ``qr_isometry`` calls the gufuncs behind ``np.linalg.qr`` without its
 ``triu``, type checks and ``errstate``; numpy < 2 names them otherwise, so
@@ -62,6 +76,7 @@ there it calls ``np.linalg.qr``.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -71,6 +86,18 @@ from numpy.linalg._umath_linalg import solve as _solve  # the gufunc behind np.l
 from .errors import InvalidParameterError
 
 
+def integer_parameter(value, name: str, least: int) -> int:
+    """``value`` as an int when it is an integral number >= ``least``; a bool,
+    a string or a fraction raises ``InvalidParameterError``, not truncated."""
+    try:
+        integral = not isinstance(value, (bool, np.bool_, str)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OptimizerBudget:
     restarts: int = 16
@@ -78,16 +105,8 @@ class OptimizerBudget:
     seed: int = 0
 
     def __post_init__(self):
-        # an integral number is kept as an int; a bool, a string or a fraction is refused, not truncated
         for name, least in (("restarts", 1), ("iterations", 0), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                integral = not isinstance(value, (bool, str)) and int(value) == value
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral or value < least:
-                raise InvalidParameterError(f"budget {name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer_parameter(getattr(self, name), f"budget {name}", least))
 
 
 DEFAULT_BUDGET = OptimizerBudget()
@@ -101,7 +120,10 @@ MIN_STEP = 1e-9
 BATCH = 4  # candidates a restart scores in one round after a rejected step
 MEMORY = 3  # (s, y) pairs a restart keeps for its L-BFGS direction
 _UPPER = np.triu(np.ones((MEMORY, MEMORY)))
-_EMPTY = INITIAL_STEP * np.eye(MEMORY)  # R's diagonal at a missing pair
+# [[0, R], [R^T, D / gamma + Y^T Y]] is this mask times the Gram matrix of [S, Y], plus a diagonal
+_SADDLE = np.block([[np.zeros((MEMORY, MEMORY)), _UPPER], [_UPPER.T, np.ones((MEMORY, MEMORY))]])
+_POWERS = SHRINK ** np.arange(BATCH + 1)  # t SHRINK^j is exact: SHRINK is a power of two
+STARTS_KEPT = 32  # starting stacks memoized, one per (seed, restarts, rows, cols)
 
 try:
     from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
@@ -171,14 +193,14 @@ def _direction(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = MEMORY
     v = basis.reshape(len(basis), 2 * k + 1, -1).view(float)  # Re<a, b> is the dot product of the real views
     gram = v @ v.swapaxes(-1, -2)
-    sy, yy, a, b = gram[:, :k, k:-1], gram[:, k:-1, k:-1], gram[:, :k, -1:], gram[:, k:-1, -1:]
-    diag = np.diagonal(sy, axis1=-2, axis2=-1)[..., None]
-    missing = diag == 0  # the zero pairs
-    r = sy * _UPPER + _EMPTY * missing
-    gamma = r[:, -1:, -1:] / (yy[:, -1:, -1:] + missing[:, -1:])  # INITIAL_STEP when no pair is stored
-    u = _solve(r, a)
-    p = _solve(r.swapaxes(-1, -2), diag * u + gamma * (yy @ u - b))
-    coef = np.concatenate([-p, gamma * u, -gamma], axis=1)  # -H g over the columns of basis
+    sy = np.diagonal(gram[:, :k, k:-1], axis1=-2, axis2=-1)  # D; zero at the missing pairs
+    missing = sy == 0
+    # gamma = <s, y> / <y, y> of the newest pair, INITIAL_STEP while it is missing
+    gamma = np.divide(sy[:, -1:], gram[:, -2, -2, None], out=np.full((len(v), 1), INITIAL_STEP), where=~missing[:, -1:])
+    system = gram[:, :-1, :-1] * _SADDLE
+    diagonal = system.reshape(len(v), -1)[:, :: 2 * k + 1]  # a view of each system's diagonal
+    diagonal += np.concatenate([missing, sy / gamma + missing], axis=1)  # 1 at a missing pair
+    coef = np.concatenate([_solve(system, gamma[..., None] * gram[:, :-1, -1:]), -gamma[..., None]], axis=1)
     d = (coef.swapaxes(-1, -2) @ v).view(complex).reshape(basis.shape[0], *basis.shape[2:])
     downhill = (gram[:, -1:] @ coef)[:, 0, 0] < 0
     if not downhill.all():
@@ -191,26 +213,24 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
     step multiplier or its iteration budget is spent."""
     best, grad = objective(w)
     k = MEMORY
-    basis = np.zeros((len(w), 2 * k + 1, *w.shape[1:]), dtype=complex)  # [S, Y, g] per restart
-    basis[:, -1] = _tangent(w, grad)
-    direction = -INITIAL_STEP * basis[:, -1]
-    norm = np.linalg.norm(basis[:, -1], axis=(-2, -1))
-    step = np.ones(len(w))
+    # [S, Y, g] per restart, and a last slot that takes the raw gradient of its next accepted step
+    basis = np.zeros((len(w), 2 * k + 2, *w.shape[1:]), dtype=complex)
+    basis[:, 2 * k] = _tangent(w, grad)
+    direction = -INITIAL_STEP * basis[:, 2 * k]
+    norm = np.linalg.norm(basis[:, 2 * k], axis=(-2, -1))
+    step = np.ones(len(w))  # 1 after an accepted step and at the start, below 1 after a rejected one
     evaluations, steps = np.ones(len(w), dtype=int), np.ones(len(w), dtype=int)
     rounds = 1
-    width = np.ones(len(w), dtype=int)  # candidates per round: 1 after an accepted step, BATCH after a rejected one
     offsets = np.arange(BATCH + 1)
     while True:
         active = np.flatnonzero((step >= MIN_STEP) & (norm >= GRADIENT_TOL) & (steps <= budget.iterations))
         if active.size == 0:
             break
-        # the multipliers t, t SHRINK, ... of each active restart (each the one
-        # before times SHRINK), one past the batch; it scores as many as its
-        # width and its budget allow, none below MIN_STEP
-        lengths = np.full((active.size, BATCH + 1), SHRINK)
-        lengths[:, 0] = step[active]
-        lengths = np.multiply.accumulate(lengths, axis=1)
-        limit = np.minimum(width[active], budget.iterations + 1 - steps[active])
+        # the multipliers t, t SHRINK, ... of each active restart, one past the
+        # batch; it scores one after an accepted step and BATCH after a rejected
+        # one, as many as its budget allows and none below MIN_STEP
+        lengths = step[active, None] * _POWERS
+        limit = np.minimum(np.where(lengths[:, 0] < 1.0, BATCH, 1), budget.iterations + 1 - steps[active])
         scored = (lengths >= MIN_STEP) & (offsets < limit[:, None])
         count = scored.sum(axis=1)
         owner = active.repeat(count)
@@ -225,26 +245,35 @@ def _descend(objective, w: np.ndarray, budget: OptimizerBudget):
         won = first < count
         evaluations[active] += count
         steps[active] += first + won
-        step[active] = np.where(won, 1.0, lengths[np.arange(active.size), first])
-        width[active] = np.where(won, 1, BATCH)
+        step[active] = np.where(won, 1.0, lengths[:, 0] * _POWERS[first])
         pick, up = (count.cumsum() - count + first)[won], active[won]
         if up.size == 0:
             continue
-        # the pair (s, y) of each accepted step, the old gradient projected to the
-        # new point in the same stacked call as the new one; the memory drops its
-        # oldest pair for it unless <s, y> <= 0
+        # the pair (s, y) of each accepted step: one stacked projection at the
+        # new point takes the old gradient and the new one from the last two
+        # slots; the memory drops its oldest pair for it unless <s, y> <= 0
         new, old = cand[pick], basis[up]
-        both = _tangent(np.concatenate([new, new]), np.concatenate([g[pick], old[:, -1]]))
-        g = both[: up.size]
-        moved, change = new - w[up], g - both[up.size :]
+        old[:, -1] = g[pick]
+        both = _tangent(new[:, None], old[:, -2:])
+        moved, change = new - w[up], both[:, 1] - both[:, 0]
         keep = np.einsum("nij,nij->n", moved.conj(), change).real > 0
-        mem = np.concatenate([old[:, 1:k], moved[:, None], old[:, k + 1 : -1], change[:, None], g[:, None]], axis=1)
+        mem = np.concatenate([old[:, 1:k], moved[:, None], old[:, k + 1 : 2 * k], change[:, None], both[:, 1:]], axis=1)
         if not keep.all():
-            mem[~keep, :-1] = old[~keep, :-1]
-        basis[up] = mem
+            mem[~keep, :-1] = old[~keep, : 2 * k]
+        basis[up, :-1] = mem
         direction[up], gg = _direction(mem)
         w[up], best[up], norm[up] = new, val[pick], np.sqrt(gg)
     return best, evaluations, steps, rounds, step
+
+
+@functools.lru_cache(maxsize=STARTS_KEPT)
+def _starts(seed: int, restarts: int, rows: int, cols: int) -> np.ndarray:
+    """The read-only stack of every restart's starting draw: the isometry
+    ``random_isometry`` draws from the restart's stream spawned from ``seed``."""
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    w = qr_isometry(np.stack([_ginibre(np.random.default_rng(s), rows, cols) for s in seeds]))
+    w.flags.writeable = False
+    return w
 
 
 def minimize_isometry(
@@ -259,9 +288,7 @@ def minimize_isometry(
     if rows < cols:
         raise InvalidParameterError(f"isometry needs rows >= cols, got {rows} < {cols}")
     start = time.perf_counter()
-    # each start is the draw random_isometry makes from its restart's stream
-    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    w = qr_isometry(np.stack([_ginibre(np.random.default_rng(seed), rows, cols) for seed in seeds]))
+    w = _starts(budget.seed, budget.restarts, rows, cols).copy()
     if identity_start:
         w[0] = np.eye(rows, cols)
     values, evaluations, steps, rounds, multipliers = _descend(objective, w, budget)

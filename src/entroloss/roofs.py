@@ -23,7 +23,19 @@ S = T log T - Tr rho log rho has
 
 so dS = Re Tr[G^dag dX] with G = dS/dconj(X) = 2 (log T - log rho) X.  X has
 no component off the support of rho, where log rho is undefined, so G is
-evaluated in the eigenbasis of rho on its support only.
+evaluated in the eigenbasis of rho on its support only; an eigenvalue that
+rounds to zero or below lies off it.
+
+Most terms have 2 rows (a qubit marginal, a rank-2 state's ensemble), and
+there no eigensolver runs.  The eigenvalues of the 2 x 2 rho / T are
+p+- = (1 +- delta) / 2 with delta = hypot(rho_00 - rho_11, 2 |rho_01|) / T,
+so S = -T (p+ log p+ + p- log p-), and on a 2-dimensional support
+log rho = alpha I + beta rho / T with the divided difference
+beta = (log p+ - log p-) / delta, computed as log1p(delta / p-) / delta: no
+cancellation near a degenerate spectrum, and its limit 1 / p- at
+delta = 0.  When p- lies off the support, log T - log rho restricted to the
+support is -log p+ / p+ times rho / T.  Every step is elementwise per
+matrix, so a stack scores each matrix as it would score it alone.
 
 Estimates carry explicit one-sidedness: an optimizer chasing a supremum
 reports a LOWER bound on the true value, one chasing an infimum reports an
@@ -38,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, minimize_isometry
+from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, integer_parameter, minimize_isometry
 from .channels import output_entropy
 from .errors import BadFactorizationError, InvalidParameterError, NotPureError
 from .info import eta, mutual_information, spectral_entropy, von_neumann_entropy
@@ -110,6 +122,9 @@ def _derived(value: float, direction: Direction, estimate: BoundedValue, **meta)
 # ---------------------------------------------------------------------------
 
 
+_EYE2 = np.eye(2)
+
+
 def _members(amp: np.ndarray, w: np.ndarray, m: int, block: int) -> np.ndarray:
     r = amp.shape[1]
     return np.einsum("dr,nmbr->nmdb", amp, w.reshape(-1, m, block, r))
@@ -125,14 +140,45 @@ def _entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dS/dconj(M) = 2 (log Tr rho - log rho) M for rho = M M^dag (module docstring).
 
     Eigenvalues that round to zero or below lie off the support and carry
-    no gradient."""
-    lam, v = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+    no gradient.  Matrices with 2 rows take the closed form (module
+    docstring), with the divided difference as log1p(delta / p-) / delta;
+    larger ones one batched ``eigh``."""
+    rho = m @ m.conj().swapaxes(-1, -2)
+    if m.shape[-2] == 2:
+        return _qubit_entropy(m, rho)
+    lam, v = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
     support = lam > 0.0
     total = lam.sum(axis=-1, keepdims=True)
     coef = np.log(np.where(support, total, 1.0)) - np.log(np.where(support, lam, 1.0))
     grad = 2.0 * (v @ (coef[..., None] * (v.conj().swapaxes(-1, -2) @ m)))
     return spectral_entropy(lam), grad
+
+
+def _qubit_entropy(m: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_entropy`` of 2-row matrices M from rho = M M^dag, on the spectrum
+    p- = (1 - delta) / 2, p+ = 1 - p- of rho / T: S = -T (p+ log p+ + p- log p-), and
+    log T - log rho = a0 I + a1 rho / T on the support, with a1 = -beta and
+    a0 = beta p+ - log p+ when both eigenvalues lie on it, a1 = -log p+ / p+
+    and a0 = 0 when p- lies off it.  On rho / T the divided difference is at
+    most about 2^54, so no step overflows, however small T is."""
+    a, c, b = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+    total = a + c
+    scale = np.where(total > 0.0, total, 1.0)
+    delta = np.hypot(a - c, 2.0 * np.abs(b)) / scale
+    minus = np.maximum(1.0 - delta, 0.0) / 2  # clipped as the eigh path clips
+    plus = 1.0 - minus  # at most 1, so no term of S is positive
+    on = minus > 0.0
+    safe_minus = np.where(on, minus, 1.0)
+    log_plus, log_minus = np.log(plus), np.log(safe_minus)
+    value = total * (0.0 - (plus * log_plus + minus * log_minus))  # +0.0, not -0.0, at a rank-one rho
+    ratio = delta / safe_minus
+    beta = np.divide(np.log1p(ratio), ratio, out=np.ones_like(ratio), where=ratio > 0.0) / safe_minus
+    a1 = np.where(on, -beta, -log_plus / plus)
+    a0 = np.where(on, beta * plus - log_plus, 0.0)
+    unit = (rho.view(float) / scale[..., None, None]).view(complex)  # rho / T, without complex division by a tiny T
+    f = 2.0 * (a1[..., None, None] * unit + a0[..., None, None] * _EYE2)  # 2 (log T - log rho)
+    return value, f[..., :, :1] * m[..., :1, :] + f[..., :, 1:] * m[..., 1:, :]
 
 
 def _bipartite(omega: TraceClassElement) -> tuple[int, int]:
@@ -154,9 +200,8 @@ def entropy_k_approximation(
     Lower bound on the rank-k entropy approximator; exact at k = 1 (zero)
     and at k >= rank(rho) (the singleton ensemble gives H(rho)).  Refuses
     ``members`` * k below the rank, where no such ensemble averages to rho."""
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
+    k = integer_parameter(k, "k", 1)
+    m = integer_parameter(members, "members", 1) if members is not None else rho.dim
     if k == 1:
         return _exact(0.0, Direction.LOWER_BOUND, anchor="rank-1 members have zero entropy")
     rank = rho.rank()
@@ -164,7 +209,6 @@ def entropy_k_approximation(
         return _exact(von_neumann_entropy(rho), Direction.LOWER_BOUND, anchor="singleton ensemble")
     amp = purification_amplitude(rho)
     r = amp.shape[1]
-    m = int(members) if members is not None else rho.dim
     if m * k < r:
         raise InvalidParameterError(f"ensemble size {m} times member rank {k} below rank {r} cannot average to the state")
     budget = budget or DEFAULT_BUDGET
@@ -186,7 +230,9 @@ def entropy_k_gap(
     k >= rank(rho) (zero).  Equals H(rho) minus the approximator value on
     the same ensemble by construction.
     """
-    k = int(k)
+    k = integer_parameter(k, "k", 1)
+    if members is not None:  # refused here too, not only where the approximator runs
+        members = integer_parameter(members, "members", 1)
     h = von_neumann_entropy(rho)
     if k == 1:
         return _exact(h, Direction.UPPER_BOUND, anchor="spectral ensemble")
@@ -209,9 +255,7 @@ def convex_closure_output_entropy(
     Exact on a pure rho and for the singleton ensemble (``members`` = 1);
     refuses any other ``members`` below the rank of rho, where no
     pure-member ensemble averages to it."""
-    m = int(members)
-    if m < 1:
-        raise InvalidParameterError("ensemble size must be >= 1")
+    m = integer_parameter(members, "members", 1)
     amp = purification_amplitude(rho)
     r = amp.shape[1]
     if m == 1 or r == 1:
@@ -265,6 +309,7 @@ def entanglement_of_formation(
     da, db = _bipartite(omega)
     omega.require_state()
     rank = omega.rank()
+    m = integer_parameter(members, "members", 1) if members is not None else rank
     if rank <= 1:
         return _exact(
             von_neumann_entropy(partial_trace(omega, [0])),
@@ -273,7 +318,6 @@ def entanglement_of_formation(
         )
     amp = purification_amplitude(omega)
     r = amp.shape[1]
-    m = int(members) if members is not None else rank
     if m < rank:
         raise InvalidParameterError(f"ensemble size {m} below rank {rank} cannot average to the state")
     budget = budget or DEFAULT_BUDGET
@@ -340,9 +384,7 @@ def c_squashed_entanglement_k(
     """Best found sum_i pi_i I(A:B) over ensembles of at most k states averaging to omega."""
     da, db = _bipartite(omega)
     omega.require_state()
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError("ensemble size must be >= 1")
+    k = integer_parameter(k, "ensemble size k", 1)
     if k == 1 or omega.rank() <= 1:
         return _exact(mutual_information(omega), Direction.UPPER_BOUND, anchor="singleton ensemble")
     amp = purification_amplitude(omega)
@@ -379,9 +421,7 @@ def squashed_entanglement_k(
     """
     da, db = _bipartite(omega)
     omega.require_state()
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError("extension dimension must be >= 1")
+    k = integer_parameter(k, "extension dimension k", 1)
     if k == 1:
         return _exact(0.5 * mutual_information(omega), Direction.UPPER_BOUND, anchor="trivial extension")
     amp = purification_amplitude(omega)
@@ -437,7 +477,7 @@ def classical_correlations(
     """
     da, db = _bipartite(omega)
     omega.require_state()
-    m = int(povm_size) if povm_size is not None else max(2, db)
+    m = integer_parameter(povm_size, "povm_size", 1) if povm_size is not None else max(2, db)
     if m < db:
         raise InvalidParameterError(f"povm size {m} cannot embed the measured system of dim {db}")
     h_a = von_neumann_entropy(partial_trace(omega, [0]))

@@ -206,6 +206,41 @@ def test_stacked_starts_equal_per_restart_draws(shape, identity_start):
     assert seen[0].tobytes() == np.stack(starts).tobytes()
 
 
+def test_starts_are_memoized_read_only():
+    starts = _optim._starts(23, 4, 3, 2)
+    assert _optim._starts(23, 4, 3, 2) is starts
+    with pytest.raises(ValueError, match="read-only"):
+        starts[0, 0, 0] = 1.0
+
+
+def test_an_identity_start_does_not_leak_into_the_memoized_draws():
+    budget = OptimizerBudget(restarts=3, iterations=0, seed=41)
+    seen = []
+
+    def objective(w):
+        seen.append(w.copy())
+        return np.zeros(len(w)), np.zeros_like(w)
+
+    for identity_start in (True, False, True):
+        minimize_isometry(objective, 4, 2, budget, identity_start=identity_start)
+    with_identity, drawn, again = seen
+    first = random_isometry(np.random.default_rng(np.random.SeedSequence(budget.seed).spawn(1)[0]), 4, 2)
+    assert with_identity[0].tobytes() == np.eye(4, 2, dtype=complex).tobytes()
+    assert drawn[0].tobytes() == first.tobytes()
+    assert again.tobytes() == with_identity.tobytes() and with_identity[1:].tobytes() == drawn[1:].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ROOFS))
+def test_a_repeated_search_is_bit_identical(name, monkeypatch, rng):
+    # the second search draws its starts from the memo, the first built them
+    _optim._starts.cache_clear()
+    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)
+    again = minimize_isometry(objective, rows, cols, budget, **kwargs)
+    assert again.restart_values.tobytes() == result.restart_values.tobytes()
+    assert again.isometry.tobytes() == result.isometry.tobytes()
+    assert again.evaluations.tolist() == result.evaluations.tolist() and again.rounds == result.rounds
+
+
 # the long budget keeps the plain roof name; short budgets stop restarts
 # inside a batch of speculative candidates
 SEARCH_CASES = [

@@ -49,6 +49,83 @@ def rank2_two_qubit(rng, weight=0.5):
     return TraceClassElement(m, (2, 2))
 
 
+# -- the 2-row closed form of the cone entropy -----------------------------------
+
+
+def eigh_path(m):
+    """``roofs._entropy`` of 2-row matrices through its eigh path: a zero third
+    row adds one zero eigenvalue, off the support, and gets a zero gradient row."""
+    value, grad = roofs._entropy(np.concatenate([m, np.zeros_like(m[..., :1, :])], axis=-2))
+    return value, grad[..., :2, :]
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def two_row_stacks(rng):
+    """Stacks of 2-row matrices M, named by the spectrum of M M^dag."""
+    flips = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 1.0j]))
+    return {
+        "random": [gaussian(rng, 30, 2, 2), 1e-3 * gaussian(rng, 10, 2, 2), gaussian(rng, 10, 2, 4)],
+        # product members: one row zero, so the smaller eigenvalue is exactly 0
+        "rank_one": [
+            np.stack([np.stack([gaussian(rng, 3), np.zeros(3)]) * s for s in (1.0, 1e-4, 7.0)]),
+            np.stack([np.zeros(2), 1j * gaussian(rng, 2)])[None],
+        ],
+        # maximally entangled members: rho is c I, exactly for the flips and
+        # up to rounding for Haar-random isometries
+        "degenerate": [
+            np.stack([c * u for c in (1.0, 0.3j, 2.5) for u in flips]),
+            np.stack([c * random_isometry(rng, 2, 2) for c in (1.0, 0.2, 3.0 + 1.0j)]),
+            np.stack([c * random_isometry(rng, 3, 2).T for c in (1.0, 0.2)]),
+        ],
+        "zero": [np.zeros((3, 2, 3), dtype=complex)],
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "rank_one", "degenerate", "zero"])
+def test_two_row_entropy_equals_the_eigh_path(kind, rng):
+    for m in two_row_stacks(rng)[kind]:
+        value, grad = roofs._entropy(m)
+        expected, expected_grad = eigh_path(m)
+        assert np.isfinite(value).all() and np.isfinite(grad).all()
+        assert not np.signbit(value).any()  # no negative entropy, not even -0.0
+        # relative to the trace and to |M|, the scales of a cone entropy and its gradient
+        size = np.linalg.norm(m, axis=(-2, -1))
+        assert (np.abs(value - expected) <= 1e-13 * np.maximum(np.abs(expected), size**2)).all()
+        gap = np.linalg.norm(grad - expected_grad, axis=(-2, -1))
+        assert (gap <= 1e-13 * np.maximum(np.linalg.norm(expected_grad, axis=(-2, -1)), size)).all()
+        if kind == "zero":
+            assert not value.any() and not grad.any()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e100])
+def test_two_row_entropy_is_finite_and_homogeneous_at_any_scale(scale, rng):
+    # S(s M) = s^2 S(M) and G(s M) = s G(M); at s = 1e-160 rho is subnormal,
+    # where only finiteness holds (a floating-point warning fails the test)
+    m = gaussian(rng, 20, 2, 3)
+    m[::4, 1] = 0.0  # product members too
+    value, grad = roofs._entropy(scale * m)
+    assert np.isfinite(value).all() and np.isfinite(grad).all()
+    if scale**2 > 1e-300:
+        expected, expected_grad = roofs._entropy(m)
+        assert np.allclose(value, scale**2 * expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(grad, scale * expected_grad, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_two_row_entropy_gradient_matches_finite_differences_at_a_degenerate_point(rng):
+    # at rho = c I the divided difference is its limit 1 / lambda
+    m = np.stack([0.6 * np.eye(2, dtype=complex), 0.8j * random_isometry(rng, 2, 2)])
+    _, grad = roofs._entropy(m)
+    h = 1e-6
+    for _ in range(4):
+        d = gaussian(rng, *m.shape)
+        numeric = (roofs._entropy(m + h * d)[0] - roofs._entropy(m - h * d)[0]) / (2 * h)
+        analytic = np.einsum("nij,nij->n", grad.conj(), d).real
+        assert np.allclose(numeric, analytic, rtol=1e-7, atol=1e-9)
+
+
 # -- entropy approximators ----------------------------------------------------
 
 
@@ -507,6 +584,51 @@ def test_measure_ordering_on_pure_states(rng):
     assert e_f.value == pytest.approx(h_a, abs=1e-10)
     # upper estimates never fall below the pure-state anchor
     assert e_csq.value >= e_f.value - 1e-9 >= e_sq.value - 1e-9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: entanglement_of_formation(w, members=2.7),
+        lambda w: entanglement_of_formation(w, members="3"),
+        lambda w: entanglement_of_formation(w, members=np.True_),
+        lambda w: classical_correlations(w, povm_size=3.5),
+        lambda w: quantum_discord(w, povm_size="2"),
+        lambda w: c_squashed_entanglement_k(w, 2.9),
+        lambda w: squashed_entanglement_k(w, True),
+        lambda w: squashed_entanglement_k(w, 0),
+        lambda w: entropy_k_approximation(w, 2.5),
+        lambda w: entropy_k_approximation(w, 2, members=4.5),
+        lambda w: entropy_k_gap(w, False),
+        lambda w: entropy_k_gap(w, 1, members=2.5),
+        lambda w: convex_closure_output_entropy(identity_channel(4), w, 2.2),
+    ],
+    ids=[
+        "formation-fraction",
+        "formation-string",
+        "formation-bool",
+        "classical-fraction",
+        "discord-string",
+        "c_squashed-fraction",
+        "squashed-bool",
+        "squashed-zero",
+        "approximation-fraction",
+        "approximation-members-fraction",
+        "gap-bool",
+        "gap-members-fraction",
+        "convex_closure-fraction",
+    ],
+)
+def test_size_arguments_must_be_integers(call, rng):
+    # a bool, a string or a fraction is refused, not truncated or coerced
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call(random_density(4, rng, rank=2, factor_dims=(2, 2)))
+
+
+def test_size_arguments_take_integral_numbers(rng):
+    omega = rank2_two_qubit(rng)
+    values = {entanglement_of_formation(omega, m, BUDGET).value for m in (2, 2.0, np.int64(2))}
+    assert len(values) == 1
 
 
 def test_determinism_same_seed(rng):
