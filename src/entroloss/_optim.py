@@ -70,8 +70,7 @@ every restart follows the trajectory it would follow alone.
 ``random_isometry`` is the one sign-fixed QR draw the package uses
 for Haar-random unitaries, isometries and Stinespring dilations.
 ``qr_isometry`` calls the gufuncs behind ``np.linalg.qr`` without its
-``triu``, type checks and ``errstate``; numpy < 2 names them otherwise, so
-there it calls ``np.linalg.qr``.
+``triu``, type checks and ``errstate``.
 """
 
 from __future__ import annotations
@@ -81,21 +80,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve as _solve  # the gufunc behind np.linalg.solve, on every numpy
+# the gufuncs behind np.linalg.solve and np.linalg.qr, without their wrappers' checks
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced, solve as _solve
 
 from .errors import InvalidParameterError
-
-
-def integer_parameter(value, name: str, least: int) -> int:
-    """``value`` as an int when it is an integral number >= ``least``; a bool,
-    a string or a fraction raises ``InvalidParameterError``, not truncated."""
-    try:
-        integral = not isinstance(value, (bool, np.bool_, str)) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral or value < least:
-        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+from .operators import integer_parameter
 
 
 @dataclass(frozen=True)
@@ -125,23 +114,14 @@ _SADDLE = np.block([[np.zeros((MEMORY, MEMORY)), _UPPER], [_UPPER.T, np.ones((ME
 _POWERS = SHRINK ** np.arange(BATCH + 1)  # t SHRINK^j is exact: SHRINK is a power of two
 STARTS_KEPT = 32  # starting stacks memoized, one per (seed, restarts, rows, cols)
 
-try:
-    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
-except ImportError:
-    _qr_r_raw = _qr_reduced = None
-
 
 def qr_isometry(m: np.ndarray) -> np.ndarray:
     """Nearest-ish isometry via QR with the R diagonal phase fixed positive.
 
     ``m`` is one complex matrix or a stack of them along leading axes."""
-    if _qr_r_raw is None:
-        q, r = np.linalg.qr(m)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-    else:
-        a = np.array(m, dtype=complex)  # overwritten with R above its diagonal and the reflectors below
-        q = _qr_reduced(a, _qr_r_raw(a))
-        d = np.diagonal(a, axis1=-2, axis2=-1)
+    a = np.array(m, dtype=complex)  # overwritten with R above its diagonal and the reflectors below
+    q = _qr_reduced(a, _qr_r_raw(a))
+    d = np.diagonal(a, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0)
     return q * phase.conj()[..., None, :]

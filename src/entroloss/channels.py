@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadFactorizationError,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidPOVMError,
@@ -44,6 +45,7 @@ from .operators import (
     TraceClassElement,
     _require_dense_dim,
     _require_diag_dim,
+    integer_parameter,
     purification_amplitude,
     trace_distance,
 )
@@ -93,7 +95,7 @@ class QuantumOperation:
         """Operation whose Kraus operator ``index[i]`` holds ``amp[i]`` at
         (``row[i]``, ``col[i]``) and zeros elsewhere; each operator may hold
         at most one entry per row and per column."""
-        dim_out, dim_in = int(dim_out), int(dim_in)
+        dim_out, dim_in = (integer_parameter(d, "Kraus operator dimension", 1) for d in (dim_out, dim_in))
         index, row, col = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (index, row, col))
         amp = np.asarray(amp, dtype=complex).reshape(-1)
         if not 0 < index.size == row.size == col.size == amp.size:
@@ -307,6 +309,7 @@ def coherent_information(op: QuantumOperation, rho: TraceClassElement) -> float:
 
 
 def identity_channel(dim: int) -> QuantumOperation:
+    dim = integer_parameter(dim, "identity dimension", 1)
     _require_dense_dim(dim)
     return QuantumOperation([np.eye(dim, dtype=complex)])
 
@@ -327,8 +330,7 @@ def depolarizing_channel(p: float, dim: int = 2) -> QuantumOperation:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("depolarizing parameter must lie in [0, 1]")
-    if dim < 1:
-        raise InvalidParameterError("depolarizing dimension must be >= 1")
+    dim = integer_parameter(dim, "depolarizing dimension", 1)
     _require_dense_dim(dim * dim)  # dim**2 Kraus operators of dim**2 entries each
     kraus = [np.sqrt(1.0 - p + p / dim**2) * np.eye(dim, dtype=complex)]
     for a in range(dim):
@@ -351,7 +353,10 @@ def dephasing_channel(p: float) -> QuantumOperation:
 
 def partial_trace_channel(dims, keep: int) -> QuantumOperation:
     """Channel (A x B) -> kept factor, tracing the other."""
-    da, db = int(dims[0]), int(dims[1])
+    if len(dims) != 2:
+        raise BadFactorizationError(f"a partial trace channel acts on two factors, got dims {dims}")
+    da, db = (integer_parameter(d, "factor dim", 1) for d in dims)
+    keep = integer_parameter(keep, "keep", 0)
     _require_dense_dim(da * db)
     kraus = []
     if keep == 0:
@@ -374,9 +379,8 @@ def partial_trace_channel(dims, keep: int) -> QuantumOperation:
 def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
     """Trace-non-increasing cut-down to the first dim_out levels (single Kraus,
     Choi rank 1), in entries form."""
-    if dim_out < 1:
-        raise InvalidParameterError("compression dimension must be >= 1")
-    if dim_out > dim_in:
+    dim_out = integer_parameter(dim_out, "compression dimension", 1)
+    if dim_out > integer_parameter(dim_in, "input dimension", 1):
         raise DimensionMismatchError("compression cannot enlarge the space")
     levels = np.arange(dim_out)
     return QuantumOperation.from_entries(dim_out, dim_in, np.zeros(dim_out), levels, levels, np.ones(dim_out))
@@ -442,7 +446,7 @@ class ChannelSequence:
         self.generator = generator
         self.limit = limit
         self.probe_states = list(probe_states)
-        self.n_min = int(n_min)
+        self.n_min = integer_parameter(n_min, "n_min", 0)
 
     def convergence_profile(self, grid) -> np.ndarray:
         """Max over the probes of ||Phi_n(rho) - Phi(rho)||_1 at each n of ``grid``;

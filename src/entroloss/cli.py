@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -54,7 +55,7 @@ from .info import (
     relative_entropy,
     von_neumann_entropy,
 )
-from .operators import TraceClassElement
+from .operators import TraceClassElement, integer_parameter
 from .roofs import (
     BoundedValue,
     c_squashed_entanglement_k,
@@ -65,7 +66,7 @@ from .roofs import (
     squashed_entanglement_k,
 )
 from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, check_grid, read_jump, series
-from .suites import SUITES, SuiteReport, suite_run, walk
+from .suites import SUITES, SuiteCheck, SuiteReport, suite_run, walk
 
 
 # ---------------------------------------------------------------------------
@@ -98,34 +99,19 @@ def _float(value) -> float:
     return _floats(float(value)).item()
 
 
-def _int(value) -> int:
-    """An integral number as an int; a bool, a string or a fraction is refused, not truncated."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _ints(value) -> list:
-    return [_int(v) for v in value]
-
-
 def _float_list(value) -> list:
     return [_float(v) for v in value]
 
 
-def _count(value) -> int:
-    n = _int(value)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+# the one integer rule at the two bounds a config slot takes: a seed (from a
+# config or ``--seed``), ``budget.iterations`` and a kept factor's index are
+# non-negative, every other size checked here is a count >= 1
+_nonnegative = functools.partial(integer_parameter, name="value", least=0)
+_count = functools.partial(integer_parameter, name="value", least=1)
 
 
-def _nonnegative(value) -> int:
-    """A non-negative int: every seed, from a config or ``--seed``, and ``budget.iterations``."""
-    n = _int(value)
-    if n < 0:
-        raise ValueError(f"must be >= 0, got {n}")
-    return n
+def _counts(value) -> list:
+    return [_count(v) for v in value]
 
 
 def _names(value, path: str) -> list:
@@ -181,7 +167,7 @@ def parse_state(spec: dict, path: str) -> TraceClassElement:
         raise ConfigError(f"'{path}' must be an object with a 'kind'")
     kind = spec["kind"]
     factors = spec.get("factor_dims")
-    factors = factors if factors is None else _as(_ints, factors, f"{path}.factor_dims")
+    factors = factors if factors is None else _as(_counts, factors, f"{path}.factor_dims")
     if kind == "matrix":
         _reject_unknown(spec, {"kind", "entries", "factor_dims"}, path)
         entries = _complex_matrix(_required(spec, "entries", path), f"{path}.entries")
@@ -221,14 +207,14 @@ def parse_channel(spec: dict, path: str) -> QuantumOperation:
     if kind == "depolarizing":
         _reject_unknown(spec, {"kind", "p", "dim"}, path)
         p = _as(_float, _required(spec, "p", path), f"{path}.p")
-        return _at(path, depolarizing_channel, p, _as(_int, spec.get("dim", 2), f"{path}.dim"))
+        return _at(path, depolarizing_channel, p, spec.get("dim", 2))
     if kind == "dephasing":
         _reject_unknown(spec, {"kind", "p"}, path)
         return _at(path, dephasing_channel, _as(_float, _required(spec, "p", path), f"{path}.p"))
     if kind == "partial_trace":
         _reject_unknown(spec, {"kind", "dims", "keep"}, path)
-        dims = _as(_ints, _required(spec, "dims", path), f"{path}.dims")
-        return partial_trace_channel(dims, _as(_int, _required(spec, "keep", path), f"{path}.keep"))
+        dims = _as(_counts, _required(spec, "dims", path), f"{path}.dims")
+        return partial_trace_channel(dims, _as(_nonnegative, _required(spec, "keep", path), f"{path}.keep"))
     if kind == "measure_prepare":
         _reject_unknown(spec, {"kind", "povm", "preps"}, path)
         povm = [_complex_matrix(m, f"{path}.povm") for m in _required(spec, "povm", path)]
@@ -248,8 +234,8 @@ def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
     def number(key, default):
         return _as(_float, spec.get(key, default), f"{path}.{key}")
 
-    def truncation():
-        return _as(_int, _required(spec, "truncation_dim", path), f"{path}.truncation_dim")
+    def truncation():  # checked by Hamiltonian, named at ``path`` by _at
+        return _required(spec, "truncation_dim", path)
 
     if kind == "log":
         _reject_unknown(spec, {"kind", "scale", "offset", "truncation_dim"}, path)
@@ -325,16 +311,6 @@ def write_csv(path: str, header: list, rows) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-# optimizer-backed quantities: name -> (size key, estimator, default size)
-_ESTIMATORS = {
-    "entanglement_of_formation": ("members", entanglement_of_formation, None),
-    "classical_correlations": ("povm_size", classical_correlations, None),
-    "quantum_discord": ("povm_size", quantum_discord, None),
-    "c_squashed_entanglement": ("members", c_squashed_entanglement_k, 2),
-    "squashed_entanglement": ("extension_dim", squashed_entanglement_k, 1),
-}
-
-
 def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str) -> int:
     allowed = {
         "name",
@@ -363,9 +339,8 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
     def hamiltonian():
         return parse_hamiltonian(_required(section, "hamiltonian", "quantity"), "quantity.hamiltonian")
 
-    def size(key, default=None):
-        value = section.get(key)
-        return default if value is None else _as(_int, value, f"quantity.{key}")
+    def size(key, default=None):  # each estimator checks its size, named at its key by _at
+        return default if section.get(key) is None else section[key]
 
     def holevo():
         spec = section.get("ensemble")
@@ -389,12 +364,20 @@ def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str)
         "coherent_information": lambda: coherent_information(channel(), state()),
         "channel_mutual_information": lambda: channel_mutual_information(channel(), state()),
     }
+    # optimizer-backed quantities: name -> (size key, estimator, default size)
+    estimators = {
+        "entanglement_of_formation": ("members", entanglement_of_formation, None),
+        "classical_correlations": ("povm_size", classical_correlations, None),
+        "quantum_discord": ("povm_size", quantum_discord, None),
+        "c_squashed_entanglement": ("members", c_squashed_entanglement_k, 2),
+        "squashed_entanglement": ("extension_dim", squashed_entanglement_k, 1),
+    }
     record: dict = {"name": name}
     if name in exact:
         record["value"] = exact[name]()
         record["provenance"] = "exact"
-    elif name in _ESTIMATORS:
-        key, estimator, default = _ESTIMATORS[name]
+    elif name in estimators:
+        key, estimator, default = estimators[name]
         record["value"] = _at(f"quantity.{key}", estimator, state(), size(key, default), budget)
     elif name == "constrained_holevo":
         members = size("members", 2)
@@ -425,7 +408,7 @@ _SEQUENCE_PARAMS = {
     "seed": _nonnegative,
     "sigma": lambda spec: parse_state(spec, "sequence.params.sigma"),
 }
-_SUITE_PARAMS = {"energy": _float, "seed": _nonnegative, "range_trials": _count, "grid": _ints}
+_SUITE_PARAMS = {"energy": _float, "seed": _nonnegative, "range_trials": _count, "grid": _counts}
 
 
 def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
@@ -438,7 +421,7 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
     if family == "mix_to_pure":
         _required(params, "sigma", "sequence.params")
     if "grid" in section:
-        params["n_grid"] = _at("sequence.grid", check_grid, _as(_ints, section["grid"], "sequence.grid"))
+        params["n_grid"] = _at("sequence.grid", check_grid, _as(_counts, section["grid"], "sequence.grid"))
     try:  # with the grid checked, a builder refuses only the family's energies
         seq = _at(f"sequence.params.{'energies' if family == 'product' else 'energy'}", registry[family], **params)
     except TypeError as exc:
@@ -486,6 +469,10 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
 
 def _write_suite_outputs(report: SuiteReport, out_dir: str, fmt: str) -> None:
     safe_id = report.suite_id.replace("/", "_")
+    # each check's record, from SuiteCheck's own fields (dataclasses.asdict and
+    # astuple would deep-copy every value, about 9 us a check against 1)
+    names = [f.name for f in dataclasses.fields(SuiteCheck)]
+    checks = [[getattr(c, k) for k in names] for c in report.checks]
     if fmt in ("json", "both"):
         payload = {
             "suite_id": report.suite_id,
@@ -493,27 +480,12 @@ def _write_suite_outputs(report: SuiteReport, out_dir: str, fmt: str) -> None:
             "params": report.params,
             "passed": report.passed,
             "max_slack": report.max_slack,
-            "checks": [
-                {
-                    "claim": c.claim,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "basis": c.basis,
-                    "note": c.note,
-                }
-                for c in report.checks
-            ],
+            "checks": [dict(zip(names, row)) for row in checks],
             "series": report.series,
         }
         write_json(os.path.join(out_dir, f"{safe_id}_report.json"), payload)
     if fmt in ("csv", "both"):
-        write_csv(
-            os.path.join(out_dir, f"{safe_id}_checks.csv"),
-            ["claim", "lhs", "rhs", "tolerance", "passed", "basis", "note"],
-            [[c.claim, c.lhs, c.rhs, c.tolerance, c.passed, c.basis, c.note] for c in report.checks],
-        )
+        write_csv(os.path.join(out_dir, f"{safe_id}_checks.csv"), names, checks)
         if report.series:
             header = list(report.series)
             length = len(report.series[header[0]])
@@ -688,15 +660,12 @@ def run(argv=None) -> int:
             if command == "suite":
                 return cmd_suite(section, out_dir, fmt)
             return cmd_report(section, out_dir, fmt)
-    except ConfigError as exc:
+    except (ConfigError, MissingArtifactsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SuiteFailureError as exc:
         print(f"suite failure: {exc}", file=sys.stderr)
         return 1
-    except MissingArtifactsError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except EntrolossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

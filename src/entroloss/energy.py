@@ -27,7 +27,7 @@ from .errors import (
     SupportEscapesTruncationError,
 )
 from .info import von_neumann_entropy, relative_entropy
-from .operators import DIAG_DIM_CAP, TraceClassElement, _read_only, _require_diag_dim
+from .operators import DIAG_DIM_CAP, TraceClassElement, _read_only, _require_diag_dim, integer_parameter
 
 Q_SLACK = 1e-15  # allowed excess of the sharp weight q over 1
 
@@ -38,11 +38,9 @@ class Hamiltonian:
     __slots__ = ("kind", "params", "truncation_dim", "_levels")
 
     def __init__(self, kind: str, params: tuple, truncation_dim: int):
-        if truncation_dim < 1:
-            raise InvalidParameterError("truncation_dim must be >= 1")
         self.kind = kind
         self.params = params
-        self.truncation_dim = int(truncation_dim)
+        self.truncation_dim = integer_parameter(truncation_dim, "truncation_dim", 1)
         self._levels = None
         levels = self._law(min(self.truncation_dim, 4096))
         if levels.size and (np.any(np.diff(levels) < -1e-12) or levels[0] < 0):
@@ -146,6 +144,7 @@ def gibbs_state(h: Hamiltonian, lam: float, dim: int) -> GibbsState:
             raise LambdaBelowGError(f"lam={lam} is not above the threshold {g!r}")
     elif lam <= 0:
         raise LambdaBelowGError("lam must be positive")
+    dim = integer_parameter(dim, "Gibbs dimension", 1)
     e = h.energies(dim)
     weights = np.exp(-lam * e)
     z = float(weights.sum())
@@ -181,6 +180,7 @@ def sharp_sequence_state(h: Hamiltonian, e: float, n: int) -> TraceClassElement:
     Requires n large enough that q <= 1.
     """
     e = float(e)
+    n = integer_parameter(n, "n", 1)
     _require_diag_dim(n + 1)
     if e <= h.ground_energy:
         raise ValueError(f"target energy {e} must exceed the ground energy {h.ground_energy}")

@@ -40,16 +40,12 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BadFactorizationError,
-    DimensionMismatchError,
-    InconsistentEnsembleError,
-    NotUnitaryError,
-)
+from .errors import DimensionMismatchError, InconsistentEnsembleError, NotUnitaryError
 from .operators import (
     SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
     _require_dense_dim,
+    _require_factors,
     group_factors,
     partial_trace,
     permute_factors,
@@ -235,8 +231,7 @@ def pinching_distribution(rho: TraceClassElement, basis: np.ndarray) -> np.ndarr
 
 
 def _marginals_ab(omega: TraceClassElement) -> tuple[TraceClassElement, TraceClassElement]:
-    if omega.factor_dims is None or len(omega.factor_dims) != 2:
-        raise BadFactorizationError("bipartite functional requires exactly two factors")
+    _require_factors(omega, 2)
     return partial_trace(omega, [0]), partial_trace(omega, [1])
 
 
@@ -279,8 +274,7 @@ def conditional_mutual_information(omega: TraceClassElement, check: bool = True)
     AB, B:C of BC, A:C of AC, and AC:B of rho_ABC with B and C swapped.
     """
     omega.require_state()
-    if omega.factor_dims is None or len(omega.factor_dims) != 3:
-        raise BadFactorizationError("conditional mutual information requires three factors")
+    _require_factors(omega, 3)
     ab = partial_trace(omega, [0, 1])
     bc = partial_trace(omega, [1, 2])
     b = partial_trace(omega, [1])

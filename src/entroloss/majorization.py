@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotMajorizedError
-from .operators import TraceClassElement, partial_trace
+from .operators import TraceClassElement, _require_factors, partial_trace
 
 MAJORIZATION_SLACK = 1e-10
 DECOMPOSITION_TOL = 1e-8
@@ -109,8 +109,7 @@ def separable_majorization_check(omega: TraceClassElement) -> bool:
     True for every separable state.  A nonseparable control (e.g. a
     maximally entangled state) returns False.
     """
-    if omega.factor_dims is None or len(omega.factor_dims) != 2:
-        raise DimensionMismatchError("separable check requires a bipartite factorization")
+    _require_factors(omega, 2)
     # partial sums past the longest held spectrum only repeat the totals, so
     # the joint's are taken once, over that length
     held = (omega, partial_trace(omega, [0]), partial_trace(omega, [1]))

@@ -12,6 +12,15 @@ Conventions
   raises ``InvalidParameterError``.
 * Multipartite structure is carried as an ordered list of subsystem
   dimensions (``factor_dims``) whose product equals the total dimension.
+  ``_require_factors`` is the one check that an element carries it, and
+  with ``count`` that it has that many factors (a bipartition A|B, a
+  tripartition A|B|C); a missing or wrong one raises
+  ``BadFactorizationError``.
+* ``integer_parameter`` is the one rule for an integer argument: every
+  caller-supplied size, index, seed and count in the package goes through
+  it.  An integral number >= its bound comes back as a Python int (a numpy
+  integer included); a bool, a string, a fraction or a value below the
+  bound raises ``InvalidParameterError``, never truncated.
 * Spectra are reported sorted in decreasing order, except the read-only
   ascending ``eigvalsh`` array of ``TraceClassElement.eigenvalues()``.
 * A dense element runs ``eigvalsh`` at most once and keeps the result (the
@@ -76,6 +85,20 @@ SUPPORT_CUTOFF_RTOL = 1e-12
 # so they may grow far beyond what a dense matrix could hold.
 DENSE_DIM_CAP = 4096
 DIAG_DIM_CAP = 1 << 20
+
+
+def integer_parameter(value, name: str, least: int) -> int:
+    """``value`` as an int when it is an integral number >= ``least``; a bool,
+    a string or a fraction raises ``InvalidParameterError``, not truncated."""
+    if type(value) is int and value >= least:  # the common case, without the checks below
+        return value
+    try:
+        integral = not isinstance(value, (bool, np.bool_, str)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -160,11 +183,7 @@ class TraceClassElement:
             raise DimensionMismatchError(f"entries must be 1-D (a diagonal) or 2-D (a matrix), got shape {a.shape}")
         self.dim = a.shape[0]
         self._entropy = None
-        if factor_dims is not None:
-            factor_dims = tuple(int(d) for d in factor_dims)
-            if math.prod(factor_dims) != self.dim:
-                raise BadFactorizationError(f"factor dims {factor_dims} do not multiply to {self.dim}")
-        self.factor_dims = factor_dims
+        self.factor_dims = None if factor_dims is None else _factors(factor_dims, self.dim)
 
     # -- construction helpers -------------------------------------------------
 
@@ -283,10 +302,7 @@ class TraceClassElement:
 
     def with_factors(self, factor_dims) -> "TraceClassElement":
         out = self.copy()
-        factor_dims = tuple(int(d) for d in factor_dims)
-        if math.prod(factor_dims) != self.dim:
-            raise BadFactorizationError(f"factor dims {factor_dims} do not multiply to {self.dim}")
-        out.factor_dims = factor_dims
+        out.factor_dims = _factors(factor_dims, self.dim)
         return out
 
     def copy(self) -> "TraceClassElement":
@@ -308,6 +324,7 @@ class TraceClassElement:
 
     def embed(self, dim: int, factor_dims=None) -> "TraceClassElement":
         """Zero-pad into a larger space (the first dim coordinates)."""
+        dim = integer_parameter(dim, "embedding dim", 0)
         if dim < self.dim:
             raise DimensionMismatchError(f"cannot embed dim {self.dim} into dim {dim}")
         if dim == self.dim:
@@ -339,10 +356,22 @@ def tensor(a: TraceClassElement, b: TraceClassElement) -> TraceClassElement:
     return TraceClassElement._unchecked(np.kron(a.to_matrix(), b.to_matrix()), factor_dims=fa + fb)
 
 
-def _require_factors(w: TraceClassElement) -> tuple[int, ...]:
-    if w.factor_dims is None:
+def _factors(factor_dims, dim: int) -> tuple[int, ...]:
+    """``factor_dims`` as a tuple of ints >= 1 whose product is ``dim``."""
+    dims = tuple(integer_parameter(d, "factor dim", 1) for d in factor_dims)
+    if math.prod(dims) != dim:
+        raise BadFactorizationError(f"factor dims {dims} do not multiply to {dim}")
+    return dims
+
+
+def _require_factors(w: TraceClassElement, count: int | None = None) -> tuple[int, ...]:
+    """The factor dims of ``w``, which must carry them, ``count`` of them if given."""
+    dims = w.factor_dims
+    if dims is None:
         raise BadFactorizationError("operation requires factor_dims metadata")
-    return w.factor_dims
+    if count is not None and len(dims) != count:
+        raise BadFactorizationError(f"operation requires {count} factors, got factor dims {dims}")
+    return dims
 
 
 def _support_regrouped(w: TraceClassElement, axes, new_dims) -> TraceClassElement:
@@ -363,8 +392,8 @@ def _support_regrouped(w: TraceClassElement, axes, new_dims) -> TraceClassElemen
 def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
     """Trace out all factors not listed in ``keep`` (indices into factor_dims)."""
     dims = _require_factors(w)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep or any(i < 0 or i >= len(dims) for i in keep):
+    keep = sorted(set(integer_parameter(i, "kept factor", 0) for i in keep))
+    if not keep or keep[-1] >= len(dims):
         raise BadFactorizationError(f"keep={keep} is not a nonempty subset of factor indices")
     kept_dims = tuple(dims[i] for i in keep)
     if len(keep) == len(dims):
@@ -398,7 +427,7 @@ def _trace_subscripts(k: int, keep: tuple) -> str:
 def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
     """Reorder subsystems; ``order`` lists old factor indices in their new positions."""
     dims = _require_factors(w)
-    order = tuple(int(i) for i in order)
+    order = tuple(integer_parameter(i, "factor index", 0) for i in order)
     if sorted(order) != list(range(len(dims))):
         raise BadFactorizationError(f"order={order} is not a permutation of the factors")
     new_dims = tuple(dims[i] for i in order)
@@ -418,8 +447,8 @@ def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
 def group_factors(w: TraceClassElement, sizes) -> TraceClassElement:
     """Merge consecutive factors into groups, e.g. (A,B,C) with sizes (2,1) -> (AB, C)."""
     dims = _require_factors(w)
-    sizes = tuple(int(s) for s in sizes)
-    if sum(sizes) != len(dims) or any(s < 1 for s in sizes):
+    sizes = tuple(integer_parameter(s, "group size", 1) for s in sizes)
+    if sum(sizes) != len(dims):
         raise BadFactorizationError(f"group sizes {sizes} do not partition {len(dims)} factors")
     new_dims = []
     i = 0

@@ -6,7 +6,7 @@ import numpy as np
 
 from ._optim import random_isometry
 from .channels import QuantumOperation
-from .operators import TraceClassElement
+from .operators import TraceClassElement, integer_parameter
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -22,7 +22,7 @@ def random_pure(dim: int, rng: np.random.Generator, factor_dims=None) -> TraceCl
 def random_density(
     dim: int, rng: np.random.Generator, rank: int | None = None, factor_dims=None
 ) -> TraceClassElement:
-    rank = dim if rank is None else int(rank)
+    rank = dim if rank is None else integer_parameter(rank, "rank", 1)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     m /= np.real(np.trace(m))

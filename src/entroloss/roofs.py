@@ -46,15 +46,16 @@ optimizer entirely and are flagged as exact.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, integer_parameter, minimize_isometry
+from ._optim import DEFAULT_BUDGET, IsometrySearchResult, OptimizerBudget, minimize_isometry
 from .channels import output_entropy
 from .errors import BadFactorizationError, InvalidParameterError, NotPureError
 from .info import eta, mutual_information, spectral_entropy, von_neumann_entropy
-from .operators import TraceClassElement, partial_trace, purification_amplitude
+from .operators import TraceClassElement, _require_factors, integer_parameter, partial_trace, purification_amplitude
 
 
 class Direction(enum.Enum):
@@ -181,12 +182,6 @@ def _qubit_entropy(m: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return value, f[..., :, :1] * m[..., :1, :] + f[..., :, 1:] * m[..., 1:, :]
 
 
-def _bipartite(omega: TraceClassElement) -> tuple[int, int]:
-    if omega.factor_dims is None or len(omega.factor_dims) != 2:
-        raise BadFactorizationError("a bipartite factorization is required")
-    return omega.factor_dims
-
-
 # ---------------------------------------------------------------------------
 # entropy approximators
 # ---------------------------------------------------------------------------
@@ -306,7 +301,7 @@ def entanglement_of_formation(
     Upper bound on the entanglement of formation; exact on pure inputs where
     it equals the marginal entropy.
     """
-    da, db = _bipartite(omega)
+    da, db = _require_factors(omega, 2)
     omega.require_state()
     rank = omega.rank()
     m = integer_parameter(members, "members", 1) if members is not None else rank
@@ -336,12 +331,12 @@ def formation_two_member_grid(omega: TraceClassElement, grid_points: int = 10_00
     Only rank-2 states admit two-member decompositions; the measurement bases
     of the rank-2 purifying system are swept over an (angle x phase) grid.
     """
-    da, db = _bipartite(omega)
+    da, db = _require_factors(omega, 2)
     omega.require_state()
     amp = purification_amplitude(omega)
     if amp.shape[1] != 2:
         raise ValueError("the two-member grid oracle requires a rank-2 state")
-    side = max(2, int(np.sqrt(grid_points)))
+    side = max(2, math.isqrt(integer_parameter(grid_points, "grid_points", 1)))
     thetas = np.linspace(0.0, np.pi, side)
     phis = np.linspace(0.0, 2.0 * np.pi, side, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -364,7 +359,7 @@ def formation_two_qubit_closed_form(omega: TraceClassElement) -> float:
     C = max(0, l1 - l2 - l3 - l4) and E_F = h((1 + sqrt(1 - C^2)) / 2) with the
     binary entropy h.
     """
-    if _bipartite(omega) != (2, 2):
+    if _require_factors(omega, 2) != (2, 2):
         raise BadFactorizationError("the closed form holds for two qubits")
     omega.require_state()
     rho = omega.to_matrix()
@@ -382,7 +377,7 @@ def c_squashed_entanglement_k(
     omega: TraceClassElement, k: int, budget: OptimizerBudget | None = None
 ) -> BoundedValue:
     """Best found sum_i pi_i I(A:B) over ensembles of at most k states averaging to omega."""
-    da, db = _bipartite(omega)
+    da, db = _require_factors(omega, 2)
     omega.require_state()
     k = integer_parameter(k, "ensemble size k", 1)
     if k == 1 or omega.rank() <= 1:
@@ -419,7 +414,7 @@ def squashed_entanglement_k(
     itself given by a Stinespring isometry, so the search sweeps all
     extensions of the declared environment dimension.
     """
-    da, db = _bipartite(omega)
+    da, db = _require_factors(omega, 2)
     omega.require_state()
     k = integer_parameter(k, "extension dimension k", 1)
     if k == 1:
@@ -475,7 +470,7 @@ def classical_correlations(
     outcome space followed by the projective measurement there (Naimark), so
     the estimate is a lower bound on the Henderson-Vedral measure.
     """
-    da, db = _bipartite(omega)
+    da, db = _require_factors(omega, 2)
     omega.require_state()
     m = integer_parameter(povm_size, "povm_size", 1) if povm_size is not None else max(2, db)
     if m < db:
@@ -524,12 +519,10 @@ def koashi_winter_residual(
     Both optimizers sweep the same ensemble family (B purifies omega_AC), so
     with converged budgets the residual is pure optimizer noise.
     """
-    if omega_abc.factor_dims is None or len(omega_abc.factor_dims) != 3:
-        raise BadFactorizationError("a tripartite factorization is required")
+    da, db, dc = _require_factors(omega_abc, 3)
     omega_abc.require_state()
     if omega_abc.rank() > 1:
         raise NotPureError("the relation is evaluated on pure tripartite states")
-    da, db, dc = omega_abc.factor_dims
     omega_ab = partial_trace(omega_abc, [0, 1])
     omega_ac = partial_trace(omega_abc, [0, 2])
     h_a = von_neumann_entropy(partial_trace(omega_abc, [0]))

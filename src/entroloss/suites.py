@@ -62,7 +62,7 @@ from .energy import gibbs_state, gibbs_threshold, mean_energy
 from .errors import UnknownSuiteError
 from .info import Ensemble, conditional_mutual_information, shannon_entropy, von_neumann_entropy
 from .majorization import _gap_terms, _majorizes_sorted, rearrangement, separable_majorization_check
-from .operators import TraceClassElement, partial_trace
+from .operators import TraceClassElement, integer_parameter, partial_trace
 from .rand import haar_unitary, random_channel, random_density
 from .sequences import (
     DEFAULT_WINDOW,
@@ -821,8 +821,8 @@ def _resolved(params: dict) -> dict:
     return {
         "energy": float(params.get("energy", 1.0)),
         "grid": check_grid(params.get("grid", GRID_DIAG), DEFAULT_WINDOW),
-        "seed": int(params.get("seed", 11)),
-        "range_trials": int(params.get("range_trials", 10)),
+        "seed": integer_parameter(params.get("seed", 11), "seed", 0),
+        "range_trials": integer_parameter(params.get("range_trials", 10), "range_trials", 1),
     }
 
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from entroloss import info, operators, sequences, suites
+from entroloss import cli, info, operators, sequences, suites
 from entroloss.cli import _jsonable, run
 from entroloss.sequences import FUNCTIONALS, builtin_families
 
@@ -633,3 +633,18 @@ def test_c_maj_pair_out_of_order_fails_its_rows_and_every_report_is_written(tmp_
         ]
     }
     assert "[FAIL] C-maj" in capsys.readouterr().out
+
+
+def test_quantity_reads_each_estimator_from_the_module_at_call_time(tmp_path, monkeypatch):
+    # a wrapper set on the cli module, as a tracer sets one, sees every quantity call
+    calls = []
+    real = cli.entanglement_of_formation
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "entanglement_of_formation", counted)
+    cfg = write_config(tmp_path, {**_quantity("entanglement_of_formation", state=MIXED, members=2), "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 0
+    assert len(calls) == 1 and calls[0][0] == 2

@@ -178,15 +178,6 @@ def test_stacked_qr_isometry_equals_per_matrix(shape):
     assert out.tobytes() == (q * (d / np.abs(d)).conj()[..., None, :]).tobytes()
 
 
-def test_qr_isometry_without_the_gufuncs_calls_numpy_qr(monkeypatch):
-    # numpy < 2 names the QR gufuncs otherwise, and qr_isometry falls back to np.linalg.qr
-    rng = np.random.default_rng(37)
-    stack = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))
-    direct = qr_isometry(stack)
-    monkeypatch.setattr(_optim, "_qr_r_raw", None)
-    assert qr_isometry(stack).tobytes() == direct.tobytes()
-
-
 @pytest.mark.parametrize("identity_start", [True, False])
 @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (8, 2), (16, 4), (6, 3)])
 def test_stacked_starts_equal_per_restart_draws(shape, identity_start):
