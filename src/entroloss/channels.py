@@ -1,10 +1,12 @@
 """Quantum operations in Kraus form and the channel information quantities.
 
 A quantum operation is a completely positive trace-non-increasing map given
-by Kraus matrices (dim_out x dim_in).  Stinespring dilations, complementary
-operations and the Choi matrix are derived from the Kraus set; complementary
-outputs are only ever compared through basis-independent functionals since
-the complementary is fixed only up to an isometry on the environment.
+by Kraus matrices (dim_out x dim_in), held as one read-only, C-contiguous
+stack ``op.kraus`` of shape (n_kraus, dim_out, dim_in).  Its Stinespring
+isometry, its complementary (the first two axes swapped) and its Choi
+vectors are reshapes of it; complementary outputs are only ever compared
+through basis-independent functionals since the complementary is fixed only
+up to an isometry on the environment.
 
 An operation whose Kraus operators are scaled partial permutations (at most
 one nonzero entry per row and per column) may instead be built from its
@@ -16,7 +18,7 @@ diagonal output with one ``bincount`` over the rows: O(entries) work and no
 dense matrix, at any dimension up to ``DIAG_DIM_CAP``.  Every other
 consumer (dense inputs, complementary, Stinespring, Choi matrix, channel
 mutual information, roofs) reads ``op.kraus``, which an entries-form
-operation builds on first use, behind ``_require_dense_dim``, and keeps.
+operation scatters on first use, behind ``_require_dense_dim``, and keeps.
 
 The channel mutual information handles the joint output
 tau = (Phi (x) Id)(|psi><psi|) as W W^dag, with the columns w_k = vec(K_k M)
@@ -41,11 +43,12 @@ from .errors import (
 )
 from .info import mutual_information, relative_entropy_of_factor, von_neumann_entropy
 from .operators import (
-    SUPPORT_CUTOFF_RTOL,
     TraceClassElement,
+    _read_only,
     _require_dense_dim,
     _require_diag_dim,
     integer_parameter,
+    integer_parameters,
     purification_amplitude,
     trace_distance,
 )
@@ -65,25 +68,24 @@ class QuantumOperation:
     __slots__ = ("_kraus", "_entries", "_complementary", "dim_in", "dim_out", "trace_preserving")
 
     def __init__(self, kraus):
-        mats = [np.asarray(k, dtype=complex) for k in kraus]
-        if not mats:
-            raise DimensionMismatchError("at least one Kraus operator is required")
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise DimensionMismatchError("all Kraus operators must share one shape")
-        self._kraus = mats
+        try:  # one C-ordered stack, whatever the strides of the input
+            stack = np.array(list(kraus), dtype=complex, order="C")
+        except ValueError as exc:  # numpy's refusal of a ragged list
+            raise DimensionMismatchError("all Kraus operators must share one shape") from exc
+        if stack.ndim != 3 or not stack.size:
+            raise DimensionMismatchError(f"Kraus operators must be one or more matrices, got shape {stack.shape}")
+        self._kraus = _read_only(stack)
         self._entries = None
         self._complementary = None
-        self.dim_out, self.dim_in = shape
-        stacked = np.concatenate(mats, axis=0)  # (n_kraus * dim_out, dim_in)
-        rows = stacked.shape[0]
-        if rows < self.dim_in:
+        _, self.dim_out, self.dim_in = stack.shape
+        rows = stack.reshape(-1, self.dim_in)  # (n_kraus * dim_out, dim_in)
+        if rows.shape[0] < self.dim_in:
             # rank-deficient sum K^dag K can never be the identity; its nonzero
             # spectrum equals that of the small row Gram matrix
-            top = float(np.linalg.eigvalsh(stacked @ stacked.conj().T)[-1])
+            top = float(np.linalg.eigvalsh(rows @ rows.conj().T)[-1])
             self.trace_preserving = False
         else:
-            gram = stacked.conj().T @ stacked
+            gram = rows.conj().T @ rows
             dev = float(np.max(np.abs(gram - np.eye(self.dim_in))))
             self.trace_preserving = dev <= KRAUS_TOL
             top = 1.0 if self.trace_preserving else float(np.linalg.eigvalsh(gram)[-1])
@@ -119,14 +121,14 @@ class QuantumOperation:
         return op
 
     @property
-    def kraus(self) -> list:
-        """The dense Kraus matrices; an entries-form operation builds them on first use."""
+    def kraus(self) -> np.ndarray:
+        """The Kraus stack; an entries-form operation scatters its entries into it on first use."""
         if self._kraus is None:
             index, row, col, amp = self._entries
             _require_dense_dim(max(self.dim_out, self.dim_in))
-            mats = np.zeros((int(index.max()) + 1, self.dim_out, self.dim_in), dtype=complex)
-            mats[index, row, col] = amp
-            self._kraus = list(mats)
+            stack = np.zeros((int(index.max()) + 1, self.dim_out, self.dim_in), dtype=complex)
+            stack[index, row, col] = amp
+            self._kraus = _read_only(stack)
         return self._kraus
 
     def require_channel(self) -> "QuantumOperation":
@@ -155,14 +157,13 @@ def apply(op: QuantumOperation, rho: TraceClassElement) -> TraceClassElement:
         out = np.bincount(row, np.abs(amp) ** 2 * rho.diag[col], minlength=op.dim_out)
         return TraceClassElement._unchecked(diag=out)
     _require_dense_dim(op.dim_out)
+    out = np.zeros((op.dim_out, op.dim_out), dtype=complex)
     if rho.diagonal:
         d = rho.diag
-        out = np.zeros((op.dim_out, op.dim_out), dtype=complex)
         for k in op.kraus:
             out += (k * d[None, :]) @ k.conj().T
     else:
         m = rho.to_matrix()
-        out = np.zeros((op.dim_out, op.dim_out), dtype=complex)
         for k in op.kraus:
             out += k @ m @ k.conj().T
     return TraceClassElement(out)
@@ -176,25 +177,21 @@ class StinespringDilation:
 
 
 def stinespring(op: QuantumOperation) -> StinespringDilation:
-    """V = sum_k K_k (x) |k>_E with environment dimension = number of Kraus terms."""
-    env = len(op.kraus)
-    v = np.zeros((op.dim_out * env, op.dim_in), dtype=complex)
-    for idx, k in enumerate(op.kraus):
-        v[idx::env, :] = k
-    return StinespringDilation(isometry=v, out_dim=op.dim_out, env_dim=env)
+    """V = sum_k K_k (x) |k>_E: row b * n_kraus + k of V is row b of K_k."""
+    v = op.kraus.swapaxes(0, 1).reshape(-1, op.dim_in)
+    return StinespringDilation(isometry=v, out_dim=op.dim_out, env_dim=len(op.kraus))
 
 
 def complementary(op: QuantumOperation) -> QuantumOperation:
     """Environment-side marginal of the dilation, Tr_B V rho V^dag.
 
     Kraus operators of the complementary are the output-row slices of the
-    original set: B_b[k, m] = K_k[b, m].  The operation builds and validates
-    its complementary on first use and keeps it, so every later call returns
-    that same object.
+    original stack, B_b[k, m] = K_k[b, m]: its first two axes swapped.  The
+    operation builds and validates its complementary on first use and keeps
+    it, so every later call returns that same object.
     """
     if op._complementary is None:
-        stacked = np.stack(op.kraus)  # (env, out, in)
-        op._complementary = QuantumOperation([stacked[:, b, :].copy() for b in range(op.dim_out)])
+        op._complementary = QuantumOperation(op.kraus.swapaxes(0, 1))
     return op._complementary
 
 
@@ -202,18 +199,12 @@ def choi_matrix(op: QuantumOperation) -> np.ndarray:
     """Choi matrix on (output x input) ordering, J = sum_k |K_k>><<K_k|."""
     d = op.dim_out * op.dim_in
     _require_dense_dim(d)
-    j = np.zeros((d, d), dtype=complex)
-    for k in op.kraus:
-        v = k.reshape(-1)
-        j += np.outer(v, v.conj())
-    return j
+    v = op.kraus.reshape(-1, d)  # row k is vec(K_k)
+    return v.T @ v.conj()
 
 
 def choi_rank(op: QuantumOperation) -> int:
-    w = np.linalg.eigvalsh(choi_matrix(op))[::-1]
-    if w[0] <= 0:
-        return 0
-    return int(np.count_nonzero(w > SUPPORT_CUTOFF_RTOL * w[0]))
+    return TraceClassElement(choi_matrix(op)).rank()
 
 
 def output_entropy(op: QuantumOperation, rho: TraceClassElement) -> float:
@@ -246,13 +237,12 @@ def _channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) ->
     op.require_channel()
     rho.require_state()
     m = purification_amplitude(rho)
-    kraus = np.stack(op.kraus)
     out = apply(op, rho)
 
     def value_for(amp: np.ndarray) -> float:
         # marginal of the purification on R: (M^T conj(M))
         varrho = TraceClassElement(amp.T @ amp.conj())
-        return relative_entropy_of_factor(kraus @ amp, out, varrho)
+        return relative_entropy_of_factor(op.kraus @ amp, out, varrho)
 
     first = value_for(m)
     r = m.shape[1]
@@ -352,28 +342,17 @@ def dephasing_channel(p: float) -> QuantumOperation:
 
 
 def partial_trace_channel(dims, keep: int) -> QuantumOperation:
-    """Channel (A x B) -> kept factor, tracing the other."""
+    """Channel (A x B) -> kept factor, tracing the other; its Kraus operators are identity blocks."""
+    dims = integer_parameters(dims, "factor dim", 1)
     if len(dims) != 2:
         raise BadFactorizationError(f"a partial trace channel acts on two factors, got dims {dims}")
-    da, db = (integer_parameter(d, "factor dim", 1) for d in dims)
     keep = integer_parameter(keep, "keep", 0)
-    _require_dense_dim(da * db)
-    kraus = []
-    if keep == 0:
-        for j in range(db):
-            k = np.zeros((da, da * db), dtype=complex)
-            for a in range(da):
-                k[a, a * db + j] = 1.0
-            kraus.append(k)
-    elif keep == 1:
-        for j in range(da):
-            k = np.zeros((db, da * db), dtype=complex)
-            for b in range(db):
-                k[b, j * db + b] = 1.0
-            kraus.append(k)
-    else:
+    if keep > 1:
         raise DimensionMismatchError("keep must be 0 or 1")
-    return QuantumOperation(kraus)
+    da, db = dims
+    _require_dense_dim(da * db)
+    blocks = np.eye(da * db, dtype=complex).reshape(da, db, da * db)  # blocks[a, b] = <a b|
+    return QuantumOperation(blocks.swapaxes(0, 1) if keep == 0 else blocks)
 
 
 def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
@@ -386,46 +365,40 @@ def compression_operation(dim_in: int, dim_out: int) -> QuantumOperation:
     return QuantumOperation.from_entries(dim_out, dim_in, np.zeros(dim_out), levels, levels, np.ones(dim_out))
 
 
-def _validate_povm(povm, dim: int) -> list[np.ndarray]:
-    mats = [np.asarray(m, dtype=complex) for m in povm]
-    if not mats or any(m.shape != (dim, dim) for m in mats):
-        raise InvalidPOVMError("POVM elements must be square matrices of the input dimension")
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in mats:
-        if float(np.max(np.abs(m - m.conj().T))) > KRAUS_TOL:
-            raise InvalidPOVMError("POVM element is not Hermitian")
-        if float(np.linalg.eigvalsh(m)[0]) < -KRAUS_TOL:
-            raise InvalidPOVMError("POVM element is not positive semidefinite")
-        total += m
-    if float(np.max(np.abs(total - np.eye(dim)))) > KRAUS_TOL:
+def _validate_povm(povm) -> np.ndarray:
+    """The POVM as one (outcomes, dim, dim) stack of Hermitian PSD matrices summing to the identity."""
+    try:
+        mats = np.array(list(povm), dtype=complex)
+    except ValueError as exc:  # numpy's refusal of a ragged list
+        raise InvalidPOVMError("POVM elements must be square matrices of one dimension") from exc
+    if mats.ndim != 3 or not mats.size or mats.shape[1] != mats.shape[2]:
+        raise InvalidPOVMError("POVM elements must be square matrices of one dimension")
+    if float(np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))) > KRAUS_TOL:
+        raise InvalidPOVMError("POVM element is not Hermitian")
+    if float(np.linalg.eigvalsh(mats)[:, 0].min()) < -KRAUS_TOL:
+        raise InvalidPOVMError("POVM element is not positive semidefinite")
+    if float(np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1])))) > KRAUS_TOL:
         raise InvalidPOVMError("POVM does not resolve the identity")
     return mats
 
 
 def measure_prepare_channel(povm, preps) -> QuantumOperation:
-    """Entanglement-breaking channel rho -> sum_i Tr[M_i rho] tau_i."""
+    """Entanglement-breaking channel rho -> sum_i Tr[M_i rho] tau_i, with Kraus operators |t_s><m_r|
+    (r-major) over the scaled eigenvectors m_r of M_i and t_s of tau_i whose eigenvalues exceed KRAUS_TOL."""
     preps = list(preps)
     if not preps:
         raise InvalidPOVMError("at least one preparation state is required")
-    dim_in = np.asarray(povm[0]).shape[0]
-    mats = _validate_povm(povm, dim_in)
+    mats = _validate_povm(povm)
     if len(preps) != len(mats):
         raise InvalidPOVMError("one preparation state per POVM outcome is required")
-    dim_out = preps[0].dim
-    kraus = []
+    kraus = []  # preparations of different dims make it ragged, which QuantumOperation refuses
     for m, tau in zip(mats, preps):
         tau.require_state()
         wm, vm = np.linalg.eigh(m)
         wt, vt = np.linalg.eigh(tau.to_matrix())
-        for r in range(dim_in):
-            if wm[r] <= KRAUS_TOL:
-                continue
-            bra = np.sqrt(wm[r]) * vm[:, r].conj()
-            for s in range(dim_out):
-                if wt[s] <= KRAUS_TOL:
-                    continue
-                ket = np.sqrt(wt[s]) * vt[:, s]
-                kraus.append(np.outer(ket, bra))
+        bras = np.sqrt(wm[wm > KRAUS_TOL]) * vm[:, wm > KRAUS_TOL].conj()  # columns <m_r|
+        kets = np.sqrt(wt[wt > KRAUS_TOL]) * vt[:, wt > KRAUS_TOL]  # columns |t_s>
+        kraus.extend((kets.T[None, :, :, None] * bras.T[:, None, None, :]).reshape(-1, tau.dim, len(m)))
     return QuantumOperation(kraus)
 
 

@@ -55,7 +55,7 @@ from .info import (
     relative_entropy,
     von_neumann_entropy,
 )
-from .operators import TraceClassElement, integer_parameter
+from .operators import TraceClassElement, integer_parameter, integer_parameters
 from .roofs import (
     BoundedValue,
     c_squashed_entanglement_k,
@@ -108,10 +108,7 @@ def _float_list(value) -> list:
 # non-negative, every other size checked here is a count >= 1
 _nonnegative = functools.partial(integer_parameter, name="value", least=0)
 _count = functools.partial(integer_parameter, name="value", least=1)
-
-
-def _counts(value) -> list:
-    return [_count(v) for v in value]
+_counts = functools.partial(integer_parameters, name="value", least=1)
 
 
 def _names(value, path: str) -> list:

@@ -183,7 +183,7 @@ def sharp_sequence_state(h: Hamiltonian, e: float, n: int) -> TraceClassElement:
     n = integer_parameter(n, "n", 1)
     _require_diag_dim(n + 1)
     if e <= h.ground_energy:
-        raise ValueError(f"target energy {e} must exceed the ground energy {h.ground_energy}")
+        raise InvalidParameterError(f"target energy {e} must exceed the ground energy {h.ground_energy}")
     q = sharp_sequence_weight(h, e, n)
     if q > 1.0 + Q_SLACK:
         raise QExceedsOneError(f"q={float(q)!r} exceeds 1 at n={n}; increase n")

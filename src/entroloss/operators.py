@@ -21,6 +21,9 @@ Conventions
   it.  An integral number >= its bound comes back as a Python int (a numpy
   integer included); a bool, a string, a fraction or a value below the
   bound raises ``InvalidParameterError``, never truncated.
+  ``integer_parameters`` is the one rule for a list of them (factor dims,
+  kept factors, a factor order, group sizes, a grid): a tuple of ints through
+  ``integer_parameter``, and a non-iterable raises ``InvalidParameterError``.
 * Spectra are reported sorted in decreasing order, except the read-only
   ascending ``eigvalsh`` array of ``TraceClassElement.eigenvalues()``.
 * A dense element runs ``eigvalsh`` at most once and keeps the result (the
@@ -99,6 +102,14 @@ def integer_parameter(value, name: str, least: int) -> int:
     if not integral or value < least:
         raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def integer_parameters(values, name: str, least: int) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each through ``integer_parameter``; a
+    non-iterable raises ``InvalidParameterError``."""
+    if not np.iterable(values):
+        raise InvalidParameterError(f"{name} list must be iterable, got {values!r}")
+    return tuple(integer_parameter(v, name, least) for v in values)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -358,7 +369,7 @@ def tensor(a: TraceClassElement, b: TraceClassElement) -> TraceClassElement:
 
 def _factors(factor_dims, dim: int) -> tuple[int, ...]:
     """``factor_dims`` as a tuple of ints >= 1 whose product is ``dim``."""
-    dims = tuple(integer_parameter(d, "factor dim", 1) for d in factor_dims)
+    dims = integer_parameters(factor_dims, "factor dim", 1)
     if math.prod(dims) != dim:
         raise BadFactorizationError(f"factor dims {dims} do not multiply to {dim}")
     return dims
@@ -392,7 +403,7 @@ def _support_regrouped(w: TraceClassElement, axes, new_dims) -> TraceClassElemen
 def partial_trace(w: TraceClassElement, keep) -> TraceClassElement:
     """Trace out all factors not listed in ``keep`` (indices into factor_dims)."""
     dims = _require_factors(w)
-    keep = sorted(set(integer_parameter(i, "kept factor", 0) for i in keep))
+    keep = sorted(set(integer_parameters(keep, "kept factor", 0)))
     if not keep or keep[-1] >= len(dims):
         raise BadFactorizationError(f"keep={keep} is not a nonempty subset of factor indices")
     kept_dims = tuple(dims[i] for i in keep)
@@ -427,7 +438,7 @@ def _trace_subscripts(k: int, keep: tuple) -> str:
 def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
     """Reorder subsystems; ``order`` lists old factor indices in their new positions."""
     dims = _require_factors(w)
-    order = tuple(integer_parameter(i, "factor index", 0) for i in order)
+    order = integer_parameters(order, "factor index", 0)
     if sorted(order) != list(range(len(dims))):
         raise BadFactorizationError(f"order={order} is not a permutation of the factors")
     new_dims = tuple(dims[i] for i in order)
@@ -447,7 +458,7 @@ def permute_factors(w: TraceClassElement, order) -> TraceClassElement:
 def group_factors(w: TraceClassElement, sizes) -> TraceClassElement:
     """Merge consecutive factors into groups, e.g. (A,B,C) with sizes (2,1) -> (AB, C)."""
     dims = _require_factors(w)
-    sizes = tuple(integer_parameter(s, "group size", 1) for s in sizes)
+    sizes = integer_parameters(sizes, "group size", 1)
     if sum(sizes) != len(dims):
         raise BadFactorizationError(f"group sizes {sizes} do not partition {len(dims)} factors")
     new_dims = []

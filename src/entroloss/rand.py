@@ -6,6 +6,7 @@ import numpy as np
 
 from ._optim import random_isometry
 from .channels import QuantumOperation
+from .errors import InvalidParameterError
 from .operators import TraceClassElement, integer_parameter
 
 
@@ -33,7 +34,6 @@ def random_channel(dim_in: int, dim_out: int, choi_rank: int, rng: np.random.Gen
     """Haar-random channel with the given Choi rank via a random Stinespring isometry."""
     total = dim_out * choi_rank
     if total < dim_in:
-        raise ValueError("dim_out * choi_rank must be at least dim_in")
+        raise InvalidParameterError("dim_out * choi_rank must be at least dim_in")
     v = random_isometry(rng, total, dim_in)
-    kraus = [v[k::choi_rank, :] for k in range(choi_rank)]
-    return QuantumOperation(kraus)
+    return QuantumOperation(v.reshape(dim_out, choi_rank, dim_in).swapaxes(0, 1))  # inverse of ``stinespring``

@@ -206,7 +206,6 @@ def entropy_k_approximation(
     r = amp.shape[1]
     if m * k < r:
         raise InvalidParameterError(f"ensemble size {m} times member rank {k} below rank {r} cannot average to the state")
-    budget = budget or DEFAULT_BUDGET
 
     def objective(w):
         ent, g = _entropy(_members(amp, w, m, k).swapaxes(-1, -2))  # k x dim: the smaller Gram side
@@ -257,13 +256,11 @@ def convex_closure_output_entropy(
         return _exact(output_entropy(op, rho), Direction.UPPER_BOUND, anchor="singleton ensemble")
     if m < r:
         raise InvalidParameterError(f"ensemble size {m} below rank {r} cannot average to the state")
-    kstack = np.stack(op.kraus)  # (nk, dout, din)
-    budget = budget or DEFAULT_BUDGET
 
     def objective(w):
         c = _members(amp, w, m, 1)[..., 0]  # (B, m, din) pure member amplitudes
-        ent, g = _entropy(np.einsum("koi,nmi->nmok", kstack, c))
-        gc = np.einsum("nmok,koi->nmi", g, kstack.conj())
+        ent, g = _entropy(np.einsum("koi,nmi->nmok", op.kraus, c))  # op.kraus: (nk, dout, din)
+        gc = np.einsum("nmok,koi->nmi", g, op.kraus.conj())
         return ent.sum(axis=-1), _members_adjoint(amp, gc[..., None], m, 1)
 
     search = minimize_isometry(objective, m, r, budget)
@@ -315,7 +312,6 @@ def entanglement_of_formation(
     r = amp.shape[1]
     if m < rank:
         raise InvalidParameterError(f"ensemble size {m} below rank {rank} cannot average to the state")
-    budget = budget or DEFAULT_BUDGET
 
     def objective(w):
         ent, g = _entropy(_members(amp, w, m, 1).reshape(-1, m, da, db))
@@ -335,7 +331,7 @@ def formation_two_member_grid(omega: TraceClassElement, grid_points: int = 10_00
     omega.require_state()
     amp = purification_amplitude(omega)
     if amp.shape[1] != 2:
-        raise ValueError("the two-member grid oracle requires a rank-2 state")
+        raise InvalidParameterError("the two-member grid oracle requires a rank-2 state")
     side = max(2, math.isqrt(integer_parameter(grid_points, "grid_points", 1)))
     thetas = np.linspace(0.0, np.pi, side)
     phis = np.linspace(0.0, 2.0 * np.pi, side, endpoint=False)
@@ -384,7 +380,6 @@ def c_squashed_entanglement_k(
         return _exact(mutual_information(omega), Direction.UPPER_BOUND, anchor="singleton ensemble")
     amp = purification_amplitude(omega)
     r = amp.shape[1]
-    budget = budget or DEFAULT_BUDGET
 
     def objective(w):
         c = _members(amp, w, k, r)
@@ -424,7 +419,6 @@ def squashed_entanglement_k(
     if r == 1:
         return _exact(0.5 * mutual_information(omega), Direction.UPPER_BOUND, anchor="pure state")
     f = r * k  # environment of the squashing channel covers every channel R -> E
-    budget = budget or DEFAULT_BUDGET
     # n4 below is pure on ABEF, so S(ABE) = S(F).  Each marginal is M M^dag with
     # the kept system along the rows of M; the four Ms are zero-padded into one
     # stack so that one eigh call yields every spectrum and gradient (padding
@@ -477,7 +471,6 @@ def classical_correlations(
         raise InvalidParameterError(f"povm size {m} cannot embed the measured system of dim {db}")
     h_a = von_neumann_entropy(partial_trace(omega, [0]))
     amp3 = purification_amplitude(omega).reshape(da, db, -1)
-    budget = budget or DEFAULT_BUDGET
 
     def objective(w):
         # outcome i leaves A with M_i M_i^dag, M_i = sum_b amp[(a, b), :] w[i, b]

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .energy import Q_SLACK, Hamiltonian, sharp_sequence_state, sharp_sequence_weight
 from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
-from .operators import TraceClassElement, _require_diag_dim, integer_parameter, partial_trace, tensor, trace_distance
+from .operators import TraceClassElement, _require_diag_dim, integer_parameter, integer_parameters, partial_trace, tensor, trace_distance
 
 GRID_DIAG = tuple(2**k for k in range(4, 17))
 GRID_MEDIUM = tuple(2**k for k in range(4, 10))
@@ -288,7 +288,7 @@ def check_grid(n_grid, window: int = 0) -> tuple:
     """``n_grid`` as a tuple of ints, refused unless it is nonempty, every n is
     at least 1 and it holds ``2 * window`` points, enough to read a jump over
     a trailing window of ``window`` values."""
-    grid = tuple(integer_parameter(n, "grid point", 1) for n in n_grid)
+    grid = integer_parameters(n_grid, "grid point", 1)
     if not grid:
         raise InvalidParameterError("grid is empty")
     if len(grid) < 2 * window:

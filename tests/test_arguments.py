@@ -3,7 +3,9 @@
 Each caller-supplied size, index, seed and count goes through
 ``operators.integer_parameter``: a fraction, a bool, a numpy bool, a numeric
 string or a value below the entry's bound raises ``InvalidParameterError``
-instead of being truncated or failing with an untyped error.  Each functional
+instead of being truncated or failing with an untyped error.  Each list of
+them goes through ``operators.integer_parameters``, which refuses a
+non-iterable the same way.  Each functional
 of a declared bipartition or tripartition checks it through
 ``operators._require_factors`` and raises ``BadFactorizationError``.
 """
@@ -31,8 +33,8 @@ from entroloss import (
 from entroloss.channels import ChannelSequence, compression_operation
 from entroloss.energy import gibbs_state
 from entroloss.errors import BadFactorizationError, InvalidParameterError
-from entroloss.operators import integer_parameter
-from entroloss.rand import random_density
+from entroloss.operators import integer_parameter, integer_parameters
+from entroloss.rand import random_channel, random_density
 from entroloss.roofs import classical_correlations, formation_two_member_grid, koashi_winter_residual
 from entroloss.sequences import check_grid, make_sharp_sequence
 from entroloss.suites import suite_run
@@ -120,3 +122,43 @@ def test_a_partial_trace_channel_takes_exactly_two_factor_dims(dims):
     # a third dim was ignored, so the channel traced a different split than declared
     with pytest.raises(BadFactorizationError):
         partial_trace_channel(dims, 0)
+
+
+# entry -> call with a list argument replaced by the value under test
+LISTS = {
+    "TraceClassElement-factor_dims": lambda v: TraceClassElement(np.eye(4) / 4, factor_dims=v),
+    "with_factors": lambda v: MIXED4.with_factors(v),
+    "partial_trace-keep": lambda v: partial_trace(MIXED8, v),
+    "permute_factors-order": lambda v: permute_factors(MIXED4, v),
+    "group_factors-sizes": lambda v: group_factors(MIXED8, v),
+    "check_grid": lambda v: check_grid(v),
+    "partial_trace_channel-dims": lambda v: partial_trace_channel(v, 0),
+}
+
+
+@pytest.mark.parametrize("value", [4, 2.0, object()], ids=["int", "float", "object"])  # None means no factors
+@pytest.mark.parametrize("call", list(LISTS.values()), ids=list(LISTS))
+def test_every_list_argument_refuses_a_non_iterable(call, value):
+    with pytest.raises(InvalidParameterError, match="must be iterable"):
+        call(value)
+
+
+def test_the_list_rule_returns_a_tuple_of_python_ints():
+    assert integer_parameters(np.array([2, 3]), "factor dim", 1) == (2, 3)
+    assert all(type(d) is int for d in integer_parameters(np.array([2, 3]), "factor dim", 1))
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        integer_parameters("22", "factor dim", 1)  # a string iterates as characters, each refused
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sharp_sequence_state(LOG_H, 0.0, 16),  # at the ground energy
+        lambda: formation_two_member_grid(MIXED4),  # rank 4, not 2
+        lambda: random_channel(4, 1, 2, np.random.default_rng(0)),  # 1 * 2 rows for a 4-dim input
+    ],
+    ids=["sharp_sequence_state-energy", "formation_two_member_grid-rank", "random_channel-width"],
+)
+def test_an_out_of_range_argument_is_an_invalid_parameter(call):
+    with pytest.raises(InvalidParameterError):
+        call()

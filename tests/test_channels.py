@@ -493,3 +493,210 @@ def test_double_complementary_entropy_on_probes(rng):
             assert von_neumann_entropy(apply(double, rho)) == pytest.approx(
                 output_entropy(op, rho), abs=1e-9
             )
+
+
+# ---------------------------------------------------------------------------
+# One Kraus stack per operation.  The references below are the per-operator
+# loops that the reshapes of the stack replaced; the dilation, the
+# complementary and every named builder must match their bytes.
+# ---------------------------------------------------------------------------
+
+
+def _ref_stinespring(kraus):
+    """The dilation interleaved one operator at a time: row b * env + k is row b of K_k."""
+    env = len(kraus)
+    v = np.zeros((kraus[0].shape[0] * env, kraus[0].shape[1]), dtype=complex)
+    for idx, k in enumerate(kraus):
+        v[idx::env, :] = k
+    return v
+
+
+def _ref_complementary(kraus):
+    stacked = np.stack(kraus)
+    return [stacked[:, b, :].copy() for b in range(stacked.shape[1])]
+
+
+def _ref_choi(kraus):
+    d = kraus[0].size
+    j = np.zeros((d, d), dtype=complex)
+    for k in kraus:
+        v = k.reshape(-1)
+        j += np.outer(v, v.conj())
+    return j
+
+
+def _ref_partial_trace_kraus(da, db, keep):
+    kraus = []
+    if keep == 0:
+        for j in range(db):
+            k = np.zeros((da, da * db), dtype=complex)
+            for a in range(da):
+                k[a, a * db + j] = 1.0
+            kraus.append(k)
+    else:
+        for j in range(da):
+            k = np.zeros((db, da * db), dtype=complex)
+            for b in range(db):
+                k[b, j * db + b] = 1.0
+            kraus.append(k)
+    return kraus
+
+
+def _ref_measure_prepare_kraus(povm, preps):
+    kraus = []
+    for m, tau in zip(povm, preps):
+        wm, vm = np.linalg.eigh(np.asarray(m, dtype=complex))
+        wt, vt = np.linalg.eigh(tau.to_matrix())
+        for r in range(wm.size):
+            if wm[r] <= channels.KRAUS_TOL:
+                continue
+            bra = np.sqrt(wm[r]) * vm[:, r].conj()
+            for s in range(wt.size):
+                if wt[s] <= channels.KRAUS_TOL:
+                    continue
+                ket = np.sqrt(wt[s]) * vt[:, s]
+                kraus.append(np.outer(ket, bra))
+    return kraus
+
+
+def _ref_random_channel_kraus(dim_in, dim_out, choi_rank, rng):
+    v = random_isometry(rng, dim_out * choi_rank, dim_in)
+    return [v[k::choi_rank, :] for k in range(choi_rank)]
+
+
+def _bytes(kraus):
+    return np.stack([np.asarray(k, dtype=complex) for k in kraus]).tobytes()
+
+
+def _random_povm(rng, dim, outcomes):
+    """Outcome blocks of a random isometry dim -> dim * outcomes."""
+    v = random_isometry(rng, dim * outcomes, dim)
+    return [v[i * dim : (i + 1) * dim].conj().T @ v[i * dim : (i + 1) * dim] for i in range(outcomes)]
+
+
+def _entries_form(rng):
+    entries = _scaled_partial_permutations(rng, 3, 4, 2, True)
+    index, row, col, amp = (np.asarray(a) for a in entries)
+    ref = np.zeros((2, 3, 4), dtype=complex)
+    ref[index, row, col] = amp
+    return QuantumOperation.from_entries(3, 4, *entries), list(ref)
+
+
+def _strided_stinespring(rng, dim_in=3, dim_out=2, rank=3):
+    """An isometry whose row b * rank + k is row b of K_k, and its Kraus list."""
+    v = random_isometry(rng, dim_out * rank, dim_in)
+    return v, [v[k::rank, :].copy() for k in range(rank)]
+
+
+# construction -> (operation, its Kraus operators as a list of fresh matrices)
+def _list_input(rng):
+    _, kraus = _strided_stinespring(rng)
+    return QuantumOperation([k.copy() for k in kraus]), kraus
+
+
+def _array_input(rng):
+    _, kraus = _strided_stinespring(rng)
+    return QuantumOperation(np.stack(kraus)), kraus
+
+
+def _strided_view_input(rng):  # the views ``v[k::r, :]`` that bench/workloads.py passes
+    v, kraus = _strided_stinespring(rng)
+    return QuantumOperation([v[k::3, :] for k in range(3)]), kraus
+
+
+def _swapped_view_input(rng):  # a 3-D view whose strides are not C order
+    v, kraus = _strided_stinespring(rng)
+    return QuantumOperation(v.reshape(2, 3, 3).swapaxes(0, 1)), kraus
+
+
+CONSTRUCTIONS = {
+    "list": _list_input,
+    "array": _array_input,
+    "strided-views": _strided_view_input,
+    "swapped-view": _swapped_view_input,
+    "entries": _entries_form,
+}
+
+
+def _is_one_stack(a):
+    return isinstance(a, np.ndarray) and a.ndim == 3 and a.dtype == complex and a.flags.c_contiguous and not a.flags.writeable
+
+
+@pytest.mark.parametrize("build", list(CONSTRUCTIONS.values()), ids=list(CONSTRUCTIONS))
+def test_kraus_is_one_read_only_c_contiguous_stack(build):
+    op, ref = build(np.random.default_rng(31))
+    assert _is_one_stack(op.kraus) and op.kraus.shape == (len(ref), op.dim_out, op.dim_in)
+    assert _is_one_stack(complementary(op).kraus)
+    assert op.kraus is op.kraus  # built once, kept
+    with pytest.raises(ValueError):
+        op.kraus[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", list(CONSTRUCTIONS.values()), ids=list(CONSTRUCTIONS))
+def test_dilation_complementary_and_choi_match_the_per_operator_loops(build):
+    op, ref = build(np.random.default_rng(37))
+    assert op.kraus.tobytes() == _bytes(ref)
+    v = stinespring(op)
+    assert v.isometry.tobytes() == _ref_stinespring(ref).tobytes()
+    assert (v.out_dim, v.env_dim) == (op.dim_out, len(ref))
+    assert complementary(op).kraus.tobytes() == _bytes(_ref_complementary(ref))
+    # one matrix product sums the operators in its own order, so the Choi
+    # matrix matches the loop to rounding, and its rank exactly
+    j, j_ref = choi_matrix(op), _ref_choi(ref)
+    assert np.max(np.abs(j - j_ref)) <= 1e-15
+    w = np.linalg.eigvalsh(j_ref)
+    assert choi_rank(op) == np.count_nonzero(w > 1e-12 * w[-1])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 4), (4, 1), (3, 3)])
+@pytest.mark.parametrize("keep", [0, 1])
+def test_partial_trace_channel_kraus_match_the_loops(dims, keep):
+    op = partial_trace_channel(dims, keep)
+    assert op.kraus.tobytes() == _bytes(_ref_partial_trace_kraus(*dims, keep))
+    assert op.trace_preserving
+
+
+def test_measure_prepare_and_pseudo_diagonal_kraus_match_the_loops(rng):
+    cases = [
+        ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [random_pure(2, rng), random_density(2, rng)]),
+        (_random_povm(rng, 2, 3), [random_density(3, rng, rank=r) for r in (1, 2, 3)]),
+        (_random_povm(rng, 3, 2), [random_density(2, rng), random_pure(2, rng)]),
+        (np.stack(_random_povm(rng, 3, 4)), [random_density(4, rng, rank=2) for _ in range(4)]),
+    ]
+    for povm, preps in cases:
+        ref = _ref_measure_prepare_kraus(povm, preps)
+        assert measure_prepare_channel(povm, preps).kraus.tobytes() == _bytes(ref)
+        assert pseudo_diagonal_channel(povm, preps).kraus.tobytes() == _bytes(_ref_complementary(ref))
+
+
+@pytest.mark.parametrize("dim_in, dim_out, rank", [(2, 2, 1), (2, 2, 3), (3, 2, 2), (4, 4, 2), (8, 8, 3)])
+def test_random_channel_kraus_match_the_sliced_isometry(dim_in, dim_out, rank):
+    op = random_channel(dim_in, dim_out, rank, np.random.default_rng(dim_in * 100 + rank))
+    ref = _ref_random_channel_kraus(dim_in, dim_out, rank, np.random.default_rng(dim_in * 100 + rank))
+    assert op.kraus.tobytes() == _bytes(ref)
+    assert stinespring(op).isometry.tobytes() == _ref_stinespring(ref).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kraus",
+    [np.eye(2), [np.ones(2)], [], np.zeros((0, 2, 2)), [np.eye(2), np.eye(3)], [np.zeros((2, 0))]],
+    ids=["one-matrix", "vectors", "empty-list", "empty-stack", "ragged", "zero-width"],
+)
+def test_a_malformed_kraus_set_is_a_dimension_mismatch(kraus):
+    with pytest.raises(DimensionMismatchError):
+        QuantumOperation(kraus)
+
+
+def test_an_empty_povm_is_invalid():
+    with pytest.raises(InvalidPOVMError):
+        measure_prepare_channel([], [TraceClassElement(np.array([0.5, 0.5]))])
+
+
+def test_preparations_of_different_dims_are_a_dimension_mismatch(rng):
+    with pytest.raises(DimensionMismatchError):
+        measure_prepare_channel([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [random_density(2, rng), random_density(3, rng)])
+
+
+def test_a_random_channel_too_narrow_for_its_input_is_an_invalid_parameter(rng):
+    with pytest.raises(InvalidParameterError):
+        random_channel(4, 1, 2, rng)

@@ -648,3 +648,9 @@ def test_quantity_reads_each_estimator_from_the_module_at_call_time(tmp_path, mo
     cfg = write_config(tmp_path, {**_quantity("entanglement_of_formation", state=MIXED, members=2), "output": {"dir": str(tmp_path)}})
     assert run(["--config", cfg]) == 0
     assert len(calls) == 1 and calls[0][0] == 2
+
+
+def test_an_empty_povm_exits_2_with_a_typed_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**_output_entropy({"kind": "measure_prepare", "povm": [], "preps": [PURE]}), "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 2
+    assert "POVM" in capsys.readouterr().err
