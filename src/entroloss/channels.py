@@ -41,7 +41,7 @@ from .errors import (
     NotAChannelError,
     TraceIncreasingError,
 )
-from .info import mutual_information, relative_entropy_of_factor, von_neumann_entropy
+from .info import _agree, relative_entropy_of_factor, von_neumann_entropy
 from .operators import (
     TraceClassElement,
     _read_only,
@@ -74,6 +74,8 @@ class QuantumOperation:
             raise DimensionMismatchError("all Kraus operators must share one shape") from exc
         if stack.ndim != 3 or not stack.size:
             raise DimensionMismatchError(f"Kraus operators must be one or more matrices, got shape {stack.shape}")
+        if not np.isfinite(stack).all():
+            raise InvalidParameterError("Kraus operator entries must be finite")
         self._kraus = _read_only(stack)
         self._entries = None
         self._complementary = None
@@ -102,6 +104,8 @@ class QuantumOperation:
         amp = np.asarray(amp, dtype=complex).reshape(-1)
         if not 0 < index.size == row.size == col.size == amp.size:
             raise DimensionMismatchError("entries need one Kraus index, row, column and amplitude each, at least one")
+        if not np.isfinite(amp).all():
+            raise InvalidParameterError("Kraus operator entries must be finite")
         if min(index.min(), row.min(), col.min()) < 0 or row.max() >= dim_out or col.max() >= dim_in:
             raise DimensionMismatchError(f"an entry lies outside the {dim_out}x{dim_in} Kraus operators")
         _require_diag_dim(max(dim_out, dim_in))
@@ -218,15 +222,20 @@ def entropy_exchange(op: QuantumOperation, rho: TraceClassElement) -> float:
 
 
 def stinespring_entropy_residual(op: QuantumOperation, rho: TraceClassElement) -> float:
-    """|H_Phi(rho) + H_comp(rho) - H(rho) - I(B:E)| on the dilated pure output."""
+    """|H_Phi(rho) + H_comp(rho) - H(rho) - I(B:E)| on the dilated pure output.
+
+    The B E output is V rho V^dag = (V M)(V M)^dag for the purification
+    amplitude M, so I(B:E) is the relative entropy of the columns of V M,
+    each a dim_out x K matrix, to Phi(rho) (x) Phi^c(rho); the dilated joint
+    is never built."""
     op.require_channel()
     rho.require_state()
     v = stinespring(op)
     _require_dense_dim(v.isometry.shape[0])
-    dilated = v.isometry @ rho.to_matrix() @ v.isometry.conj().T
-    joint = TraceClassElement(dilated, (v.out_dim, v.env_dim))
-    i_be = mutual_information(joint)
-    lhs = output_entropy(op, rho) + entropy_exchange(op, rho)
+    out, env = apply(op, rho), apply(complementary(op), rho)
+    columns = (v.isometry @ purification_amplitude(rho)).T.reshape(-1, v.out_dim, v.env_dim)
+    i_be = relative_entropy_of_factor(columns, out, env)
+    lhs = von_neumann_entropy(out) + von_neumann_entropy(env)
     rhs = von_neumann_entropy(rho) + i_be
     return abs(lhs - rhs)
 
@@ -248,15 +257,9 @@ def _channel_mutual_information(op: QuantumOperation, rho: TraceClassElement) ->
     r = m.shape[1]
     if r > 1:
         phase = np.exp(2j * np.pi * np.outer(np.arange(r), np.arange(r)) / r) / np.sqrt(r)
-        second = value_for(m @ phase)
-        if abs(first - second) > PURIFICATION_TOL:
-            raise ArithmeticError(
-                f"mutual information depends on the purification: {first!r} vs {second!r}"
-            )
+        _agree(first, value_for(m @ phase), PURIFICATION_TOL, "mutual information depends on the purification")
     h_out, h_env = von_neumann_entropy(out), entropy_exchange(op, rho)
-    cross = von_neumann_entropy(rho) + h_out - h_env
-    if abs(first - cross) > IDENTITY_TOL:
-        raise ArithmeticError(f"mutual information cross-check failed: {first!r} vs {cross!r}")
+    _agree(first, von_neumann_entropy(rho) + h_out - h_env, IDENTITY_TOL, "mutual information cross-check failed")
     return first, h_out, h_env
 
 
@@ -285,9 +288,7 @@ def coherent_information(op: QuantumOperation, rho: TraceClassElement) -> float:
     h = von_neumann_entropy(rho)
     mutual, h_out, h_env = _channel_mutual_information(op, rho)
     value = mutual - h
-    direct = h_out - h_env
-    if abs(value - direct) > IDENTITY_TOL:
-        raise ArithmeticError(f"coherent information forms disagree: {value!r} vs {direct!r}")
+    _agree(value, h_out - h_env, IDENTITY_TOL, "coherent information forms disagree")
     if abs(value) > h + CI_RANGE_TOL:
         raise ArithmeticError(f"coherent information {value!r} escapes [-H, H] with H={h!r}")
     return value
@@ -373,6 +374,8 @@ def _validate_povm(povm) -> np.ndarray:
         raise InvalidPOVMError("POVM elements must be square matrices of one dimension") from exc
     if mats.ndim != 3 or not mats.size or mats.shape[1] != mats.shape[2]:
         raise InvalidPOVMError("POVM elements must be square matrices of one dimension")
+    if not np.isfinite(mats).all():
+        raise InvalidParameterError("POVM element entries must be finite")
     if float(np.max(np.abs(mats - mats.conj().swapaxes(1, 2)))) > KRAUS_TOL:
         raise InvalidPOVMError("POVM element is not Hermitian")
     if float(np.linalg.eigvalsh(mats)[:, 0].min()) < -KRAUS_TOL:

@@ -66,7 +66,7 @@ from .roofs import (
     squashed_entanglement_k,
 )
 from .sequences import DEFAULT_WINDOW, FUNCTIONALS, builtin_families, check_grid, read_jump, series
-from .suites import SUITES, SuiteCheck, SuiteReport, suite_run, walk
+from .suites import SUITES, SuiteCheck, suite_run, walk
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +74,31 @@ from .suites import SUITES, SuiteCheck, SuiteReport, suite_run, walk
 # ---------------------------------------------------------------------------
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
-    unknown = set(section) - allowed
+def _read(section, path: str, kinds: dict, required=()) -> dict:
+    """``section`` with each key converted by ``kinds[key]``: the one reader of a
+    config object. A non-object, a key ``kinds`` does not name, a missing
+    ``required`` key and a value its kind refuses are each a ConfigError at
+    ``path`` or ``path.<key>``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    unknown = set(section) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under '{path}'")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"'{path}.{key}' is required")
+    values = {}
+    for key, value in section.items():
+        try:
+            values[key] = kinds[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"'{path}.{key}' is not a valid value: {exc}") from exc
+    return values
 
 
-def _required(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"'{path}.{key}' is required")
-    return section[key]
+def _given(value):
+    """The kind of a value kept as given: a library call checks it, or a later step."""
+    return value
 
 
 def _floats(value) -> np.ndarray:
@@ -111,37 +126,30 @@ _count = functools.partial(integer_parameter, name="value", least=1)
 _counts = functools.partial(integer_parameters, name="value", least=1)
 
 
-def _names(value, path: str) -> list:
+def _names(value) -> list:
     """A list of names, as ``suite.ids`` and ``sequence.functionals`` take them."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"'{path}' must be a list of names, got {value!r}")
+        raise ValueError(f"must be a list of names, got {value!r}")
     return value
 
 
-def _as(kind, value, path: str):
-    """``kind(value)`` for the config value at ``path``; a value it rejects is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"'{path}' is not a valid value: {exc}") from exc
+def _complex_matrix(entries) -> np.ndarray:
+    arr = _floats(entries)
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValueError("must be a matrix of [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _converted(params, kinds: dict, path: str) -> dict:
-    """``params`` with each key converted by ``kinds[key]`` through ``_as`` at
-    ``path.<key>``; a key ``kinds`` does not name is refused."""
-    if not isinstance(params, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    _reject_unknown(params, set(kinds), path)
-    return {k: _as(kinds[k], v, f"{path}.{k}") for k, v in params.items()}
-
-
-def _object(config: dict, key: str) -> dict:
-    section = config.get(key)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    return section
+def _amplitudes(value) -> np.ndarray:
+    """A vector of [re, im] pairs, normalized."""
+    amp = _floats(value)
+    if amp.ndim != 2 or amp.shape[1] != 2:
+        raise ValueError("must be a vector of [re, im] pairs")
+    v = amp[:, 0] + 1j * amp[:, 1]
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"must have a finite nonzero norm, got {norm}")
+    return v / norm
 
 
 def _at(path: str, build, *args, **kwargs):
@@ -152,107 +160,99 @@ def _at(path: str, build, *args, **kwargs):
         raise ConfigError(f"'{path}': {exc}") from exc
 
 
-def _complex_matrix(entries, path: str) -> np.ndarray:
-    arr = _as(_floats, entries, path)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ConfigError(f"'{path}' must be a matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def parse_state(spec: dict, path: str) -> TraceClassElement:
+def _of_kind(spec, path: str, noun: str, table: dict):
+    """The object ``spec`` describes. ``table`` maps each kind to (key kinds,
+    required keys, build); ``spec`` is read by its kind's keys, and ``build``
+    takes the converted values by key, an out-of-range one named at ``path``."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"'{path}' must be an object with a 'kind'")
     kind = spec["kind"]
-    factors = spec.get("factor_dims")
-    factors = factors if factors is None else _as(_counts, factors, f"{path}.factor_dims")
-    if kind == "matrix":
-        _reject_unknown(spec, {"kind", "entries", "factor_dims"}, path)
-        entries = _complex_matrix(_required(spec, "entries", path), f"{path}.entries")
-        return TraceClassElement(entries, factor_dims=factors)
-    if kind == "diag":
-        _reject_unknown(spec, {"kind", "values", "factor_dims"}, path)
-        values = _as(_floats, _required(spec, "values", path), f"{path}.values")
-        return TraceClassElement(values.reshape(-1), factor_dims=factors)  # flat: nested values would build a matrix
-    if kind == "pure":
-        _reject_unknown(spec, {"kind", "amplitudes", "factor_dims"}, path)
-        amp = _as(_floats, _required(spec, "amplitudes", path), f"{path}.amplitudes")
-        if amp.ndim != 2 or amp.shape[1] != 2:
-            raise ConfigError(f"'{path}.amplitudes' must be a vector of [re, im] pairs")
-        v = amp[:, 0] + 1j * amp[:, 1]
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < math.inf:
-            raise ConfigError(f"'{path}.amplitudes' must have a finite nonzero norm, got {norm}")
-        v = v / norm
-        return TraceClassElement.pure(v, factor_dims=factors)
-    if kind == "bell":
-        _reject_unknown(spec, {"kind"}, path)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized {noun}")
+    kinds, required, build = table[kind]
+    values = _read(spec, path, {"kind": _given, **kinds}, required)
+    del values["kind"]
+    return _at(path, build, **values)
+
+
+# The kind tables are built at each call from this module's globals, so that a
+# function patched on the module, as the bench tracer patches them, is the one
+# a parse calls.
+
+
+def _state_kinds() -> dict:
+    """State kind -> (key kinds, required keys, build)."""
+    factors = {"factor_dims": _counts}
+
+    def diag(values, factor_dims=None):  # flat: nested values would build a matrix
+        return TraceClassElement(values.reshape(-1), factor_dims)
+
+    def bell():
         return TraceClassElement.pure(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2), factor_dims=(2, 2))
-    if kind == "max_mixed":
-        _reject_unknown(spec, {"kind", "dim", "factor_dims"}, path)
-        d = _as(_count, _required(spec, "dim", path), f"{path}.dim")
-        return TraceClassElement(np.full(d, 1.0 / d), factor_dims=factors)
-    raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized state kind")
+
+    def max_mixed(dim, factor_dims=None):
+        return TraceClassElement(np.full(dim, 1.0 / dim), factor_dims)
+
+    return {
+        "matrix": ({"entries": _complex_matrix, **factors}, ("entries",), TraceClassElement),
+        "diag": ({"values": _floats, **factors}, ("values",), diag),
+        "pure": ({"amplitudes": _amplitudes, **factors}, ("amplitudes",), TraceClassElement.pure),
+        "bell": ({}, (), bell),
+        "max_mixed": ({"dim": _count, **factors}, ("dim",), max_mixed),
+    }
 
 
-def parse_channel(spec: dict, path: str) -> QuantumOperation:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"'{path}' must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "identity":
-        _reject_unknown(spec, {"kind", "dim"}, path)
-        return identity_channel(_as(_count, _required(spec, "dim", path), f"{path}.dim"))
-    if kind == "depolarizing":
-        _reject_unknown(spec, {"kind", "p", "dim"}, path)
-        p = _as(_float, _required(spec, "p", path), f"{path}.p")
-        return _at(path, depolarizing_channel, p, spec.get("dim", 2))
-    if kind == "dephasing":
-        _reject_unknown(spec, {"kind", "p"}, path)
-        return _at(path, dephasing_channel, _as(_float, _required(spec, "p", path), f"{path}.p"))
-    if kind == "partial_trace":
-        _reject_unknown(spec, {"kind", "dims", "keep"}, path)
-        dims = _as(_counts, _required(spec, "dims", path), f"{path}.dims")
-        return partial_trace_channel(dims, _as(_nonnegative, _required(spec, "keep", path), f"{path}.keep"))
-    if kind == "measure_prepare":
-        _reject_unknown(spec, {"kind", "povm", "preps"}, path)
-        povm = [_complex_matrix(m, f"{path}.povm") for m in _required(spec, "povm", path)]
-        preps = [parse_state(s, f"{path}.preps") for s in _required(spec, "preps", path)]
-        return measure_prepare_channel(povm, preps)
-    if kind == "kraus":
-        _reject_unknown(spec, {"kind", "operators"}, path)
-        return QuantumOperation([_complex_matrix(m, f"{path}.operators") for m in _required(spec, "operators", path)])
-    raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized channel kind")
+def _channel_kinds(path: str) -> dict:
+    """Channel kind -> (key kinds, required keys, build) for the channel at ``path``."""
+
+    def matrices(entries):
+        return [_complex_matrix(m) for m in entries]
+
+    def kraus(operators):
+        return QuantumOperation(operators)
+
+    return {
+        "identity": ({"dim": _count}, ("dim",), identity_channel),
+        "depolarizing": ({"p": _float, "dim": _given}, ("p",), depolarizing_channel),
+        "dephasing": ({"p": _float}, ("p",), dephasing_channel),
+        "partial_trace": ({"dims": _counts, "keep": _nonnegative}, ("dims", "keep"), partial_trace_channel),
+        "measure_prepare": ({"povm": matrices, "preps": _states(f"{path}.preps")}, ("povm", "preps"), measure_prepare_channel),
+        "kraus": ({"operators": matrices}, ("operators",), kraus),
+    }
 
 
-def parse_hamiltonian(spec: dict, path: str) -> Hamiltonian:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"'{path}' must be an object with a 'kind'")
-    kind = spec["kind"]
+def _level_laws() -> dict:
+    """Level law -> (key kinds, required keys, build); ``Hamiltonian`` checks ``truncation_dim``."""
 
-    def number(key, default):
-        return _as(_float, spec.get(key, default), f"{path}.{key}")
+    def log(truncation_dim, scale=1.0, offset=0.0):
+        return Hamiltonian.logarithmic(scale, offset, truncation_dim)
 
-    def truncation():  # checked by Hamiltonian, named at ``path`` by _at
-        return _required(spec, "truncation_dim", path)
+    def linear(truncation_dim, offset=0.0, slope=1.0):
+        return Hamiltonian.linear(offset, slope, truncation_dim)
 
-    if kind == "log":
-        _reject_unknown(spec, {"kind", "scale", "offset", "truncation_dim"}, path)
-        return _at(path, Hamiltonian.logarithmic, number("scale", 1.0), number("offset", 0.0), truncation())
-    if kind == "linear":
-        _reject_unknown(spec, {"kind", "offset", "slope", "truncation_dim"}, path)
-        return _at(path, Hamiltonian.linear, number("offset", 0.0), number("slope", 1.0), truncation())
-    if kind == "table":
-        _reject_unknown(spec, {"kind", "values"}, path)
-        return _at(path, Hamiltonian.from_table, _as(_floats, _required(spec, "values", path), f"{path}.values"))
-    raise ConfigError(f"'{path}.kind' = {kind!r} is not a recognized level law")
+    truncated = {"offset": _float, "truncation_dim": _given}
+    return {
+        "log": ({"scale": _float, **truncated}, ("truncation_dim",), log),
+        "linear": ({"slope": _float, **truncated}, ("truncation_dim",), linear),
+        "table": ({"values": _floats}, ("values",), Hamiltonian.from_table),
+    }
 
 
-def parse_budget(spec: dict, seed: int) -> OptimizerBudget:
-    _reject_unknown(spec, {"restarts", "iterations", "seed"}, "budget")
-    return OptimizerBudget(
-        restarts=_as(_count, spec.get("restarts", 16), "budget.restarts"),
-        iterations=_as(_nonnegative, spec.get("iterations", 2000), "budget.iterations"),
-        seed=_as(_nonnegative, spec.get("seed", seed), "budget.seed"),
-    )
+def _states(path: str):
+    """The kind of a list of states, each read at ``path``."""
+    return lambda specs: [parse_state(spec, path) for spec in specs]
+
+
+def parse_state(spec, path: str) -> TraceClassElement:
+    return _of_kind(spec, path, "state kind", _state_kinds())
+
+
+def parse_channel(spec, path: str) -> QuantumOperation:
+    return _of_kind(spec, path, "channel kind", _channel_kinds(path))
+
+
+def parse_hamiltonian(spec, path: str) -> Hamiltonian:
+    return _of_kind(spec, path, "level law", _level_laws())
 
 
 # ---------------------------------------------------------------------------
@@ -304,134 +304,120 @@ def write_csv(path: str, header: list, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _columns(table: dict):
+    """(header, rows) of a table held as equal-length columns."""
+    return list(table), zip(*table.values())
+
+
+def _write(out_dir: str, fmt: str, json_files: dict, csv_files: dict) -> None:
+    """The one output rule: ``json_files`` (name -> payload) are written for
+    json or both, ``csv_files`` (name -> (header, rows)) for csv or both,
+    each through this module's ``write_json`` and ``write_csv``."""
+    if fmt in ("json", "both"):
+        for name, payload in json_files.items():
+            write_json(os.path.join(out_dir, name), payload)
+    if fmt in ("csv", "both"):
+        for name, (header, rows) in csv_files.items():
+            write_csv(os.path.join(out_dir, name), header, rows)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_quantity(section: dict, budget: OptimizerBudget, out_dir: str, fmt: str) -> int:
-    allowed = {
-        "name",
-        "state",
-        "sigma",
-        "ensemble",
-        "channel",
-        "hamiltonian",
-        "members",
-        "povm_size",
-        "extension_dim",
+def cmd_quantity(section, budget: OptimizerBudget, out_dir: str, fmt: str) -> int:
+    def ensemble(spec):
+        kinds = {"weights": _floats, "states": _states("quantity.ensemble.states")}
+        given = _read(spec, "quantity.ensemble", kinds, ("weights", "states"))
+        return Ensemble(given["weights"], given["states"])
+
+    kinds = {
+        "name": _given,
+        "state": lambda spec: parse_state(spec, "quantity.state"),
+        "sigma": lambda spec: parse_state(spec, "quantity.sigma"),
+        "ensemble": ensemble,
+        "channel": lambda spec: parse_channel(spec, "quantity.channel"),
+        "hamiltonian": lambda spec: parse_hamiltonian(spec, "quantity.hamiltonian"),
+        # each estimator checks its size, named at its key by _at
+        **dict.fromkeys(("members", "povm_size", "extension_dim"), _given),
     }
-    _reject_unknown(section, allowed, "quantity")
-    name = section.get("name")
-    if not name:
-        raise ConfigError("'quantity.name' is required")
-    if not isinstance(name, str):  # a list or object name is no table key
-        raise ConfigError(f"unknown quantity {name!r}")
+    raw = _read(section, "quantity", dict.fromkeys(kinds, _given), ("name",))
 
-    def state(key="state"):
-        return parse_state(_required(section, key, "quantity"), f"quantity.{key}")
+    def roof(estimator, key, default=None):
+        size = default if raw.get(key) is None else raw[key]
+        return lambda *inputs: _at(f"quantity.{key}", estimator, *inputs, size, budget)
 
-    def channel():
-        return parse_channel(_required(section, "channel", "quantity"), "quantity.channel")
-
-    def hamiltonian():
-        return parse_hamiltonian(_required(section, "hamiltonian", "quantity"), "quantity.hamiltonian")
-
-    def size(key, default=None):  # each estimator checks its size, named at its key by _at
-        return default if section.get(key) is None else section[key]
-
-    def holevo():
-        spec = section.get("ensemble")
-        if not spec:
-            raise ConfigError("'quantity.ensemble' is required for holevo")
-        _reject_unknown(spec, {"weights", "states"}, "quantity.ensemble")
-        members = [parse_state(s, "quantity.ensemble.states") for s in _required(spec, "states", "quantity.ensemble")]
-        weights = _as(_floats, _required(spec, "weights", "quantity.ensemble"), "quantity.ensemble.weights")
-        return holevo_quantity(Ensemble(weights, members))
-
+    # name -> (the config keys of its inputs, function of them)
     exact = {
-        "entropy": lambda: von_neumann_entropy(state()),
-        "relative_entropy": lambda: relative_entropy(state(), state("sigma")),
-        "mutual_information": lambda: mutual_information(state()),
-        "conditional_entropy": lambda: conditional_entropy(state()),
-        "conditional_mutual_information": lambda: conditional_mutual_information(state()),
-        "holevo": holevo,
-        "gibbs_threshold": lambda: gibbs_threshold(hamiltonian()),
-        "mean_energy": lambda: mean_energy(state(), hamiltonian()),
-        "output_entropy": lambda: output_entropy(channel(), state()),
-        "coherent_information": lambda: coherent_information(channel(), state()),
-        "channel_mutual_information": lambda: channel_mutual_information(channel(), state()),
+        "entropy": (("state",), von_neumann_entropy),
+        "relative_entropy": (("state", "sigma"), relative_entropy),
+        "mutual_information": (("state",), mutual_information),
+        "conditional_entropy": (("state",), conditional_entropy),
+        "conditional_mutual_information": (("state",), conditional_mutual_information),
+        "holevo": (("ensemble",), holevo_quantity),
+        "gibbs_threshold": (("hamiltonian",), gibbs_threshold),
+        "mean_energy": (("state", "hamiltonian"), mean_energy),
+        "output_entropy": (("channel", "state"), output_entropy),
+        "coherent_information": (("channel", "state"), coherent_information),
+        "channel_mutual_information": (("channel", "state"), channel_mutual_information),
     }
-    # optimizer-backed quantities: name -> (size key, estimator, default size)
+    # optimizer-backed quantities, each with its size key and default size
     estimators = {
-        "entanglement_of_formation": ("members", entanglement_of_formation, None),
-        "classical_correlations": ("povm_size", classical_correlations, None),
-        "quantum_discord": ("povm_size", quantum_discord, None),
-        "c_squashed_entanglement": ("members", c_squashed_entanglement_k, 2),
-        "squashed_entanglement": ("extension_dim", squashed_entanglement_k, 1),
+        "entanglement_of_formation": (("state",), roof(entanglement_of_formation, "members")),
+        "classical_correlations": (("state",), roof(classical_correlations, "povm_size")),
+        "quantum_discord": (("state",), roof(quantum_discord, "povm_size")),
+        "c_squashed_entanglement": (("state",), roof(c_squashed_entanglement_k, "members", 2)),
+        "squashed_entanglement": (("state",), roof(squashed_entanglement_k, "extension_dim", 1)),
+        "constrained_holevo": (("channel", "state"), roof(constrained_holevo_estimate, "members", 2)),
     }
-    record: dict = {"name": name}
+    name = raw["name"]
+    if not isinstance(name, str) or name not in exact.keys() | estimators.keys():  # a list or object is no name
+        raise ConfigError(f"'quantity.name': unknown quantity {name!r}")
+    inputs, function = exact[name] if name in exact else estimators[name]
+    # only the inputs the named quantity takes are parsed, each one required
+    given = _read({key: raw[key] for key in inputs if key in raw}, "quantity", kinds, inputs)
+    record = {"name": name, "value": function(*(given[key] for key in inputs))}
     if name in exact:
-        record["value"] = exact[name]()
         record["provenance"] = "exact"
-    elif name in estimators:
-        key, estimator, default = estimators[name]
-        record["value"] = _at(f"quantity.{key}", estimator, state(), size(key, default), budget)
-    elif name == "constrained_holevo":
-        members = size("members", 2)
-        record["value"] = _at("quantity.members", constrained_holevo_estimate, channel(), state(), members, budget)
-    else:
-        raise ConfigError(f"unknown quantity {name!r}")
 
     payload = _jsonable(record)
     print(json.dumps(payload, sort_keys=True))
-    if fmt in ("json", "both"):
-        write_json(os.path.join(out_dir, "quantity.json"), record)
-    if fmt in ("csv", "both"):
-        value = payload["value"]
-        if isinstance(value, dict):
-            write_csv(
-                os.path.join(out_dir, "quantity.csv"),
-                ["name", "value", "direction", "converged", "gap_estimate"],
-                [[name, value["value"], value["direction"], value["converged"], value["gap_estimate"]]],
-            )
-        else:
-            write_csv(os.path.join(out_dir, "quantity.csv"), ["name", "value"], [[name, value]])
+    value = payload["value"]
+    if isinstance(value, dict):  # a bounded value
+        header = ["name", "value", "direction", "converged", "gap_estimate"]
+        row = [name, *(value[key] for key in header[1:])]
+    else:
+        header, row = ["name", "value"], [name, value]
+    _write(out_dir, fmt, {"quantity.json": record}, {"quantity.csv": (header, [row])})
     return 0
 
 
-_SEQUENCE_PARAMS = {
-    "energy": _float,
-    "energies": _float_list,
-    "seed": _nonnegative,
-    "sigma": lambda spec: parse_state(spec, "sequence.params.sigma"),
-}
-_SUITE_PARAMS = {"energy": _float, "seed": _nonnegative, "range_trials": _count, "grid": _counts}
-
-
-def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
-    _reject_unknown(section, {"family", "params", "functionals", "window", "grid"}, "sequence")
-    family = section.get("family")
+def cmd_sequence(section, out_dir: str, fmt: str) -> int:
+    kinds = {"family": _given, "params": _given, "functionals": _names, "window": _count, "grid": check_grid}
+    given = _read(section, "sequence", kinds)
+    family = given.get("family")
     registry = builtin_families()
-    if family not in registry:
+    if not isinstance(family, str) or family not in registry:
         raise ConfigError(f"unknown family {family!r}; available: {sorted(registry)}")
-    params = _converted(section.get("params", {}), _SEQUENCE_PARAMS, "sequence.params")
-    if family == "mix_to_pure":
-        _required(params, "sigma", "sequence.params")
-    if "grid" in section:
-        params["n_grid"] = _at("sequence.grid", check_grid, _as(_counts, section["grid"], "sequence.grid"))
+    param_kinds = {
+        "energy": _float,
+        "energies": _float_list,
+        "seed": _nonnegative,
+        "sigma": lambda spec: parse_state(spec, "sequence.params.sigma"),
+    }
+    params = _read(given.get("params", {}), "sequence.params", param_kinds, ("sigma",) if family == "mix_to_pure" else ())
+    if "grid" in given:
+        params["n_grid"] = given["grid"]
     try:  # with the grid checked, a builder refuses only the family's energies
         seq = _at(f"sequence.params.{'energies' if family == 'product' else 'energy'}", registry[family], **params)
     except TypeError as exc:
         raise ConfigError(f"'sequence.params' do not fit family {family!r}: {exc}") from exc
-    names = _names(section.get("functionals", ["entropy"]), "sequence.functionals")
+    names = given.get("functionals", ["entropy"])
     for fname in names:
         if fname not in FUNCTIONALS:
             raise ConfigError(f"'sequence.functionals': unknown functional {fname!r}; available: {sorted(FUNCTIONALS)}")
-    points = len(seq.n_grid)
-    if "window" in section:
-        window = _as(_count, section["window"], "sequence.window")
-    else:  # the default window shrinks to fit a short grid
-        window = max(min(DEFAULT_WINDOW, points // 2), 1)
+    # the default window shrinks to fit a short grid
+    window = given.get("window", max(min(DEFAULT_WINDOW, len(seq.n_grid) // 2), 1))
     _at("sequence.grid", check_grid, seq.n_grid, window)
     try:  # one walk scores every functional and the distance to the limit
         *columns, distances = series(seq, *names, seq.limit_distance)
@@ -453,57 +439,46 @@ def cmd_sequence(section: dict, out_dir: str, fmt: str) -> int:
             "monotone_tail": est.monotone_tail,
             "converging": est.converging,
         }
-    payload = {"family": family, "params": section.get("params", {}), "estimates": estimates}
+    payload = {"family": family, "params": given.get("params", {}), "estimates": estimates}
     print(json.dumps(_jsonable(payload), sort_keys=True))
-    if fmt in ("json", "both"):
-        write_json(os.path.join(out_dir, f"sequence_{family}.json"), payload)
-    if fmt in ("csv", "both"):
-        header = list(table)
-        rows = [[table[k][i] for k in header] for i in range(points)]
-        write_csv(os.path.join(out_dir, f"sequence_{family}.csv"), header, rows)
+    _write(out_dir, fmt, {f"sequence_{family}.json": payload}, {f"sequence_{family}.csv": _columns(table)})
     return 0
 
 
-def _write_suite_outputs(report: SuiteReport, out_dir: str, fmt: str) -> None:
-    safe_id = report.suite_id.replace("/", "_")
+def cmd_suite(section, out_dir: str, fmt: str) -> int:
+    def ids(value):  # "all", one id or a list of ids
+        return list(SUITES) if value == "all" else _names([value] if isinstance(value, str) else value)
+
+    param_kinds = {
+        "energy": _float,
+        "seed": _nonnegative,
+        "range_trials": _count,
+        "grid": lambda grid: check_grid(grid, DEFAULT_WINDOW),  # two trailing windows
+    }
+    given = _read(section, "suite", {"ids": ids, "params": lambda params: _read(params, "suite.params", param_kinds)})
+    suite_ids, params = given.get("ids", list(SUITES)), given.get("params", {})
+    walked = _at("suite.params.energy", walk, suite_ids, params)  # every family the suites read, walked once
     # each check's record, from SuiteCheck's own fields (dataclasses.asdict and
     # astuple would deep-copy every value, about 9 us a check against 1)
-    names = [f.name for f in dataclasses.fields(SuiteCheck)]
-    checks = [[getattr(c, k) for k in names] for c in report.checks]
-    if fmt in ("json", "both"):
-        payload = {
+    fields = [f.name for f in dataclasses.fields(SuiteCheck)]
+    all_passed = True
+    for suite_id in suite_ids:
+        report = suite_run(suite_id, params, walked)
+        safe_id = report.suite_id.replace("/", "_")
+        checks = [[getattr(c, k) for k in fields] for c in report.checks]
+        record = {
             "suite_id": report.suite_id,
             "title": report.title,
             "params": report.params,
             "passed": report.passed,
             "max_slack": report.max_slack,
-            "checks": [dict(zip(names, row)) for row in checks],
+            "checks": [dict(zip(fields, row)) for row in checks],
             "series": report.series,
         }
-        write_json(os.path.join(out_dir, f"{safe_id}_report.json"), payload)
-    if fmt in ("csv", "both"):
-        write_csv(os.path.join(out_dir, f"{safe_id}_checks.csv"), names, checks)
+        csv_files = {f"{safe_id}_checks.csv": (fields, checks)}
         if report.series:
-            header = list(report.series)
-            length = len(report.series[header[0]])
-            rows = [[report.series[k][i] for k in header] for i in range(length)]
-            write_csv(os.path.join(out_dir, f"{safe_id}_series.csv"), header, rows)
-
-
-def cmd_suite(section: dict, out_dir: str, fmt: str) -> int:
-    _reject_unknown(section, {"ids", "params"}, "suite")
-    ids = section.get("ids", "all")
-    if ids == "all":
-        ids = list(SUITES)
-    ids = _names([ids] if isinstance(ids, str) else ids, "suite.ids")
-    params = _converted(section.get("params", {}), _SUITE_PARAMS, "suite.params")
-    if "grid" in params:  # checked here, so that a walk refuses only the energy
-        params["grid"] = _at("suite.params.grid", check_grid, params["grid"], DEFAULT_WINDOW)
-    walked = _at("suite.params.energy", walk, ids, params)  # every family the suites read, walked once
-    all_passed = True
-    for suite_id in ids:
-        report = suite_run(suite_id, params, walked)
-        _write_suite_outputs(report, out_dir, fmt)
+            csv_files[f"{safe_id}_series.csv"] = _columns(report.series)
+        _write(out_dir, fmt, {f"{safe_id}_report.json": record}, csv_files)
         status = "pass" if report.passed else "FAIL"
         print(f"[{status}] {report.suite_id}: {report.title} ({len(report.checks)} checks)")
         all_passed = all_passed and report.passed
@@ -512,9 +487,8 @@ def cmd_suite(section: dict, out_dir: str, fmt: str) -> int:
     return 0
 
 
-def cmd_report(section: dict, out_dir: str, fmt: str) -> int:
-    _reject_unknown(section, {"dir"}, "report")
-    src = section.get("dir", out_dir)
+def cmd_report(section, out_dir: str, fmt: str) -> int:
+    src = _read(section, "report", {"dir": _given}).get("dir", out_dir)
     names = sorted(n for n in os.listdir(src) if n.endswith("_report.json")) if os.path.isdir(src) else []
     if not names:
         raise MissingArtifactsError(f"no suite reports found under {src!r}")
@@ -538,13 +512,8 @@ def cmd_report(section: dict, out_dir: str, fmt: str) -> int:
     header = ["suite_id", "claim", "status", "max_slack", "checks"]
     for row in rows:
         print(f"{row[0]:8s} {row[2]:4s} max_slack={_fmt(row[3])} {row[1]}")
-    if fmt in ("json", "both"):
-        write_json(
-            os.path.join(out_dir, "summary.json"),
-            {"suites": [dict(zip(header, row)) for row in rows]},
-        )
-    if fmt in ("csv", "both"):
-        write_csv(os.path.join(out_dir, "summary.csv"), header, rows)
+    summary = {"suites": [dict(zip(header, row)) for row in rows]}
+    _write(out_dir, fmt, {"summary.json": summary}, {"summary.csv": (header, rows)})
     return 0 if all(r[2] == "pass" for r in rows) else 1
 
 
@@ -633,30 +602,33 @@ def run(argv=None) -> int:
         print(f"config error: line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
     try:
-        if not isinstance(config, dict):
-            raise ConfigError("top-level config must be an object")
-        _reject_unknown(config, TOP_LEVEL_KEYS, "config")
-        command = config.get("command")
+        top = _read(config, "config", dict.fromkeys(TOP_LEVEL_KEYS, _given))
+        command = top.get("command")
         if command not in ("quantity", "sequence", "suite", "report"):
             raise ConfigError(f"'command' must be one of quantity/sequence/suite/report, got {command!r}")
-        output = _object(config, "output")
-        _reject_unknown(output, {"dir", "format"}, "output")
+
+        def section(key):  # a section given as null reads as an empty one
+            return {} if top.get(key) is None else top[key]
+
+        output = _read(section("output"), "output", {"dir": _given, "format": _given})
         out_dir = args.out or output.get("dir", ".")
         fmt = args.format or output.get("format", "both")
         if fmt not in ("json", "csv", "both"):
             raise ConfigError(f"'output.format' must be json/csv/both, got {fmt!r}")
         os.makedirs(out_dir, exist_ok=True)
-        seed = _as(_nonnegative, config.get("seed", 0), "seed") if args.seed is None else _as(_nonnegative, args.seed, "--seed")
-        budget = parse_budget(_object(config, "budget"), seed)
-        section = _object(config, command)
+        flag, seed = ("seed", top.get("seed", 0)) if args.seed is None else ("--seed", args.seed)
+        seed = _at(flag, _nonnegative, seed)
+        budget = _read(section("budget"), "budget", {"restarts": _count, "iterations": _nonnegative, "seed": _nonnegative})
+        budget = OptimizerBudget(**{"seed": seed, **budget})
+        given = section(command)
         with _one_blas_thread():
             if command == "quantity":
-                return cmd_quantity(section, budget, out_dir, fmt)
+                return cmd_quantity(given, budget, out_dir, fmt)
             if command == "sequence":
-                return cmd_sequence(section, out_dir, fmt)
+                return cmd_sequence(given, out_dir, fmt)
             if command == "suite":
-                return cmd_suite(section, out_dir, fmt)
-            return cmd_report(section, out_dir, fmt)
+                return cmd_suite(given, out_dir, fmt)
+            return cmd_report(given, out_dir, fmt)
     except (ConfigError, MissingArtifactsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -58,6 +58,13 @@ CROSS_CHECK_TOL = 1e-9
 CMI_AGREEMENT_TOL = 1e-8
 
 
+def _agree(a: float, b: float, tol: float, what: str) -> None:
+    """The one rule of the internal cross-checks: two forms of one value
+    differ by at most ``tol``, else an ArithmeticError names both."""
+    if abs(a - b) > tol:
+        raise ArithmeticError(f"{what}: {a!r} vs {b!r}")
+
+
 def eta(x):
     """-x log x extended by eta(0) = 0, elementwise on arrays.
 
@@ -256,10 +263,7 @@ def conditional_entropy(omega: TraceClassElement) -> float:
     a, b = _marginals_ab(omega)
     primary = von_neumann_entropy(omega) - von_neumann_entropy(b)
     alt = von_neumann_entropy(a) - mutual_information(omega)
-    if abs(primary - alt) > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"conditional entropy forms disagree: {primary!r} vs {alt!r}"
-        )
+    _agree(primary, alt, CROSS_CHECK_TOL, "conditional entropy forms disagree")
     return primary
 
 
@@ -299,10 +303,7 @@ def conditional_mutual_information(omega: TraceClassElement, check: bool = True)
             i_a_c - i_a_b - i_b_c + i_ac_b,
         )
         for alt in variants:
-            if abs(alt - primary) > CMI_AGREEMENT_TOL:
-                raise ArithmeticError(
-                    f"conditional mutual information forms disagree: {primary!r} vs {alt!r}"
-                )
+            _agree(primary, alt, CMI_AGREEMENT_TOL, "conditional mutual information forms disagree")
     return primary
 
 
@@ -353,6 +354,5 @@ def holevo_quantity(ensemble: Ensemble) -> float:
         mean_member_entropy += wi * von_neumann_entropy(m)
     if math.isfinite(total):
         alt = von_neumann_entropy(avg) - mean_member_entropy
-        if abs(total - alt) > CROSS_CHECK_TOL:
-            raise ArithmeticError(f"Holevo forms disagree: {total!r} vs {alt!r}")
+        _agree(total, alt, CROSS_CHECK_TOL, "Holevo forms disagree")
     return total

@@ -700,3 +700,40 @@ def test_preparations_of_different_dims_are_a_dimension_mismatch(rng):
 def test_a_random_channel_too_narrow_for_its_input_is_an_invalid_parameter(rng):
     with pytest.raises(InvalidParameterError):
         random_channel(4, 1, 2, rng)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_kraus_entry_is_an_invalid_parameter(bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        QuantumOperation([np.array([[bad, 0.0], [0.0, 1.0]])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_entry_amplitude_is_an_invalid_parameter(bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        QuantumOperation.from_entries(2, 2, [0, 0], [0, 1], [0, 1], [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_povm_outcome_is_an_invalid_parameter(bad):
+    # the eigenvalue filter would drop a NaN outcome's Kraus operators silently
+    state = TraceClassElement(np.array([0.5, 0.5]))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        measure_prepare_channel([np.diag([bad, 0.0]), np.diag([0.0, 1.0])], [state, state])
+
+
+@pytest.mark.parametrize("dim_out, rank", [(3, 2), (2, 3), (2, 2)])
+def test_ext2_residual_never_decomposes_the_dilated_joint(rng, monkeypatch, dim_out, rank):
+    # I(B:E) comes from the columns of V M: no dim_out * K matrix is decomposed
+    op, rho = random_channel(3, dim_out, rank, rng), random_density(3, rng)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, real=real, **kw):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert stinespring_entropy_residual(op, rho) <= 1e-12
+    assert shapes and all(dim_out * rank not in shape for shape in shapes)

@@ -654,3 +654,81 @@ def test_an_empty_povm_exits_2_with_a_typed_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {**_output_entropy({"kind": "measure_prepare", "povm": [], "preps": [PURE]}), "output": {"dir": str(tmp_path)}})
     assert run(["--config", cfg]) == 2
     assert "POVM" in capsys.readouterr().err
+
+
+# every kind of every table: (spec path, config around the spec, kind table)
+KIND_TABLES = {
+    "state": ("quantity.state", lambda spec: _quantity("entropy", state=spec), cli._state_kinds()),
+    "channel": ("quantity.channel", _output_entropy, cli._channel_kinds("quantity.channel")),
+    "level-law": ("quantity.hamiltonian", _gibbs, cli._level_laws()),
+}
+KIND_CASES = {}
+for table, (path, config, kinds) in KIND_TABLES.items():
+    for kind, (_, required, _) in kinds.items():
+        KIND_CASES[f"{table}-{kind}-extra-key"] = (config({"kind": kind, "extra_key": 1}), path)
+        for key in required:
+            spec = {"kind": kind, **{other: None for other in required if other != key}}
+            KIND_CASES[f"{table}-{kind}-missing-{key}"] = (config(spec), f"{path}.{key}")
+
+
+@pytest.mark.parametrize("payload, path", list(KIND_CASES.values()), ids=list(KIND_CASES))
+def test_each_kind_refuses_an_extra_key_and_each_missing_required_key(tmp_path, capsys, payload, path):
+    cfg = write_config(tmp_path, {**payload, "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 2
+    assert f"'{path}'" in capsys.readouterr().err
+
+
+BOUNDED = {**_quantity("entanglement_of_formation", state=MIXED), "budget": {"restarts": 2, "iterations": 20}}
+SHARP = {"command": "sequence", "sequence": {"family": "sharp", "grid": [16, 32, 64, 128, 256, 512]}}
+# command -> (config, the files its json and its csv output hold)
+OUTPUT_CASES = {
+    "quantity": (_quantity("entropy", state=MIXED), {"quantity.json"}, {"quantity.csv"}),
+    "sequence": (SHARP, {"sequence_sharp.json"}, {"sequence_sharp.csv"}),
+    "suite": ({"command": "suite", "suite": {"ids": ["P4"]}}, {"P4_report.json"}, {"P4_checks.csv", "P4_series.csv"}),
+    "report": ({"command": "report"}, {"summary.json"}, {"summary.csv"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+@pytest.mark.parametrize("command", list(OUTPUT_CASES))
+def test_each_command_writes_its_files_through_the_module_writers(tmp_path, monkeypatch, command, fmt):
+    payload, json_files, csv_files = OUTPUT_CASES[command]
+    if command == "report":
+        reports = tmp_path / "reports"
+        assert run(["--config", write_config(tmp_path, OUTPUT_CASES["suite"][0], "suite.json"), "--out", str(reports)]) == 0
+        payload = {**payload, "report": {"dir": str(reports)}}
+    # the bench tracer times writes and counts bytes through these two names
+    written = []
+    for name in ("write_json", "write_csv"):
+        real = getattr(cli, name)
+
+        def counted(path, *args, real=real):
+            written.append(os.path.basename(path))
+            return real(path, *args)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    assert run(["--config", write_config(tmp_path, payload), "--out", str(out), "--format", fmt]) == 0
+    expected = {"json": json_files, "csv": csv_files, "both": json_files | csv_files}[fmt]
+    assert set(os.listdir(out)) == expected
+    assert sorted(written) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "payload, header",
+    [(_quantity("entropy", state=MIXED), "name,value"), (BOUNDED, "name,value,direction,converged,gap_estimate")],
+    ids=["exact", "bounded"],
+)
+def test_quantity_csv_header(tmp_path, payload, header):
+    assert run(["--config", write_config(tmp_path, payload), "--out", str(tmp_path), "--format", "csv"]) == 0
+    lines = (tmp_path / "quantity.csv").read_text().splitlines()
+    assert lines[0] == header and len(lines) == 2
+
+
+def test_a_channel_builder_patched_on_the_module_is_the_one_a_parse_calls(tmp_path, monkeypatch):
+    calls = []
+    real = cli.identity_channel
+    monkeypatch.setattr(cli, "identity_channel", lambda dim: calls.append(dim) or real(dim))
+    cfg = write_config(tmp_path, {**_output_entropy({"kind": "identity", "dim": 2}), "output": {"dir": str(tmp_path)}})
+    assert run(["--config", cfg]) == 0
+    assert calls == [2]

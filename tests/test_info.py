@@ -28,7 +28,7 @@ from entroloss import (
     tensor,
     von_neumann_entropy,
 )
-from entroloss import info
+from entroloss import channels, info
 from entroloss.errors import DimensionMismatchError, InconsistentEnsembleError, NotUnitaryError
 from entroloss.rand import haar_unitary, random_channel, random_density, random_pure
 from helpers import eta_by_gather, random_probability, spectral_entropy_by_gather
@@ -715,3 +715,34 @@ def test_cmi_check_catches_one_scaled_cut(rng, monkeypatch, dims):
     monkeypatch.setattr(info, "relative_entropy_to_product", scaled)
     with pytest.raises(ArithmeticError):
         conditional_mutual_information(w)
+
+
+def test_agree_names_both_forms():
+    info._agree(1.0, 1.0 + 5e-10, 1e-9, "forms")
+    info._agree(1.0, math.nan, 1e-9, "forms")  # a NaN compares False, as the hand-written checks did
+    with pytest.raises(ArithmeticError, match=r"^forms: 1\.0 vs 1\.5$"):
+        info._agree(1.0, 1.5, 1e-9, "forms")
+
+
+def test_every_internal_cross_check_goes_through_agree(rng, monkeypatch):
+    seen = set()
+    real = info._agree
+
+    def recorded(a, b, tol, what):
+        seen.add((what, tol))
+        return real(a, b, tol, what)
+
+    monkeypatch.setattr(info, "_agree", recorded)
+    monkeypatch.setattr(channels, "_agree", recorded)
+    conditional_entropy(random_density(4, rng, factor_dims=(2, 2)))
+    conditional_mutual_information(random_density(8, rng, factor_dims=(2, 2, 2)), check=True)
+    holevo_quantity(Ensemble([0.5, 0.5], [random_density(2, rng), random_density(2, rng)]))
+    channels.coherent_information(random_channel(2, 2, 2, rng), random_density(2, rng))
+    assert seen == {
+        ("conditional entropy forms disagree", 1e-9),
+        ("conditional mutual information forms disagree", 1e-8),
+        ("Holevo forms disagree", 1e-9),
+        ("mutual information depends on the purification", 1e-8),
+        ("mutual information cross-check failed", 1e-8),
+        ("coherent information forms disagree", 1e-8),
+    }
