@@ -429,16 +429,7 @@ def cmd_sequence(section, out_dir: str, fmt: str) -> int:
         key = fname if fname in seq.closed_forms else None
         est = read_jump(seq, fname, values, distances, window=window, closed_form_key=key)
         table[fname] = values
-        estimates[fname] = {
-            "limit_value": est.limit_value,
-            "tail_sup": est.tail_sup,
-            "loss": est.loss,
-            "gain": est.gain,
-            "loss_closed_form": est.loss_closed_form,
-            "window": est.window,
-            "monotone_tail": est.monotone_tail,
-            "converging": est.converging,
-        }
+        estimates[fname] = {k: v for k, v in dataclasses.asdict(est).items() if k != "values"}
     payload = {"family": family, "params": given.get("params", {}), "estimates": estimates}
     print(json.dumps(_jsonable(payload), sort_keys=True))
     _write(out_dir, fmt, {f"sequence_{family}.json": payload}, {f"sequence_{family}.csv": _columns(table)})

@@ -15,11 +15,13 @@ a caller's own callable.  ``jump_loss`` and ``jump_gain`` read the
 ``trailing_window`` of a series against the limit value, ``DEFAULT_WINDOW``
 values unless told otherwise, and ``check_grid`` is the one rule a grid
 must meet: nonempty, every n at least 1, and two windows long where a jump
-is read off it.  ``read_jump`` is the read: it forms the
-full estimate from one functional's values and the distances to the limit,
-so a caller that walks the grid once with ``seq.limit_distance`` among the
-functionals reads every jump off that one walk.  ``estimate_jump`` is the
-walk and the read for one functional.
+is read off it.  ``read_jump`` is the read: it checks its window by that
+rule and forms the full estimate from one functional's values and the
+distances to the limit, so a caller that walks the grid once with
+``seq.limit_distance`` among the functionals reads every jump off that one
+walk.  ``estimate_jump`` is the walk and the read for one functional.  The
+mixing family is an ``Ensemble`` average, the package's one convex
+combination.
 
 Pure bipartite elements are kept in Schmidt form, their Schmidt weights s
 and nothing else, so that sequence runs at dimension 2**16 never
@@ -52,7 +54,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .energy import Q_SLACK, Hamiltonian, sharp_sequence_state, sharp_sequence_weight
-from .info import shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
+from .info import Ensemble, shannon_entropy, von_neumann_entropy, conditional_entropy, mutual_information
 from .operators import TraceClassElement, _require_diag_dim, integer_parameter, integer_parameters, partial_trace, tensor, trace_distance
 
 GRID_DIAG = tuple(2**k for k in range(4, 17))
@@ -185,16 +187,13 @@ class StateSequence:
         return self.generator(integer_parameter(n, "n", 1))
 
     def embedded_limit(self, like) -> object:
-        """The limit zero-padded into the space of a generated element."""
+        """The limit zero-padded into the space of a generated element; a
+        Schmidt-form limit is returned as it is, since ``overlap`` pads it."""
         lim = self.limit
         if isinstance(lim, PureBipartiteState):
             if not isinstance(like, PureBipartiteState):
                 raise DimensionMismatchError("pure limit but non-pure element")
-            if lim.dims == like.dims:
-                return lim
-            s = np.zeros(like.dims[0])
-            s[: lim._schmidt.size] = lim._schmidt
-            return PureBipartiteState(s)
+            return lim
         if lim.dim == like.dim:
             return lim
         if lim.factor_dims is not None and like.factor_dims is not None:
@@ -246,7 +245,6 @@ class JumpEstimate:
     values: tuple
     limit_value: float
     tail_sup: float
-    tail_inf: float
     loss: float
     gain: float
     window: int
@@ -298,9 +296,7 @@ def check_grid(n_grid, window: int = 0) -> tuple:
 
 def trailing_window(values, window: int = DEFAULT_WINDOW):
     """The last ``window`` values of a series, the part a jump is read from."""
-    if window < 1:
-        raise InvalidParameterError(f"window must be >= 1, got {window}")
-    return values[-window:]
+    return values[-integer_parameter(window, "window", 1) :]
 
 
 def jump_loss(values, limit: float, window: int = DEFAULT_WINDOW) -> float:
@@ -338,12 +334,11 @@ def read_jump(
     """The windowed jump estimate of a functional from its values along
     ``seq.n_grid`` and the distances of the grid elements to the limit, as
     ``series(seq, ..., functional, ..., seq.limit_distance)`` returns them."""
-    points = len(seq.n_grid)
-    if not 1 <= window <= points // 2:
-        raise InvalidParameterError(f"window {window} must lie in [1, {points // 2}], half the {points}-point grid")
+    window = integer_parameter(window, "window", 1)
+    check_grid(seq.n_grid, window)
     limit_value = _as_float(_functional(functional)(seq.limit))
     tail = trailing_window(values, window)
-    tail_sup, tail_inf = max(tail), min(tail)
+    tail_sup = max(tail)
     infinite = math.isinf(limit_value)
     if infinite or math.isinf(tail_sup):
         loss = math.inf
@@ -359,7 +354,6 @@ def read_jump(
         values=tuple(values),
         limit_value=limit_value,
         tail_sup=tail_sup,
-        tail_inf=tail_inf,
         loss=loss,
         gain=gain,
         window=window,
@@ -447,20 +441,13 @@ def make_sharp_sequence(
 
 
 def make_mixing_sequence(sigma: TraceClassElement, n_grid=GRID_MEDIUM) -> StateSequence:
-    """rho_n = (1/n) sigma + (1 - 1/n) |0><0| in the fixed dimension of sigma."""
+    """rho_n = (1/n) sigma + (1 - 1/n) |0><0| in the dimension and factorization of sigma."""
     grid = check_grid(n_grid)
-    d = sigma.dim
-    ground = np.zeros(d)
-    ground[0] = 1.0
+    limit = TraceClassElement(np.eye(1, sigma.dim).reshape(-1), sigma.factor_dims)
 
     def gen(n: int) -> TraceClassElement:
-        t = 1.0 / n
-        if sigma.diagonal:
-            return TraceClassElement(t * sigma.diag + (1 - t) * ground)
-        m = t * sigma.to_matrix() + (1 - t) * np.diag(ground.astype(complex))
-        return TraceClassElement(m, sigma.factor_dims)
+        return Ensemble([1 / n, 1 - 1 / n], [sigma, limit]).average
 
-    limit = TraceClassElement(ground)
     return StateSequence(gen, limit, grid, tags={"family": "mix_to_pure"})
 
 

@@ -8,8 +8,9 @@ The suites are data, run by one engine.  ``SUITES`` maps each id to a
   no family walk fits (C-maj's pair loop, C-sep's entangled control, T2's
   random pairs and dephasing ramp).  A family's key holds all that changes
   its elements: the constructor, the energy and the grid.
-* A *row* is one check: a claim, a relation (``_le``, ``_close`` or
-  ``_flag``), an lhs, an rhs, a tolerance, a basis and a note.
+* A *row* is one check: a claim, a relation (``_le`` or ``_close``), an
+  lhs, an rhs, a tolerance, a basis and a note.  A boolean row is ``_close``
+  of its truth value to 1.0 at tolerance 0.0.
 * A *side* is a column name (standing for that column's loss), a constant,
   or a small function of the reads; the reads record each (source, column)
   that a side reads.
@@ -80,7 +81,6 @@ from .sequences import (
     make_product_sequence,
     make_rotated_sharp_sequence,
     make_sharp_sequence,
-    mutual_information_of,
     read_jump,
     series,
     trailing_window,
@@ -136,10 +136,6 @@ def _close(claim, lhs, rhs, tol, basis, note="") -> SuiteCheck:
     return SuiteCheck(claim, lhs, rhs, tol, abs(lhs - rhs) <= tol, basis, note)
 
 
-def _flag(claim, ok: bool, basis, note="") -> SuiteCheck:
-    return SuiteCheck(claim, 1.0 if ok else 0.0, 1.0, 0.0, bool(ok), basis, note)
-
-
 # ---------------------------------------------------------------------------
 # the suite table: sources, rows and suites, and the engine that runs them
 # ---------------------------------------------------------------------------
@@ -176,12 +172,10 @@ def _self_cross_entropy(rho) -> float:
     return float(np.sum(p * (-np.log(p))))
 
 
-def _decohered_mi(x) -> float:
-    """Mutual information after pinching both sides; for a Schmidt-form state
-    that is the stored entropy of s^2, its pinching on the (k, k) entries."""
-    if isinstance(x, PureBipartiteState):
-        return x.marginal_entropy()
-    return mutual_information_of(TraceClassElement(np.clip(x.diag, 0, None), x.factor_dims))
+def _decohered_mi(x: PureBipartiteState) -> float:
+    """Mutual information after pinching both sides of a Schmidt-form state:
+    the stored entropy of s^2, its pinching on the (k, k) entries."""
+    return x.marginal_entropy()
 
 
 def _orthogonal_holevo(rho) -> float:
@@ -361,7 +355,7 @@ def _side(side, r: _Reads):
 @dataclass(frozen=True)
 class Row:
     """One check, ``relation(claim, lhs, rhs, tol, basis, note)``, with ``tol`` a float
-    or a function of (lhs, rhs).  A ``_flag`` row's lhs is its truth value."""
+    or a function of (lhs, rhs)."""
 
     claim: str
     relation: object
@@ -373,8 +367,6 @@ class Row:
 
     def check(self, r: _Reads) -> SuiteCheck:
         lhs = _side(self.lhs, r)
-        if self.relation is _flag:
-            return _flag(self.claim, lhs, self.basis, self.note)
         rhs = _side(self.rhs, r)
         tol = self.tol(lhs, rhs) if callable(self.tol) else self.tol
         return self.relation(self.claim, lhs, rhs, tol, self.basis, self.note)
@@ -534,7 +526,7 @@ SUITES = {
         series={"entropy_majorizing": "h_low", "entropy_majorized": "h_high", "kl_term": "kl_term", "gap_term": "gap_term"},
         rows=(
             _majorized_pairs,
-            Row("termwise majorization holds along the pair of families", _flag, lambda r: r["ordered"], basis="pointwise"),
+            Row("termwise majorization holds along the pair of families", _close, lambda r: r["ordered"], 1.0, 0.0, "pointwise"),
             Row("entropy-gap decomposition residual (every grid point)", _le, lambda r: max(r["residual"]), 0.0, 1e-8, "pointwise"),
             Row(
                 "loss of majorizing sequence <= loss of majorized minus both defect terms",
@@ -550,13 +542,13 @@ SUITES = {
         series={"joint": H, "marginal_a": H_A, "marginal_b": H_B},
         rows=(
             ("correlated", H, H_A, H_B, "separable"),
-            Row("marginals majorize the joint state (every grid point)", _flag, lambda r: all(r["separable"]), basis="pointwise"),
+            Row("marginals majorize the joint state (every grid point)", _close, lambda r: all(r["separable"]), 1.0, 0.0, "pointwise"),
             Row("marginal A loss <= joint loss", _le, H_A, H),
             Row("marginal B loss <= joint loss", _le, H_B, H),
             ("product", H_A, H),
             Row("product family: marginal loss <= joint loss", _le, H_A, H),
             _entangled_control,
-            Row("maximally entangled control violates the marginal majorization", _flag, lambda r: not r["separable"], basis="exact-anchor"),
+            Row("maximally entangled control violates the marginal majorization", _close, lambda r: not r["separable"], 1.0, 0.0, "exact-anchor"),
         ),
     ),
     "T1": Suite(
@@ -759,7 +751,7 @@ SUITES = {
                 "closed-form entropy loss below 1.2 of the sharp bound", _le, lambda r: r.closed(H), lambda r: 1.2 * _p4_bound(r), 0.0, "closed_form"
             ),
             Row("entropy dominated by lam E + log Z for lam = 2g (every grid point)", _le, _p4_gibbs_excess, 0.0, 1e-8, "pointwise"),
-            Row("measured values converge and the tail is monotone", _flag, lambda r: (est := r.jump(H)).converging and est.monotone_tail),
+            Row("measured values converge and the tail is monotone", _close, lambda r: (est := r.jump(H)).converging and est.monotone_tail, 1.0, 0.0),
         ),
     ),
     "T2": Suite(
@@ -802,7 +794,7 @@ SUITES = {
             _coherent_range,
             Row("coherent information confined to [-H, H] on random pairs", _le, lambda r: r["worst"], 0.0, basis="pointwise"),
             _dephasing_ramp,
-            Row("dephasing ramp converges strongly on a spanning probe set", _flag, lambda r: r["converges"], basis="pointwise"),
+            Row("dephasing ramp converges strongly on a spanning probe set", _close, lambda r: r["converges"], 1.0, 0.0, "pointwise"),
             Row(
                 "ramp: measured mutual-information loss vanishes with the parameter",
                 _le,

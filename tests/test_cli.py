@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -154,6 +155,23 @@ def test_sequence_mix_to_pure_takes_sigma_as_a_state(tmp_path):
     # continuity in fixed dimension: only a finite-n remnant of the loss
     assert estimates["entropy"]["window"] == 3
     assert 0.0 < estimates["entropy"]["loss"] <= 0.1
+
+
+@pytest.mark.parametrize("kind", ["diag", "matrix"])
+def test_sequence_mix_to_pure_keeps_a_factorized_sigma(tmp_path, kind):
+    values = [0.4, 0.3, 0.2, 0.1]
+    entries = [[[v if i == j else 0.0, 0.0] for j in range(4)] for i, v in enumerate(values)]
+    sigma = {"kind": kind, "factor_dims": [2, 2], **({"values": values} if kind == "diag" else {"entries": entries})}
+    section = {"family": "mix_to_pure", "params": {"sigma": sigma}, "functionals": sorted(FUNCTIONALS)}
+    estimates = _run_sequence(tmp_path, section)
+    assert sorted(estimates) == sorted(FUNCTIONALS)
+    assert all(math.isfinite(e["loss"]) for e in estimates.values())
+
+
+def test_sequence_estimates_are_the_jump_record_without_its_values(tmp_path):
+    estimates = _run_sequence(tmp_path, {"family": "product", "functionals": sorted(FUNCTIONALS)})
+    fields = {f.name for f in dataclasses.fields(sequences.JumpEstimate)} - {"values"}
+    assert estimates and all(set(e) == fields for e in estimates.values())
 
 
 def test_sequence_pinched_entropy_on_the_lifted_family_default_grid(tmp_path):

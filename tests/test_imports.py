@@ -82,3 +82,30 @@ def test_every_export_is_read_outside_the_unit_tests():
     }
     unread = sorted(exported - read)
     assert not unread, f"exports no reader outside the unit tests reads: {unread}"
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The module-level private functions, classes and constants of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _loaded_or_imported(tree: ast.Module) -> set:
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return read | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_private_helper_is_read_by_the_package():
+    """A module-level private function, class or constant that no module of
+    the package loads or imports is an orphan, left behind by a fold."""
+    package = Path(SPEC.submodule_search_locations[0])
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    read = set().union(*map(_loaded_or_imported, trees.values()))
+    orphans = sorted(f"{module}.{name}" for module, tree in trees.items() for name in _private_definitions(tree) - read)
+    assert not orphans, f"private helpers no module of the package reads: {orphans}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entroloss import (
+    GRID_DIAG,
     GRID_MEDIUM,
     PureBipartiteState,
     StateSequence,
@@ -27,6 +28,8 @@ from entroloss.rand import random_density
 from entroloss.sequences import (
     FUNCTIONALS,
     entropy_of,
+    jump_gain,
+    jump_loss,
     marginal_entropy_of,
     mutual_information_of,
     pure_trace_distance,
@@ -103,6 +106,49 @@ def test_window_below_one_is_rejected(rng, window):
     seq = StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9)))
     with pytest.raises(InvalidParameterError):
         estimate_jump(seq, entropy_of, window=window)
+
+
+@pytest.mark.parametrize("window", [2.5, "2", True])
+def test_a_non_integer_window_is_refused(rng, window):
+    rho = random_density(2, rng)
+    seq = StateSequence(generator=lambda n: rho, limit=rho, n_grid=tuple(range(1, 9)))
+    with pytest.raises(InvalidParameterError):
+        estimate_jump(seq, entropy_of, window=window)
+
+
+@pytest.mark.parametrize("window", [0, 2.5, "2", True])
+@pytest.mark.parametrize("read", [jump_loss, jump_gain])
+def test_the_loss_and_gain_reads_refuse_a_non_integer_window(read, window):
+    with pytest.raises(InvalidParameterError):
+        read([0.0, 1.0, 2.0], 1.0, window)
+
+
+def test_an_integral_float_window_reads_as_an_int():
+    seq = make_sharp_sequence(energy=1.0, n_grid=GRID_MEDIUM)
+    est = estimate_jump(seq, entropy_of, window=2.0)
+    assert est == estimate_jump(seq, entropy_of, window=2)
+    assert type(est.window) is int
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_mixing_family_keeps_the_factorization_of_sigma(rng, dense):
+    sigma = random_density(4, rng, factor_dims=(2, 2))
+    if not dense:
+        sigma = TraceClassElement(sigma.diag, sigma.factor_dims)
+    seq = make_mixing_sequence(sigma)
+    assert seq.limit.factor_dims == (2, 2)
+    assert all(seq.element(n).factor_dims == (2, 2) for n in seq.n_grid)
+    assert math.isfinite(estimate_jump(seq, mutual_information_of).loss)
+
+
+def test_lifted_limit_distance_matches_the_limit_padded_by_hand():
+    seq = lift_by_purification(make_sharp_sequence(energy=1.0))
+    assert seq.n_grid == GRID_DIAG
+    for n in seq.n_grid:
+        x = seq.element(n)
+        padded = np.zeros(x.dims[0])
+        padded[: seq.limit.dims[0]] = seq.limit._schmidt
+        assert seq.limit_distance(x) == pure_trace_distance(x, PureBipartiteState(padded))
 
 
 def test_each_grid_element_is_built_once():

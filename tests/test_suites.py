@@ -231,3 +231,30 @@ def test_support_held_marginal_mutation_fails_rows(factor, monkeypatch):
     assert all(suite_run(suite_id).passed for suite_id in affected)
     monkeypatch.setattr(operators, "_support_regrouped", mutated)
     assert not any(suite_run(suite_id).passed for suite_id in affected)
+
+
+def _boolean_rows() -> dict:
+    """suite id -> claims of its boolean rows, each ``_close`` of a truth value to 1.0 at tolerance 0.0."""
+    rows = {}
+    for suite_id, suite in SUITES.items():
+        for row in suite.rows:
+            if isinstance(row, Row) and row.relation is suites._close and (row.rhs, row.tol) == (1.0, 0.0):
+                rows.setdefault(suite_id, []).append(row.claim)
+    return rows
+
+
+def test_every_row_is_le_or_close():
+    relations = {row.relation for suite in SUITES.values() for row in suite.rows if isinstance(row, Row)}
+    assert relations == {suites._le, suites._close}
+
+
+def test_boolean_rows_record_their_truth_value_against_one():
+    rows = _boolean_rows()
+    assert sum(map(len, rows.values())) == 5
+    for suite_id, claims in rows.items():
+        checks = [c for c in suite_run(suite_id).checks if c.claim in claims]
+        assert len(checks) == len(claims)
+        for c in checks:
+            assert (c.lhs in (0.0, 1.0), c.rhs, c.tolerance, c.passed) == (True, 1.0, 0.0, c.lhs == 1.0)
+    false = Row("never", suites._close, lambda r: False, 1.0, 0.0).check(None)
+    assert false == suites.SuiteCheck("never", 0.0, 1.0, 0.0, False, "measured")
