@@ -57,15 +57,11 @@ call that projects the new gradient and the old one at the new point (the
 memory's last slot holds the new raw gradient next to the old projected
 one), one concatenate that pushes the pair and one ``_direction`` call.
 
-Restart 0 starts at the identity embedding, every other restart at a random
-isometry drawn from its own stream spawned from the budget seed, the draws
-retracted together by one stacked QR.  That stack depends only on (seed,
-restarts, rows, cols), so it is built once per key and kept read-only in a
-memo of ``STARTS_KEPT`` keys; a search copies it before it sets the identity
-start.  An objective with a critical point at the identity (a singleton
-ensemble, a trivial extension) would stop restart 0 there at once, so its
-search passes ``identity_start=False`` and restart 0 starts at its own draw
-too.  The descent itself draws nothing, so the result is deterministic and
+Every restart starts at a random isometry drawn from its own stream spawned
+from the budget seed, the draws retracted together by one stacked QR.  That
+stack depends only on (seed, restarts, rows, cols), so it is built once per
+key and kept read-only in a memo of ``STARTS_KEPT`` keys; a search descends a
+copy.  The descent itself draws nothing, so the result is deterministic and
 every restart follows the trajectory it would follow alone.
 ``random_isometry`` is the one sign-fixed QR draw the package uses
 for Haar-random unitaries, isometries and Stinespring dilations.
@@ -256,21 +252,16 @@ def _starts(seed: int, restarts: int, rows: int, cols: int) -> np.ndarray:
     return w
 
 
-def minimize_isometry(
-    objective, rows: int, cols: int, budget: OptimizerBudget | None = None, identity_start: bool = True
-) -> IsometrySearchResult:
+def minimize_isometry(objective, rows: int, cols: int, budget: OptimizerBudget | None = None) -> IsometrySearchResult:
     """Multi-restart minimization of ``objective`` over (rows x cols) isometries.
 
     ``objective`` maps a (B, rows, cols) stack of isometries to its (B,)
-    values and (B, rows, cols) gradients; ``identity_start`` puts restart 0
-    at the identity embedding instead of a random isometry."""
+    values and (B, rows, cols) gradients."""
     budget = budget or DEFAULT_BUDGET
     if rows < cols:
         raise InvalidParameterError(f"isometry needs rows >= cols, got {rows} < {cols}")
     start = time.perf_counter()
     w = _starts(budget.seed, budget.restarts, rows, cols).copy()
-    if identity_start:
-        w[0] = np.eye(rows, cols)
     values, evaluations, steps, rounds, multipliers = _descend(objective, w, budget)
     best_idx = int(np.argmin(values))
     return IsometrySearchResult(

@@ -395,8 +395,7 @@ def c_squashed_entanglement_k(
         g = g.reshape(c.shape) - g_ab.swapaxes(-1, -2)
         return (s_a + s_b - joint).sum(axis=-1), _members_adjoint(amp, g, k, r)
 
-    # the identity is the singleton ensemble, a critical point
-    search = minimize_isometry(objective, k * r, r, budget, identity_start=False)
+    search = minimize_isometry(objective, k * r, r, budget)
     return _from_search(search.value, Direction.UPPER_BOUND, search, ensemble_size=k)
 
 
@@ -445,8 +444,7 @@ def squashed_entanglement_k(
         grad = np.einsum("nxef,xr->nefr", g4.reshape(n, da * db, k, f), amp.conj()).reshape(n, k * f, r)
         return (ent * signs).sum(axis=-1), grad
 
-    # the identity is the trivial extension, a critical point
-    search = minimize_isometry(objective, k * f, r, budget, identity_start=False)
+    search = minimize_isometry(objective, k * f, r, budget)
     return _from_search(max(search.value, 0.0), Direction.UPPER_BOUND, search, extension_dim=k)
 
 

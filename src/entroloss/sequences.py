@@ -318,7 +318,8 @@ def estimate_jump(
     """Walk the grid for one functional and read its windowed jump estimate.
 
     The distance to the limit is read off each element as it is scored, so
-    the grid is walked once."""
+    the grid is walked once, after the window is checked."""
+    check_grid(seq.n_grid, integer_parameter(window, "window", 1))
     values, distances = series(seq, functional, seq.limit_distance)
     return read_jump(seq, functional, values, distances, window, closed_form_key)
 

@@ -41,20 +41,17 @@ def inner(a, b):
     return np.einsum("ij,ij->", a.conj(), b).real
 
 
-def start_points(rows, cols, budget, identity_start):
-    """The start of each restart: its own draw, or the identity embedding for restart 0."""
-    for i, seed in enumerate(np.random.SeedSequence(budget.seed).spawn(budget.restarts)):
-        if i == 0 and identity_start:
-            yield np.eye(rows, cols, dtype=complex)
-        else:
-            yield random_isometry(np.random.default_rng(seed), rows, cols)
+def start_points(rows, cols, budget):
+    """The start of each restart: the isometry drawn from its own stream."""
+    for seed in np.random.SeedSequence(budget.seed).spawn(budget.restarts):
+        yield random_isometry(np.random.default_rng(seed), rows, cols)
 
 
-def reference_search(objective, rows, cols, budget, identity_start=True):
+def reference_search(objective, rows, cols, budget):
     """Restarts one after another, each a one-candidate L-BFGS loop; returns
     values, final isometries and trajectory lengths."""
     values, isometries, lengths = [], [], []
-    for w in start_points(rows, cols, budget, identity_start):
+    for w in start_points(rows, cols, budget):
         value, grad = objective(w[None])
         best, g = float(value[0]), _tangent(w, grad[0])
         pairs = []  # (s, y), oldest first
@@ -91,13 +88,13 @@ BB_SHRINK = 0.93  # step factor after a rejected step
 BB_GROW = 1.25  # step factor after an accepted step with <s, y> <= 0
 
 
-def bb_search(objective, rows, cols, budget, identity_start=True):
+def bb_search(objective, rows, cols, budget):
     """The Barzilai-Borwein search, restarts one after another; returns the
     restart values and the rounds its stacked, batched form took: each restart
     scores one candidate in the round after an accepted step and up to
     ``BATCH`` after a rejected one, and all restarts share the start's round."""
     values, rounds = [], []
-    for w in start_points(rows, cols, budget, identity_start):
+    for w in start_points(rows, cols, budget):
         value, grad = objective(w[None])
         best, g = float(value[0]), _tangent(w, grad[0])
         step = INITIAL_STEP
@@ -148,12 +145,12 @@ ROOFS = {
 
 
 def captured_search(monkeypatch, run, rng, budget=BUDGET):
-    """Run one roof and return (objective, rows, cols, budget, kwargs, result) of its single search."""
+    """Run one roof and return (objective, rows, cols, budget, result) of its single search."""
     searches = []
 
-    def capture(objective, rows, cols, budget, **kwargs):
-        result = minimize_isometry(objective, rows, cols, budget, **kwargs)
-        searches.append((objective, rows, cols, budget, kwargs, result))
+    def capture(objective, rows, cols, budget):
+        result = minimize_isometry(objective, rows, cols, budget)
+        searches.append((objective, rows, cols, budget, result))
         return result
 
     monkeypatch.setattr(roofs, "minimize_isometry", capture)
@@ -178,9 +175,8 @@ def test_stacked_qr_isometry_equals_per_matrix(shape):
     assert out.tobytes() == (q * (d / np.abs(d)).conj()[..., None, :]).tobytes()
 
 
-@pytest.mark.parametrize("identity_start", [True, False])
 @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (8, 2), (16, 4), (6, 3)])
-def test_stacked_starts_equal_per_restart_draws(shape, identity_start):
+def test_stacked_starts_equal_per_restart_draws(shape):
     rows, cols = shape
     budget = OptimizerBudget(restarts=16, iterations=0, seed=23)
     seen = []
@@ -189,11 +185,9 @@ def test_stacked_starts_equal_per_restart_draws(shape, identity_start):
         seen.append(w.copy())
         return np.zeros(len(w)), np.zeros_like(w)
 
-    minimize_isometry(objective, rows, cols, budget, identity_start=identity_start)
+    minimize_isometry(objective, rows, cols, budget)
     seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
     starts = [random_isometry(np.random.default_rng(seed), rows, cols) for seed in seeds]
-    if identity_start:
-        starts[0] = np.eye(rows, cols, dtype=complex)
     assert seen[0].tobytes() == np.stack(starts).tobytes()
 
 
@@ -204,29 +198,34 @@ def test_starts_are_memoized_read_only():
         starts[0, 0, 0] = 1.0
 
 
-def test_an_identity_start_does_not_leak_into_the_memoized_draws():
-    budget = OptimizerBudget(restarts=3, iterations=0, seed=41)
+def test_a_descent_does_not_move_the_memoized_draws(rng):
+    # the descent moves every restart of its stack in place; the memo keeps the draws
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = a + a.conj().T
+    budget = OptimizerBudget(restarts=3, iterations=5, seed=41)
     seen = []
 
-    def objective(w):
+    def objective(w):  # Re Tr[W^dag A W]
         seen.append(w.copy())
-        return np.zeros(len(w)), np.zeros_like(w)
+        return np.einsum("nij,ik,nkj->n", w.conj(), a, w).real, a @ w
 
-    for identity_start in (True, False, True):
-        minimize_isometry(objective, 4, 2, budget, identity_start=identity_start)
-    with_identity, drawn, again = seen
-    first = random_isometry(np.random.default_rng(np.random.SeedSequence(budget.seed).spawn(1)[0]), 4, 2)
-    assert with_identity[0].tobytes() == np.eye(4, 2, dtype=complex).tobytes()
-    assert drawn[0].tobytes() == first.tobytes()
-    assert again.tobytes() == with_identity.tobytes() and with_identity[1:].tobytes() == drawn[1:].tobytes()
+    memo = _optim._starts(budget.seed, budget.restarts, 4, 2)
+    drawn = memo.tobytes()
+    first = minimize_isometry(objective, 4, 2, budget)
+    second_start = len(seen)
+    again = minimize_isometry(objective, 4, 2, budget)
+    assert memo.tobytes() == drawn
+    assert seen[0].tobytes() == seen[second_start].tobytes() == drawn
+    assert (first.restart_values < objective(memo)[0]).all()  # every restart moved
+    assert again.restart_values.tobytes() == first.restart_values.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ROOFS))
 def test_a_repeated_search_is_bit_identical(name, monkeypatch, rng):
     # the second search draws its starts from the memo, the first built them
     _optim._starts.cache_clear()
-    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)
-    again = minimize_isometry(objective, rows, cols, budget, **kwargs)
+    objective, rows, cols, budget, result = captured_search(monkeypatch, ROOFS[name], rng)
+    again = minimize_isometry(objective, rows, cols, budget)
     assert again.restart_values.tobytes() == result.restart_values.tobytes()
     assert again.isometry.tobytes() == result.isometry.tobytes()
     assert again.evaluations.tolist() == result.evaluations.tolist() and again.rounds == result.rounds
@@ -244,8 +243,8 @@ SEARCH_CASES = [
 @pytest.mark.parametrize("name, iterations", SEARCH_CASES)
 def test_stacked_search_matches_sequential_restarts(name, iterations, monkeypatch, rng):
     budget = OptimizerBudget(restarts=BUDGET.restarts, iterations=iterations, seed=BUDGET.seed)
-    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng, budget)
-    values, isometries, evaluations = reference_search(objective, rows, cols, budget, **kwargs)
+    objective, rows, cols, budget, result = captured_search(monkeypatch, ROOFS[name], rng, budget)
+    values, isometries, evaluations = reference_search(objective, rows, cols, budget)
     assert result.restart_values.tobytes() == values.tobytes()
     assert result.isometry.tobytes() == isometries[int(np.argmin(values))].tobytes()
     assert result.steps.tolist() == evaluations.tolist()
@@ -259,8 +258,8 @@ BB_SEEDS = [None, 1, 2]
 def bb_case(name, seed, monkeypatch, rng):
     """One roof's search and the Barzilai-Borwein oracle's (values, rounds) on its objective."""
     rng = rng if seed is None else np.random.default_rng(seed)
-    objective, rows, cols, budget, kwargs, result = captured_search(monkeypatch, ROOFS[name], rng)
-    return result, bb_search(objective, rows, cols, budget, **kwargs)
+    objective, rows, cols, budget, result = captured_search(monkeypatch, ROOFS[name], rng)
+    return result, bb_search(objective, rows, cols, budget)
 
 
 @pytest.mark.parametrize("seed", BB_SEEDS)

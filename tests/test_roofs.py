@@ -289,6 +289,28 @@ def test_formation_brackets_closed_form(seed):
     assert formation_two_member_grid(omega) >= exact - 1e-12
 
 
+def isotropic(d, fidelity):
+    """F |Phi+><Phi+| + (1 - F) (I - |Phi+><Phi+|) / (d^2 - 1) on (d, d)."""
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    proj = np.outer(phi, phi)
+    return TraceClassElement(fidelity * proj + (1 - fidelity) * (np.eye(d * d) - proj) / (d * d - 1), (d, d))
+
+
+def isotropic_formation(d, fidelity):
+    """Terhal-Vollbrecht E_F of an isotropic state, in nats, for 1/d <= F <= 4(d - 1)/d^2."""
+    gamma = (math.sqrt(fidelity) + math.sqrt((d - 1) * (1 - fidelity))) ** 2 / d
+    return -gamma * math.log(gamma) - (1 - gamma) * math.log(1 - gamma) + (1 - gamma) * math.log(d - 1)
+
+
+@pytest.mark.parametrize("fidelity", [0.5, 0.7])
+def test_formation_matches_the_isotropic_closed_form_on_qutrit_pairs(fidelity):
+    # below the hull point F = 8/9 the default ensemble of rank = 9 members
+    # reaches the closed form, and no restart stalls the search's rounds
+    out = entanglement_of_formation(isotropic(3, fidelity))
+    assert out.value == pytest.approx(isotropic_formation(3, fidelity), abs=1e-9)
+    assert out.meta["rounds"] <= 500
+
+
 def test_grid_oracle_requires_rank_two(rng):
     with pytest.raises(ValueError):
         formation_two_member_grid(random_density(4, rng, factor_dims=(2, 2)))

@@ -116,6 +116,21 @@ def test_a_non_integer_window_is_refused(rng, window):
         estimate_jump(seq, entropy_of, window=window)
 
 
+def test_a_window_too_wide_for_the_grid_is_refused_before_the_walk(monkeypatch):
+    built = []
+    element = StateSequence.element
+
+    def counted(self, n):
+        built.append(n)
+        return element(self, n)
+
+    monkeypatch.setattr(StateSequence, "element", counted)
+    seq = make_sharp_sequence()
+    with pytest.raises(InvalidParameterError, match="fewer than 2 \\* window"):
+        estimate_jump(seq, "entropy", window=len(seq.n_grid) // 2 + 1)
+    assert built == []
+
+
 @pytest.mark.parametrize("window", [0, 2.5, "2", True])
 @pytest.mark.parametrize("read", [jump_loss, jump_gain])
 def test_the_loss_and_gain_reads_refuse_a_non_integer_window(read, window):
