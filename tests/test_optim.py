@@ -175,10 +175,11 @@ def test_stacked_qr_isometry_equals_per_matrix(shape):
     assert out.tobytes() == (q * (d / np.abs(d)).conj()[..., None, :]).tobytes()
 
 
+@pytest.mark.parametrize("restarts", [1, 16])  # a lone restart 0 starts at its own draw too
 @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (8, 2), (16, 4), (6, 3)])
-def test_stacked_starts_equal_per_restart_draws(shape):
+def test_stacked_starts_equal_per_restart_draws(shape, restarts):
     rows, cols = shape
-    budget = OptimizerBudget(restarts=16, iterations=0, seed=23)
+    budget = OptimizerBudget(restarts=restarts, iterations=0, seed=23)
     seen = []
 
     def objective(w):
